@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 
 use dssd_bench::runner::{self, BenchRecord};
 use dssd_bench::{perf_config, run_synthetic, run_trace};
-use dssd_kernel::shard::demo;
 use dssd_kernel::{Rng, SimSpan, SimTime};
 use dssd_noc::traffic::{schedule, Pattern};
 use dssd_noc::{drive_counted, Network, NocConfig, TopologyKind};
@@ -86,18 +85,6 @@ fn synthetic_fx(arch: Architecture, pages: u32, hit: f64, express: bool) -> f64 
     s.io_gbps
 }
 
-/// [`synthetic`] on the sharded engine: `shards > 1` splits the
-/// future-event list across per-shard queues merged in exact global
-/// order (DESIGN.md §14). Reports are byte-identical to `shards = 1`;
-/// only wall time differs.
-fn synthetic_sharded(arch: Architecture, pages: u32, hit: f64, shards: usize) -> f64 {
-    let mut cfg = perf_config(arch).with_shards(shards);
-    cfg.gc_continuous = true;
-    let s = run_synthetic(cfg, AccessPattern::Random, pages, 0.0, hit, SimSpan::from_ms(MS));
-    note_events(s.events);
-    s.io_gbps
-}
-
 fn main() {
     // `cargo bench` forwards flags like `--bench`; keep only bare
     // substring patterns as name filters.
@@ -133,18 +120,6 @@ fn main() {
     bench(&mut records, f, "fig07_architectures/dSSD_f_no_express", || {
         synthetic_fx(Architecture::DssdFnoc, 8, 0.0, false)
     });
-
-    // Sharded-engine A/B partners for the same point: the future-event
-    // list split across 2 / 4 per-shard queues, merged in exact global
-    // order (reports identical; DESIGN.md §14). Their events/sec ratio
-    // against the dSSD_f row is the sharding overhead or speedup on
-    // this host — on a single-core runner the engine pins parallel
-    // extraction off, so the ratio records pure bookkeeping overhead.
-    for shards in [2usize, 4] {
-        bench(&mut records, f, &format!("fig07_architectures/dSSD_f_shards{shards}"), || {
-            synthetic_sharded(Architecture::DssdFnoc, 8, 0.0, shards)
-        });
-    }
 
     // A/B pair: the same fNoC-heavy point with the express path on
     // (default) and off, so `results/bench.json` records the express
@@ -194,14 +169,6 @@ fn main() {
         });
     }
 
-    // Sharded A/B rows on the DRAM-hit mix (NoC- and central-event
-    // heavy, so round-robined central events dominate placement).
-    for shards in [2usize, 4] {
-        bench(&mut records, f, &format!("fig10_dram_hit_tails/shards{shards}"), || {
-            synthetic_sharded(Architecture::DssdFnoc, 8, 1.0, shards)
-        });
-    }
-
     let profile = msr::profile("prn_0").unwrap();
     bench(&mut records, f, "fig11_trace_replay", || {
         let s = run_trace(perf_config(Architecture::Baseline), profile, 20.0, SimSpan::from_ms(MS));
@@ -240,11 +207,11 @@ fn main() {
         });
     }
 
+    // The endurance model is analytic, not event-driven: its erase count
+    // is not a kernel event count, so these rows report wall time only.
     for policy in SuperblockPolicy::all() {
         bench(&mut records, f, &format!("fig14_endurance/{}", policy.label()), || {
-            let report = EnduranceSim::new(EnduranceConfig::test_small()).run(policy);
-            note_events(report.erase_ops);
-            report
+            EnduranceSim::new(EnduranceConfig::test_small()).run(policy)
         });
     }
 
@@ -258,9 +225,7 @@ fn main() {
 
     bench(&mut records, f, "fig16_srt_capacity_run", || {
         let cfg = EnduranceConfig { srt_entries: 64, ..EnduranceConfig::test_small() };
-        let report = EnduranceSim::new(cfg).run(SuperblockPolicy::Recycled);
-        note_events(report.erase_ops);
-        report
+        EnduranceSim::new(cfg).run(SuperblockPolicy::Recycled)
     });
 
     bench(&mut records, f, "write_cache_hot_set", || {
@@ -308,27 +273,6 @@ fn main() {
         note_events(sim.report().events_delivered);
         report.completed()
     });
-
-    // The kernel's truly-parallel barrier engine on its demo model (a
-    // cleanly partitioned station farm with cross-shard forwards): one
-    // worker per shard under conservative lookahead barriers, SPSC
-    // mailboxes between them. Strong scaling — the same 1024 stations
-    // split across 1 / 2 / 4 workers — so `shards1` is the serial
-    // floor; on multi-core hosts the shards4 row shows the wall-clock
-    // win the SSD-side sharded queue cannot (its handlers share one
-    // state), while on a single core it records barrier overhead.
-    for shards in [1usize, 2, 4] {
-        bench(&mut records, f, &format!("shard_engine/shards{shards}"), || {
-            let cfg = demo::DemoConfig {
-                shards,
-                stations: 1024 / shards,
-                ..demo::DemoConfig::default()
-            };
-            let (digests, stats) = demo::run_engine(&cfg, SimTime::from_ns(10_000_000));
-            note_events(stats.events);
-            digests
-        });
-    }
 
     bench(&mut records, f, "event_queue_push_pop_10k", || {
         let mut q = dssd_kernel::EventQueue::new();

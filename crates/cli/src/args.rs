@@ -24,8 +24,14 @@ impl std::error::Error for ArgError {}
 
 impl Flags {
     /// Parses `--key value` pairs and bare `--switch`es. `known_switches`
-    /// lists the flags that take no value.
-    pub fn parse(args: &[String], known_switches: &[&str]) -> Result<Flags, ArgError> {
+    /// lists the flags that take no value, `known_values` the flags that
+    /// take one; any other `--key` is an error, so a typo or a retired
+    /// flag fails loudly instead of being silently ignored.
+    pub fn parse(
+        args: &[String],
+        known_switches: &[&str],
+        known_values: &[&str],
+    ) -> Result<Flags, ArgError> {
         let mut flags = Flags::default();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
@@ -34,6 +40,8 @@ impl Flags {
             };
             if known_switches.contains(&key) {
                 flags.switches.push(key.to_string());
+            } else if !known_values.contains(&key) {
+                return Err(ArgError(format!("unknown flag --{key}")));
             } else {
                 let value = it
                     .next()
@@ -77,7 +85,7 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_switches() {
-        let f = Flags::parse(&args(&["--ms", "30", "--dram-hit"]), &["dram-hit"]).unwrap();
+        let f = Flags::parse(&args(&["--ms", "30", "--dram-hit"]), &["dram-hit"], &["ms"]).unwrap();
         assert_eq!(f.get("ms"), Some("30"));
         assert!(f.switch("dram-hit"));
         assert!(!f.switch("other"));
@@ -87,9 +95,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Flags::parse(&args(&["ms"]), &[]).is_err());
-        assert!(Flags::parse(&args(&["--ms"]), &[]).is_err());
-        let f = Flags::parse(&args(&["--ms", "abc"]), &[]).unwrap();
+        assert!(Flags::parse(&args(&["ms"]), &[], &["ms"]).is_err());
+        assert!(Flags::parse(&args(&["--ms"]), &[], &["ms"]).is_err());
+        let f = Flags::parse(&args(&["--ms", "abc"]), &[], &["ms"]).unwrap();
         assert!(f.get_or("ms", 0u64).is_err());
+        // Undeclared keys (typos, retired flags) are rejected, not ignored.
+        let typo = Flags::parse(&args(&["--ms", "3", "--sed", "4"]), &[], &["ms", "seed"]);
+        assert_eq!(typo.unwrap_err(), ArgError("unknown flag --sed".into()));
+        assert!(Flags::parse(&args(&["--reads", "--workers", "2"]), &["reads"], &["ms"]).is_err());
     }
 }

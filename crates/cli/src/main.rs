@@ -13,10 +13,10 @@
 //!                     [--trace-out FILE] [--trace-window MS] [--trace-summary]
 //!                     [--epoch-out FILE] [--epoch-ms MS]
 //!                     [--progress] [--no-noc-express] [--no-flash-express]
-//!                     [--shards N]
+//!                     [--srt-remaps N] [--onchip-factor F]
 //! dssd-cli sweep      [--arch all|dssd_f] [--factors 1.0,1.5,2.0] [--jobs N]
 //!                     [--pages 8] [--ms 5] [--seed N] [--gc-continuous]
-//!                     [--shards N] [--json FILE]
+//!                     [--json FILE]
 //! dssd-cli trace      --volume prn_0 --arch baseline [--speedup 10] [--ms 40]
 //!                     [--trace-out FILE] [--trace-window MS] [--trace-summary]
 //!                     [--epoch-out FILE] [--epoch-ms MS]
@@ -80,11 +80,9 @@
 //! for the flash-side express path (analytic leg-chain coalescing, the
 //! NoC event burst loop, and the quiet-router sweep skip — DESIGN.md
 //! §13): byte-identical output, one-event-at-a-time execution.
-//! `--shards N` (default 1) runs the intra-run sharded engine: the
-//! future-event list is split across N per-shard queues by home
-//! resource (channel blocks, fNoC regions) and merged back in exact
-//! global order (DESIGN.md §14) — stdout is byte-identical for every
-//! N, so shard count is a performance knob, never a results knob.
+//!
+//! Every subcommand rejects flags it does not read (`unknown flag --x`),
+//! so a typo never silently falls back to a default.
 
 mod args;
 
@@ -111,6 +109,30 @@ const USAGE: &str = "usage: dssd-cli <run|sweep|trace|serve|validate|crashpoints
 run 'dssd-cli <command> --help' is not needed: every flag has a default;
 see the crate docs (or the source header) for the full flag list.";
 
+/// Value flags read by [`build_config`], shared by every subcommand that
+/// builds an [`SsdConfig`] (`run`, `trace`, `serve`, `crashpoints`).
+const CONFIG_FLAGS: &[&str] = &[
+    "arch",
+    "seed",
+    "srt-remaps",
+    "onchip-factor",
+    "fault-read-transient",
+    "fault-read-hard",
+    "fault-program",
+    "fault-erase",
+    "fault-noc",
+    "fault-max-retries",
+    "fault-retry-success",
+    "journal-entries",
+    "ckpt-interval-pages",
+    "power-loss-ms",
+    "power-loss-event",
+    "power-loss-mttf-ms",
+];
+
+/// Value flags read by [`trace_config`] and [`write_trace_outputs`].
+const TRACE_FLAGS: &[&str] = &["trace-out", "trace-window", "epoch-out", "epoch-ms"];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -126,7 +148,7 @@ fn main() -> ExitCode {
         "crashpoints" => cmd_crashpoints(rest),
         "endurance" => cmd_endurance(rest),
         "noc" => cmd_noc(rest),
-        "volumes" => cmd_volumes(),
+        "volumes" => cmd_volumes(rest),
         other => Err(ArgError(format!("unknown command `{other}`\n{USAGE}"))),
     };
     match result {
@@ -174,8 +196,6 @@ fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
         // §13): fall back to one-event-at-a-time execution.
         cfg.flash_express = false;
     }
-    let shards = flags.get_or("shards", 1usize)?;
-    cfg = cfg.with_shards(shards);
     if let Err(e) = cfg.validate() {
         return Err(ArgError(e));
     }
@@ -448,7 +468,7 @@ fn print_trace_summary(sim: &mut SsdSim) {
 /// export (flat numeric objects, uniform columns, strictly increasing
 /// `t_ms`). CI runs both on freshly exported files.
 fn cmd_validate(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &[])?;
+    let flags = Flags::parse(rest, &[], &["trace", "epochs", "service"])?;
     if flags.get("trace").is_none()
         && flags.get("epochs").is_none()
         && flags.get("service").is_none()
@@ -495,7 +515,11 @@ fn cmd_validate(rest: &[String]) -> Result<(), ArgError> {
 /// and verify the mount recovers with both invariants intact. Exits
 /// non-zero on any violation.
 fn cmd_crashpoints(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &["gc-continuous", "no-flash-express", "no-noc-express"])?;
+    let flags = Flags::parse(
+        rest,
+        &["gc-continuous", "no-flash-express", "no-noc-express"],
+        &[CONFIG_FLAGS, &["pages", "ms", "stride", "seeds"]].concat(),
+    )?;
     let mut base = build_config(&flags)?;
     if base.durability.is_none() {
         base.durability = Some(DurabilityConfig::default());
@@ -579,6 +603,12 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
             "reads",
             "trace-summary",
         ],
+        &[
+            CONFIG_FLAGS,
+            TRACE_FLAGS,
+            &["pages", "ms", "qd", "pattern", "resume", "snapshot-at-ms", "snapshot-out"],
+        ]
+        .concat(),
     )?;
     let cfg = build_config(&flags)?;
     let tracing = trace_config(&flags)?;
@@ -661,7 +691,11 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
 /// be diffed across `--jobs` settings; CI does exactly that. Wall-clock
 /// times are only recorded in the optional `--json` output.
 fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &["gc-continuous"])?;
+    let flags = Flags::parse(
+        rest,
+        &["gc-continuous"],
+        &["jobs", "ms", "pages", "factors", "arch", "seed", "json"],
+    )?;
     let jobs = flags.get_or("jobs", 0usize)?; // 0 = all available cores
     let ms = flags.get_or("ms", 5u64)?;
     let pages = flags.get_or("pages", 8u32)?;
@@ -693,7 +727,6 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
             if factor > 1.0 {
                 cfg = cfg.with_onchip_factor(factor);
             }
-            cfg = cfg.with_shards(flags.get_or("shards", 1usize)?);
             let label = format!("{}/x{factor}", arch.label());
             let mut p = SweepPoint::writes(label, cfg, SimSpan::from_ms(ms));
             p.request_pages = pages;
@@ -726,10 +759,10 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
 }
 
 fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
-    let flags =
-        Flags::parse(
+    let flags = Flags::parse(
         rest,
         &["gc-continuous", "no-flash-express", "no-noc-express", "progress", "trace-summary"],
+        &[CONFIG_FLAGS, TRACE_FLAGS, &["ms", "speedup", "csv", "volume"]].concat(),
     )?;
     let mut cfg = build_config(&flags)?;
     cfg.gc_continuous = true;
@@ -785,6 +818,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), ArgError> {
     let flags = Flags::parse(
         rest,
         &["batch", "gc-continuous", "no-flash-express", "no-noc-express", "progress", "trace-summary"],
+        &[CONFIG_FLAGS, TRACE_FLAGS, &["spec", "report"]].concat(),
     )?;
     let cfg = build_config(&flags)?;
     let tracing = trace_config(&flags)?;
@@ -836,7 +870,22 @@ fn cmd_serve(rest: &[String]) -> Result<(), ArgError> {
 }
 
 fn cmd_endurance(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &[])?;
+    let flags = Flags::parse(
+        rest,
+        &[],
+        &[
+            "superblocks",
+            "sigma",
+            "mean",
+            "srt",
+            "reserved",
+            "seed",
+            "journal-entries",
+            "ckpt-interval-pages",
+            "power-loss-fills",
+            "policy",
+        ],
+    )?;
     let mut cfg = EnduranceConfig::paper_tlc();
     cfg.superblocks = flags.get_or("superblocks", cfg.superblocks)?;
     cfg.pe_sigma = flags.get_or("sigma", cfg.pe_sigma)?;
@@ -904,7 +953,11 @@ fn cmd_endurance(rest: &[String]) -> Result<(), ArgError> {
 }
 
 fn cmd_noc(rest: &[String]) -> Result<(), ArgError> {
-    let flags = Flags::parse(rest, &["no-noc-express"])?;
+    let flags = Flags::parse(
+        rest,
+        &["no-noc-express"],
+        &["topology", "terminals", "pattern", "load-mbps", "ms", "bisection", "buffer", "seed"],
+    )?;
     let topology = match flags.get("topology").unwrap_or("mesh") {
         "mesh" | "mesh1d" => TopologyKind::Mesh1D,
         "ring" => TopologyKind::Ring,
@@ -951,7 +1004,8 @@ fn cmd_noc(rest: &[String]) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn cmd_volumes() -> Result<(), ArgError> {
+fn cmd_volumes(rest: &[String]) -> Result<(), ArgError> {
+    Flags::parse(rest, &[], &[])?;
     println!(
         "{:<8} {:>10} {:>9} {:>10} {:>8} {:>6}",
         "volume", "read%", "read KiB", "write KiB", "IOPS", "class"

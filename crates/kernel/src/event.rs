@@ -88,23 +88,6 @@ pub const DEFAULT_RANK: u8 = 1;
 /// ([`DEFAULT_RANK`]) at the same instant, no matter when it was pushed.
 pub const ARRIVAL_RANK: u8 = 0;
 
-/// The total delivery order of an event: `(time, rank, seq)`,
-/// lexicographic. Two events never share a key inside one queue (the
-/// sequence number is unique), so the key is the queue's full tie-break
-/// story made explicit. Sharded schedulers ([`crate::ShardedQueue`])
-/// assign keys from one shared sequence counter and merge per-shard
-/// queues by key, which reproduces the exact pop order a single queue
-/// would have produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventKey {
-    /// Absolute event timestamp.
-    pub time: SimTime,
-    /// Same-time rank; lower pops first ([`ARRIVAL_RANK`] < [`DEFAULT_RANK`]).
-    pub rank: u8,
-    /// Insertion sequence number; FIFO tie-break within (time, rank).
-    pub seq: u64,
-}
-
 #[derive(Debug, Clone)]
 struct Entry<E> {
     time: SimTime,
@@ -163,24 +146,8 @@ impl<E> EventQueue<E> {
     pub fn push_ranked(&mut self, time: SimTime, rank: u8, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_entry(Entry { time, rank, seq, event });
-    }
-
-    /// Schedules `event` under a caller-supplied [`EventKey`], bypassing
-    /// the internal sequence counter. This exists for sharded schedulers
-    /// that split one logical event stream across several queues: keys
-    /// minted from a single shared counter keep the *global* FIFO
-    /// tie-break intact no matter which shard an event lands in. A queue
-    /// fed through `push_keyed` must be fed exclusively through it —
-    /// mixing with [`EventQueue::push`]/[`EventQueue::push_ranked`] on
-    /// the same queue could reuse sequence numbers and break the
-    /// uniqueness the ordering relies on.
-    pub fn push_keyed(&mut self, key: EventKey, event: E) {
-        self.push_entry(Entry { time: key.time, rank: key.rank, seq: key.seq, event });
-    }
-
-    fn push_entry(&mut self, entry: Entry<E>) {
-        let q = quantum(entry.time);
+        let entry = Entry { time, rank, seq, event };
+        let q = quantum(time);
         if q >= self.window_start_q + NUM_BUCKETS as u64 {
             self.far.push(Reverse(entry));
             return;
@@ -216,14 +183,6 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (key, event) = self.pop_keyed()?;
-        Some((key.time, event))
-    }
-
-    /// Removes and returns the earliest event together with its full
-    /// delivery key. Sharded schedulers use the key to merge several
-    /// queues into one exact global order.
-    pub fn pop_keyed(&mut self) -> Option<(EventKey, E)> {
         if self.near_len == 0 {
             // Calendar empty: jump the window to the earliest far event.
             let Reverse(top) = self.far.peek()?;
@@ -251,8 +210,7 @@ impl<E> EventQueue<E> {
         let entry = bucket.swap_remove(best);
         self.near_len -= 1;
         self.popped += 1;
-        let key = EventKey { time: entry.time, rank: entry.rank, seq: entry.seq };
-        Some((key, entry.event))
+        Some((entry.time, entry.event))
     }
 
     /// Removes and returns the earliest event only if `pred` accepts it;
@@ -302,36 +260,6 @@ impl<E> EventQueue<E> {
         let mut slot = self.cursor;
         loop {
             if let Some(near_min) = self.near[slot].iter().map(|e| e.time).min() {
-                return match far_min {
-                    Some(f) if f < near_min => Some(f),
-                    _ => Some(near_min),
-                };
-            }
-            slot = (slot + 1) % NUM_BUCKETS;
-        }
-    }
-
-    /// The full delivery key of the earliest pending event, if any: the
-    /// `(time, rank, seq)` triple that [`EventQueue::pop_keyed`] would
-    /// return next. Sharded schedulers cache this per shard to decide
-    /// which queue holds the global minimum without popping.
-    #[must_use]
-    pub fn peek_key(&self) -> Option<EventKey> {
-        let far_min = self.far.peek().map(|Reverse(e)| EventKey {
-            time: e.time,
-            rank: e.rank,
-            seq: e.seq,
-        });
-        if self.near_len == 0 {
-            return far_min;
-        }
-        let mut slot = self.cursor;
-        loop {
-            let near_min = self.near[slot]
-                .iter()
-                .map(|e| EventKey { time: e.time, rank: e.rank, seq: e.seq })
-                .min();
-            if let Some(near_min) = near_min {
                 return match far_min {
                     Some(f) if f < near_min => Some(f),
                     _ => Some(near_min),
@@ -674,64 +602,6 @@ mod tests {
                 if a.is_none() {
                     break;
                 }
-            }
-        }
-    }
-
-    /// `push_keyed` with keys minted from an external counter must pop in
-    /// exact key order, and `peek_key`/`pop_keyed` must agree with each
-    /// other across both tiers.
-    #[test]
-    fn keyed_push_pop_roundtrip() {
-        let window_ns = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
-        let mut q = EventQueue::new();
-        let keys = [
-            EventKey { time: SimTime::from_ns(2 * window_ns), rank: DEFAULT_RANK, seq: 0 },
-            EventKey { time: SimTime::from_ns(50), rank: DEFAULT_RANK, seq: 1 },
-            EventKey { time: SimTime::from_ns(50), rank: ARRIVAL_RANK, seq: 2 },
-            EventKey { time: SimTime::from_ns(50), rank: DEFAULT_RANK, seq: 3 },
-            EventKey { time: SimTime::from_ns(7), rank: DEFAULT_RANK, seq: 4 },
-        ];
-        for (i, &k) in keys.iter().enumerate() {
-            q.push_keyed(k, i);
-        }
-        let mut sorted = keys;
-        sorted.sort();
-        for &want in &sorted {
-            assert_eq!(q.peek_key(), Some(want));
-            assert_eq!(q.peek_time(), Some(want.time));
-            let (got, ev) = q.pop_keyed().unwrap();
-            assert_eq!(got, want);
-            assert_eq!(keys[ev], want);
-        }
-        assert_eq!(q.peek_key(), None);
-        assert_eq!(q.pop_keyed(), None);
-    }
-
-    /// Randomized: `peek_key` must always name the entry `pop_keyed`
-    /// returns next, even with sparse far-tier keys and shared-counter
-    /// seq gaps (a shard only sees a subset of the global sequence).
-    #[test]
-    fn peek_key_matches_pop_keyed() {
-        let window_ns = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
-        let mut rng = Rng::new(0x5EED_4E51);
-        let mut q = EventQueue::new();
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        for _ in 0..2000 {
-            if rng.range_u64(0..3) == 0 {
-                let peeked = q.peek_key();
-                let popped = q.pop_keyed();
-                assert_eq!(peeked, popped.as_ref().map(|(k, _)| *k));
-                if let Some((k, _)) = popped {
-                    now = now.max(k.time.as_ns());
-                }
-            } else {
-                let t = SimTime::from_ns(now + rng.range_u64(0..2 * window_ns));
-                let rank = if rng.range_u64(0..4) == 0 { ARRIVAL_RANK } else { DEFAULT_RANK };
-                // Gappy seqs: a shard owns a slice of the shared counter.
-                seq += 1 + rng.range_u64(0..5);
-                q.push_keyed(EventKey { time: t, rank, seq }, ());
             }
         }
     }

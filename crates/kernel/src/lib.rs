@@ -21,11 +21,6 @@
 //!   that cannot use dense ids.
 //! * [`parallel`] — a std-only scoped-thread fan-out for embarrassingly
 //!   parallel sweeps, with results in deterministic input order.
-//! * [`shard`] — conservative parallel execution *within* one run:
-//!   [`ShardedQueue`] splits a future-event list across shards while
-//!   preserving exact single-queue pop order (parallel batch extraction),
-//!   and [`BarrierEngine`] runs cleanly partitioned models concurrently
-//!   under lookahead barriers with SPSC mailboxes.
 //! * [`snap`] — a tiny hand-rolled binary codec for simulation snapshots
 //!   (the workspace vendors no external serialization crate).
 //!
@@ -50,14 +45,12 @@ pub mod hash;
 pub mod parallel;
 mod rng;
 mod server;
-pub mod shard;
 mod slab;
 pub mod snap;
 pub mod stats;
 mod time;
 
-pub use event::{EventKey, EventQueue, ARRIVAL_RANK, DEFAULT_RANK};
-pub use shard::{BarrierEngine, BarrierStats, Outbox, ShardWorker, ShardedQueue};
+pub use event::{EventQueue, ARRIVAL_RANK, DEFAULT_RANK};
 pub use hash::{FxHashMap, FxHasher};
 pub use rng::Rng;
 pub use server::{BandwidthServer, ServerStats, Transfer};

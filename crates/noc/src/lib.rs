@@ -45,13 +45,11 @@
 
 mod network;
 mod packet;
-mod region;
 mod stats;
 mod topology;
 pub mod traffic;
 
 pub use network::{drive, drive_counted, Delivered, ExpressDiag, HopRecord, Network, NocEvent, Step};
 pub use packet::{Flit, FlitKind, Packet, PacketId};
-pub use region::RegionMap;
 pub use stats::NocStats;
 pub use topology::{NocConfig, Topology, TopologyKind};

@@ -256,15 +256,6 @@ pub struct SsdConfig {
     /// are byte-identical with it off (`--no-flash-express`), only wall
     /// clock changes.
     pub flash_express: bool,
-    /// Event-queue shards for intra-run parallel execution (`--shards`).
-    /// 1 = the single-queue engine, byte-for-byte unchanged. N > 1
-    /// partitions the future-event list by ownership — flash channels,
-    /// fNoC regions, central control — merged back in exact global
-    /// `(time, rank, seq)` order, so results are byte-identical for any
-    /// N; only which core does the queue work changes. Purely an
-    /// execution strategy, like [`SsdConfig::flash_express`], and freely
-    /// composable with it.
-    pub shards: usize,
     /// Random seed.
     pub seed: u64,
 }
@@ -297,7 +288,6 @@ impl SsdConfig {
             power_loss: PowerLossConfig::none(),
             gc_continuous: false,
             flash_express: true,
-            shards: 1,
             seed: 0x5D_D5,
         }
     }
@@ -393,13 +383,6 @@ impl SsdConfig {
         self
     }
 
-    /// Sets the event-queue shard count (see [`SsdConfig::shards`]).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Simulation-start reference (always zero; exists for readability at
     /// call sites).
     #[must_use]
@@ -488,15 +471,6 @@ impl SsdConfig {
         }
         if self.power_loss.enabled() && self.durability.is_none() {
             return Err("power-loss injection requires the durability model".into());
-        }
-        if self.shards == 0 {
-            return Err("shard count must be at least 1".into());
-        }
-        if self.shards > 64 {
-            return Err(format!(
-                "{} shards exceeds the supported maximum of 64",
-                self.shards
-            ));
         }
         Ok(())
     }

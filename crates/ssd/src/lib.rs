@@ -41,7 +41,6 @@ mod cache;
 mod config;
 mod faults;
 mod metrics;
-mod shard;
 mod sim;
 mod snapshot;
 
@@ -51,7 +50,6 @@ pub use config::{
 pub use faults::{FaultConfig, FaultInjector, ReadFault};
 pub use metrics::{FaultCounters, RecoveryReport, RunReport, StageBreakdown, StageKind};
 pub use cache::WriteCache;
-pub use shard::ShardPlan;
 pub use sim::{Completion, RunState, SsdSim, EPOCH_COLUMNS};
 pub use snapshot::{RunPlan, SimSnapshot};
 

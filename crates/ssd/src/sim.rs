@@ -10,10 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 use dssd_ctrl::{CommandId, CommandKind, CommandQueue, DecoupledController, EccVerdict};
 use dssd_flash::{DieGrid, EraseOutcome, FlashOp, FlashOpKind, PageAddr, WearModel};
 use dssd_ftl::{AllocGroup, CopyGroup, Ftl, GcRound, Lpn, MetaStats, META_NO_TICKET};
-use dssd_kernel::{
-    BandwidthServer, EventQueue, Rng, ShardedQueue, SimSpan, SimTime, Slab, SlabKey, ARRIVAL_RANK,
-    DEFAULT_RANK,
-};
+use dssd_kernel::{BandwidthServer, EventQueue, Rng, SimSpan, SimTime, Slab, SlabKey, ARRIVAL_RANK};
 use dssd_noc::{Network, NocEvent, Packet};
 use dssd_telemetry::{Class, EpochSeries, Stage, TraceConfig, Tracer, Track};
 use dssd_workload::{Op, Request, SyntheticWorkload};
@@ -21,7 +18,6 @@ use dssd_workload::{Op, Request, SyntheticWorkload};
 use crate::cache::WriteCache;
 use crate::faults::{FaultInjector, ReadFault};
 use crate::metrics::{RunReport, StageKind};
-use crate::shard::ShardPlan;
 use crate::{Architecture, SsdConfig};
 
 /// Traffic class for host I/O on the shared servers.
@@ -217,109 +213,6 @@ enum Ev {
     ScanReadDone,
 }
 
-/// The simulator's future-event list: the single calendar queue (the
-/// reference engine, `--shards 1`, byte-for-byte the pre-sharding code
-/// path), or the sharded engine, which spreads events across per-shard
-/// queues by home resource ([`ShardPlan`]) and merges them back in
-/// exact global `(time, rank, seq)` order. Keys are minted from one
-/// shared counter at push time, so the merged pop order *is* the
-/// single-queue pop order — every consumer below is oblivious to which
-/// engine is running, and results are identical for every shard count.
-#[derive(Debug, Clone)]
-enum SimQueue {
-    Single(EventQueue<Ev>),
-    Sharded {
-        queue: ShardedQueue<Ev>,
-        plan: ShardPlan,
-    },
-}
-
-impl SimQueue {
-    fn new(config: &SsdConfig) -> Self {
-        if config.shards <= 1 {
-            SimQueue::Single(EventQueue::new())
-        } else {
-            SimQueue::Sharded {
-                queue: ShardedQueue::new(config.shards),
-                plan: ShardPlan::new(config),
-            }
-        }
-    }
-
-    /// The home shard of `ev`: channel-leg events live with their
-    /// channel's block, fNoC events with their router's region, and
-    /// everything centrally-homed (host interface, system bus, DRAM,
-    /// FTL, GC jobs in their central stages) round-robins. Placement
-    /// only balances load across shards — it can never reorder events,
-    /// because the merge is a total order over global keys.
-    fn classify(plan: &mut ShardPlan, ev: &Ev) -> usize {
-        match ev {
-            Ev::WriteAtCtrl { leg } | Ev::WriteAtDie { leg } => plan.shard_of_channel(leg.channel),
-            Ev::ReadAtBus { leg } | Ev::ReadAtEcc { leg } => plan.shard_of_channel(leg.channel),
-            Ev::Noc(nev) => match nev {
-                NocEvent::FlitArrive { node, .. }
-                | NocEvent::OutputFree { node, .. }
-                | NocEvent::Credit { node, .. }
-                | NocEvent::Eject { node, .. } => plan.shard_of_node(*node as usize),
-                // Express reservations have no single router home.
-                NocEvent::ExpressDone { .. } | NocEvent::ExpressResolve { .. } => {
-                    plan.next_central()
-                }
-            },
-            Ev::NocRetry { pkt } => plan.shard_of_node(pkt.src),
-            _ => plan.next_central(),
-        }
-    }
-
-    fn push(&mut self, t: SimTime, ev: Ev) {
-        match self {
-            SimQueue::Single(q) => q.push(t, ev),
-            SimQueue::Sharded { queue, plan } => {
-                let shard = Self::classify(plan, &ev);
-                queue.push(shard, t, DEFAULT_RANK, ev);
-            }
-        }
-    }
-
-    fn push_ranked(&mut self, t: SimTime, rank: u8, ev: Ev) {
-        match self {
-            SimQueue::Single(q) => q.push_ranked(t, rank, ev),
-            SimQueue::Sharded { queue, plan } => {
-                let shard = Self::classify(plan, &ev);
-                queue.push(shard, t, rank, ev);
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        match self {
-            SimQueue::Single(q) => q.pop(),
-            SimQueue::Sharded { queue, .. } => queue.pop(),
-        }
-    }
-
-    fn pop_if(&mut self, pred: impl FnOnce(SimTime, &Ev) -> bool) -> Option<(SimTime, Ev)> {
-        match self {
-            SimQueue::Single(q) => q.pop_if(pred),
-            SimQueue::Sharded { queue, .. } => queue.pop_if(pred),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            SimQueue::Single(q) => q.peek_time(),
-            SimQueue::Sharded { queue, .. } => queue.peek_time(),
-        }
-    }
-
-    fn delivered(&self) -> u64 {
-        match self {
-            SimQueue::Single(q) => q.delivered(),
-            SimQueue::Sharded { queue, .. } => queue.delivered(),
-        }
-    }
-}
-
 /// Dense timing-level SRT remap table: one slot per `(superblock,
 /// stripe-die)` pair, so the per-access lookup in `effective_addr` is a
 /// single indexed load instead of a hash probe. The replacement
@@ -394,7 +287,7 @@ pub struct SsdSim {
     flush_backlog: VecDeque<Lpn>,
     remap: RemapTable,
     wear: Option<WearModel>,
-    queue: SimQueue,
+    queue: EventQueue<Ev>,
     requests: Slab<ReqState>,
     jobs: Slab<CopyJob>,
     /// In-flight fNoC packets: the slab key's bits are the packet id, so
@@ -717,7 +610,7 @@ impl SsdSim {
             flush_backlog: VecDeque::new(),
             remap,
             wear,
-            queue: SimQueue::new(&config),
+            queue: EventQueue::new(),
             requests: Slab::new(),
             jobs: Slab::new(),
             packet_jobs: Slab::new(),

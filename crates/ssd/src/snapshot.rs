@@ -48,13 +48,7 @@ impl RunPlan {
 }
 
 fn config_fingerprint(config: &SsdConfig) -> u64 {
-    // The shard count selects an execution engine, not a simulated
-    // machine — results are byte-identical for every value — so it is
-    // normalized out of the fingerprint: a snapshot taken under
-    // `--shards 4` restores under `--shards 1` and vice versa.
-    let mut canon = config.clone();
-    canon.shards = 1;
-    fnv(format!("{canon:?}").as_bytes())
+    fnv(format!("{config:?}").as_bytes())
 }
 
 /// A point-in-time capture of a stepped run; see the [module

@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
 """Perf-regression guard over results/bench.json.
 
-Usage: perf_guard.py BASELINE_JSON CURRENT_JSON PREFIX[=MAX_DROP] ...
+Usage: perf_guard.py BASELINE_JSON CURRENT_JSON PREFIX [PREFIX ...]
 
 Compares the events/sec of every bench row whose name starts with one of
 the given prefixes against the committed baseline and fails (exit 1) if
-any drops by more than the allowed fraction (default 20%, override
-globally with PERF_GUARD_MAX_DROP). A prefix may carry its own floor as
-`PREFIX=FRACTION` — e.g. `shard_engine=0.35` tolerates a 35% drop for
-rows under `shard_engine` while everything else keeps the global limit.
-When several prefixes match a row, the longest (most specific) one wins.
-Rows without an events count are skipped — wall time alone is too noisy
-across CI machines, but events/sec measures the simulator's own
-throughput on identical deterministic work.
+any drops by more than the allowed fraction (default 20%, override with
+PERF_GUARD_MAX_DROP). Rows without an events count are skipped — wall
+time alone is too noisy across CI machines, but events/sec measures the
+simulator's own throughput on identical deterministic work.
 
 Prints a per-bench delta table (baseline vs. current events/sec, delta,
 and median wall time) so the CI log shows every point, not just the
@@ -24,41 +20,13 @@ import os
 import sys
 
 
-def parse_prefixes(args, global_drop):
-    """`PREFIX` or `PREFIX=0.35` -> ordered {prefix: max_drop}."""
-    out = {}
-    for a in args:
-        prefix, eq, drop = a.partition("=")
-        if not prefix:
-            sys.exit(f"empty prefix in argument `{a}`")
-        if eq:
-            try:
-                out[prefix] = float(drop)
-            except ValueError:
-                sys.exit(f"cannot parse max-drop `{drop}` in `{a}`")
-            if not 0.0 <= out[prefix] < 1.0:
-                sys.exit(f"max-drop `{drop}` in `{a}` must be in [0, 1)")
-        else:
-            out[prefix] = global_drop
-    return out
-
-
-def limit_for(name, prefixes):
-    """The most specific (longest) matching prefix's max-drop."""
-    best = None
-    for prefix, drop in prefixes.items():
-        if name.startswith(prefix) and (best is None or len(prefix) > len(best[0])):
-            best = (prefix, drop)
-    return best[1] if best else None
-
-
 def rows(path, prefixes):
     with open(path) as f:
         doc = json.load(f)
     return {
         b["name"]: b
         for b in doc["benches"]
-        if limit_for(b["name"], prefixes) is not None
+        if any(b["name"].startswith(p) for p in prefixes)
         and b.get("events_per_sec", 0) > 0
     }
 
@@ -70,25 +38,23 @@ def fmt_rate(v):
 def main():
     if len(sys.argv) < 4:
         sys.exit(__doc__)
-    baseline_path, current_path, *prefix_args = sys.argv[1:]
-    global_drop = float(os.environ.get("PERF_GUARD_MAX_DROP", "0.20"))
-    prefixes = parse_prefixes(prefix_args, global_drop)
+    baseline_path, current_path, *prefixes = sys.argv[1:]
+    max_drop = float(os.environ.get("PERF_GUARD_MAX_DROP", "0.20"))
     baseline = rows(baseline_path, prefixes)
     current = rows(current_path, prefixes)
     if not baseline:
-        sys.exit(f"no baseline rows match {list(prefixes)} in {baseline_path}")
+        sys.exit(f"no baseline rows match {prefixes} in {baseline_path}")
 
     name_w = max(len(n) for n in baseline) + 2
     header = (
         f"{'bench':<{name_w}} {'baseline':>10} {'current':>10} "
-        f"{'delta':>8} {'limit':>6} {'median ms':>10}  status"
+        f"{'delta':>8} {'median ms':>10}  status"
     )
     print(header)
     print("-" * len(header))
 
     failed = []
     for name, base in sorted(baseline.items()):
-        max_drop = limit_for(name, prefixes)
         cur = current.get(name)
         if cur is None:
             print(f"{name:<{name_w}} {'(missing from current run)':>30}")
@@ -99,14 +65,13 @@ def main():
         status = "OK" if ratio >= 1.0 - max_drop else "FAIL"
         print(
             f"{name:<{name_w}} {fmt_rate(b):>10} {fmt_rate(c):>10} "
-            f"{ratio - 1.0:>+7.1%} {max_drop:>6.0%} "
-            f"{cur.get('median_ms', 0.0):>10.3f}  {status}"
+            f"{ratio - 1.0:>+7.1%} {cur.get('median_ms', 0.0):>10.3f}  {status}"
         )
         if status == "FAIL":
             failed.append(f"{name}: events/sec fell {1.0 - ratio:.0%} (limit {max_drop:.0%})")
     if failed:
         sys.exit("perf regression:\n  " + "\n  ".join(failed))
-    print(f"perf guard passed ({len(baseline)} rows)")
+    print(f"perf guard passed ({len(baseline)} rows, max drop {max_drop:.0%})")
 
 
 if __name__ == "__main__":
