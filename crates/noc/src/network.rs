@@ -647,48 +647,6 @@ impl Network {
             .fold(0.0, f64::max)
     }
 
-    /// Compact diagnostic of in-flight state: stuck packets and every
-    /// non-empty buffer / busy output. For debugging embedders.
-    #[must_use]
-    pub fn debug_state(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for (id, st) in &self.packets {
-            let _ = writeln!(
-                s,
-                "packet {id}: {}->{} flits_remaining={} hops={}",
-                st.packet.src, st.packet.dst, st.flits_remaining, st.hops
-            );
-        }
-        for (n, node) in self.nodes.iter().enumerate() {
-            for (ip, input) in node.inputs.iter().enumerate() {
-                for (vc, buf) in input.vcs.iter().enumerate() {
-                    if !buf.flits.is_empty() || buf.alloc.is_some() {
-                        let _ = writeln!(
-                            s,
-                            "node {n} in {ip} vc {vc}: {} flits (front {:?}), alloc {:?}",
-                            buf.flits.len(),
-                            buf.flits.front().map(|f| (f.packet, f.kind)),
-                            buf.alloc
-                        );
-                    }
-                }
-            }
-            for (op, out) in node.outputs.iter().enumerate() {
-                let owned: Vec<_> =
-                    out.owner.iter().enumerate().filter(|(_, o)| o.is_some()).collect();
-                if !out.free || !owned.is_empty() {
-                    let _ = writeln!(
-                        s,
-                        "node {n} out {op}: free={} credits={:?} owners={:?}",
-                        out.free, out.credits, owned
-                    );
-                }
-            }
-        }
-        s
-    }
-
     /// Injects a packet at its source terminal at time `now`.
     ///
     /// # Panics

@@ -797,36 +797,10 @@ impl SsdSim {
         &mut self.report
     }
 
-    /// Diagnostic snapshot of GC progress: `(round active, pending
-    /// groups, copies done, copies expected, erases outstanding, copy
-    /// jobs in flight, dBUF waiters, NoC packets in flight)`.
-    #[must_use]
-    pub fn gc_debug(&self) -> (bool, usize, usize, usize, usize, usize, usize, usize) {
-        let (p, d, e, er) = self.gc.as_ref().map_or((0, 0, 0, 0), |g| {
-            (g.pending.len(), g.copies_done, g.copies_expected, g.erases_outstanding)
-        });
-        (
-            self.gc.is_some(),
-            p,
-            d,
-            e,
-            er,
-            self.jobs.len(),
-            self.dbuf_waiters.iter().map(|w| w.len()).sum(),
-            self.noc.as_ref().map_or(0, |n| n.in_flight()),
-        )
-    }
-
     /// Read hits observed by the DRAM write-buffer cache, if enabled.
     #[must_use]
     pub fn cache_hits(&self) -> Option<u64> {
         self.cache.as_ref().map(WriteCache::hits)
-    }
-
-    /// NoC diagnostic dump (empty string when there is no NoC).
-    #[must_use]
-    pub fn noc_debug(&self) -> String {
-        self.noc.as_ref().map_or(String::new(), |n| n.debug_state())
     }
 
     /// The embedded fNoC, when this architecture has one. Read-only:
@@ -913,18 +887,66 @@ impl SsdSim {
     /// Stepping stops *before* popping (the queue's FIFO tie order would
     /// not survive a pop-and-re-push), while the horizon check keeps the
     /// original pop-then-break — the dropped pop is part of the golden
-    /// `events_delivered` fingerprints.
+    /// `events_delivered` fingerprints. The express paths run under any
+    /// limit: a chain or burst that reaches it pushes its continuation
+    /// and pauses exactly where the reference engine would.
     pub fn run_events(&mut self, limit: u64) -> RunState {
+        self.run_bounded(limit, None)
+    }
+
+    /// Steps until the next pending event would land after `t` (so the
+    /// state is exactly the full run's state at instant `t`). Returns
+    /// [`RunState::Paused`] on reaching `t` with events still pending.
+    /// Chains and bursts that finish before `t` still coalesce.
+    pub fn run_until(&mut self, t: SimTime) -> RunState {
+        self.run_bounded(u64::MAX, Some(t + SimSpan::from_ns(1)))
+    }
+
+    /// Steps until the next pending event would land at or after `t`:
+    /// the safe point to [`inject`](SsdSim::inject_arrival) an arrival
+    /// at `t`, because no event at `t` has popped yet — the arrival's
+    /// rank then places it exactly where a batch push would have.
+    /// Returns [`RunState::Paused`] with events at or after `t` still
+    /// pending. Chains and bursts that finish before `t` still coalesce,
+    /// so a front-end pacing the device through this call keeps the
+    /// express paths.
+    pub fn run_until_before(&mut self, t: SimTime) -> RunState {
+        self.run_bounded(u64::MAX, Some(t))
+    }
+
+    /// The one event loop behind [`SsdSim::run_events`],
+    /// [`SsdSim::run_until`] and [`SsdSim::run_until_before`]: handles at
+    /// most `limit` events, and with a `stop` only events strictly
+    /// earlier than it.
+    ///
+    /// The express paths take one observation bound instead of a gate
+    /// per feature: the earliest of `stop`, the next epoch boundary, the
+    /// armed power-loss instant, and the end of the horizon. The chain
+    /// walk and the NoC burst run an event in place only if it is
+    /// strictly earlier than both the queue minimum and the bound, so
+    /// every event at or past the bound comes back through this loop,
+    /// where the pause, epoch sample or power loss it triggers runs
+    /// exactly as in the one-event-at-a-time engine. Their event budget
+    /// ends at `limit` and at `power_at_event`, which are therefore hit
+    /// exactly too. Progress ticks at chain boundaries.
+    fn run_bounded(&mut self, limit: u64, stop: Option<SimTime>) -> RunState {
         let express = self.config.flash_express;
-        if self.halted {
-            return RunState::Halted;
-        }
         if let Some(n) = self.noc.as_mut() {
             n.set_quiet_credit_skip(express);
         }
         let mut progress = self.progress.then(ProgressMeter::new);
+        let mut bound = self.observation_bound(stop);
         let mut handled = 0u64;
         loop {
+            // `limit` and `stop` never combine, and the stop check comes
+            // before the halt check so a stepping call on a halted run
+            // still pauses when nothing is due before its stop.
+            if stop.is_some_and(|s| self.queue.peek_time().is_none_or(|next| next >= s)) {
+                return RunState::Paused;
+            }
+            if self.halted {
+                return RunState::Halted;
+            }
             if handled >= limit {
                 return RunState::Paused;
             }
@@ -946,9 +968,13 @@ impl SsdSim {
             }
             // Epoch sampling piggybacks here rather than scheduling its
             // own events, so `events_delivered` (and every golden
-            // fingerprint) stays identical with sampling on or off.
-            if self.epoch.is_some() {
+            // fingerprint) stays identical with sampling on or off. The
+            // checks above keep `t` before `stop`, `power_at` and the
+            // horizon, so only an epoch boundary can put it at or past
+            // the bound.
+            if t >= bound {
                 self.sample_epochs_until(t);
+                bound = self.observation_bound(stop);
             }
             if let Some(p) = progress.as_mut() {
                 let (queue, noc) = (&self.queue, self.noc.as_ref());
@@ -956,86 +982,43 @@ impl SsdSim {
                 p.tick(t, || queue.delivered() + lane + noc.map_or(0, |n| n.express_events()));
             }
             self.now = t;
-            match ev {
+            let budget = match self.power_at_event {
+                Some(at) => (limit - handled).min(at.saturating_sub(self.events_handled)),
+                None => limit - handled,
+            };
+            let n = match ev {
                 // Express burst: drain consecutive NoC events in one
-                // tight loop, skipping the per-event outer-loop checks.
-                // The queue stays the ordering authority (`pop_if`), so
-                // the event sequence is identical to the one-at-a-time
-                // path; disabled whenever the outer loop's per-event
-                // observations (power-loss instants, epoch sampling,
-                // progress ticks) must run.
-                Ev::Noc(nev)
-                    if express
-                        && self.power_at.is_none()
-                        && self.power_at_event.is_none()
-                        && self.epoch.is_none()
-                        && !self.progress =>
-                {
-                    let n = self.noc_burst(nev, limit - handled);
-                    self.events_handled += n;
-                    handled += n;
-                }
+                // tight loop. The queue stays the ordering authority
+                // (`pop_if`), so the event sequence is identical to the
+                // one-at-a-time path.
+                Ev::Noc(nev) if express => self.noc_burst(nev, budget, bound),
                 // Express chain walk: flash leg chains coalesce while
                 // each continuation provably beats the queue minimum.
-                // Same gate as the burst: any per-event outer-loop
-                // observation forces one-at-a-time execution.
-                ev if express
-                    && self.power_at.is_none()
-                    && self.power_at_event.is_none()
-                    && self.epoch.is_none()
-                    && !self.progress =>
-                {
-                    let n = self.chain_walk(ev, limit - handled);
-                    self.events_handled += n;
-                    handled += n;
-                }
+                ev if express => self.chain_walk(ev, budget, bound),
                 ev => {
                     self.handle(ev);
-                    self.events_handled += 1;
-                    handled += 1;
-                    if self.power_at_event == Some(self.events_handled) {
-                        self.power_loss();
-                        return RunState::Halted;
-                    }
+                    1
                 }
+            };
+            self.events_handled += n;
+            handled += n;
+            if self.power_at_event == Some(self.events_handled) {
+                self.power_loss();
+                return RunState::Halted;
             }
         }
         RunState::Done
     }
 
-    /// Steps until the next pending event would land after `t` (so the
-    /// state is exactly the full run's state at instant `t`). Returns
-    /// [`RunState::Paused`] on reaching `t` with events still pending.
-    pub fn run_until(&mut self, t: SimTime) -> RunState {
-        loop {
-            match self.queue.peek_time() {
-                Some(next) if next <= t => {}
-                _ => return RunState::Paused,
-            }
-            match self.run_events(1) {
-                RunState::Paused => {}
-                done => return done,
-            }
-        }
-    }
-
-    /// Steps until the next pending event would land at or after `t`:
-    /// the safe point to [`inject`](SsdSim::inject_arrival) an arrival
-    /// at `t`, because no event at `t` has popped yet — the arrival's
-    /// rank then places it exactly where a batch push would have.
-    /// Returns [`RunState::Paused`] with events at or after `t` still
-    /// pending.
-    pub fn run_until_before(&mut self, t: SimTime) -> RunState {
-        loop {
-            match self.queue.peek_time() {
-                Some(next) if next < t => {}
-                _ => return RunState::Paused,
-            }
-            match self.run_events(1) {
-                RunState::Paused => {}
-                done => return done,
-            }
-        }
+    /// The instant the express paths must not reach: the earliest of the
+    /// stepping `stop`, the next epoch boundary, the armed power-loss
+    /// instant, and the first instant past the horizon.
+    fn observation_bound(&self, stop: Option<SimTime>) -> SimTime {
+        let past_horizon = SimTime::from_ns(self.horizon.as_ns().saturating_add(1));
+        [stop, self.epoch.as_ref().map(|e| e.next), self.power_at]
+            .into_iter()
+            .flatten()
+            .fold(past_horizon, SimTime::min)
     }
 
     /// Finalizes a stepped run: closes epoch sampling and fills the
@@ -1922,16 +1905,17 @@ impl SsdSim {
     /// The execution order is bit-identical to the event-at-a-time loop
     /// by construction: the calendar queue stays the ordering authority
     /// (`pop_if` only accepts the true minimum when it is a NoC event
-    /// within the horizon), the burst merely keeps the NoC step buffer
-    /// and the `self.noc` borrow hot across the run instead of paying
-    /// the full outer-loop dispatch per event.
+    /// strictly earlier than `bound`, see [`SsdSim::run_bounded`]), the
+    /// burst merely keeps the NoC step buffer and the `self.noc` borrow
+    /// hot across the run instead of paying the full outer-loop dispatch
+    /// per event. A successor it consumes in place is also strictly
+    /// earlier than `bound`.
     ///
     /// Returns the number of events handled (at least 1, at most `max`).
-    fn noc_burst(&mut self, first: NocEvent, max: u64) -> u64 {
+    fn noc_burst(&mut self, first: NocEvent, max: u64, bound: SimTime) -> u64 {
         let mut step = std::mem::take(&mut self.noc_step);
         let mut ev = first;
         let mut n = 0u64;
-        let horizon = self.horizon;
         loop {
             self.noc
                 .as_mut()
@@ -1967,7 +1951,7 @@ impl SsdSim {
                 let t0 = step.schedule[idx].0;
                 let unique =
                     step.schedule.iter().enumerate().all(|(i, s)| i == idx || s.0 > t0);
-                if t0 <= horizon {
+                if t0 < bound {
                     if unique {
                         // Strictly earliest among its siblings: safe to
                         // defer — even if demoted, time order (not FIFO)
@@ -2050,7 +2034,7 @@ impl SsdSim {
                 }
                 None => match self
                     .queue
-                    .pop_if(|t, e| t <= horizon && matches!(e, Ev::Noc(_)))
+                    .pop_if(|t, e| t < bound && matches!(e, Ev::Noc(_)))
                 {
                     Some((t, Ev::Noc(next))) => {
                         self.now = t;
@@ -2107,8 +2091,12 @@ impl SsdSim {
     /// digest, and progress ticks — express and non-express runs report
     /// identical totals.
     ///
+    /// A continuation at or past `bound` (see [`SsdSim::run_bounded`])
+    /// is pushed like any other, so the observation due there runs
+    /// before it.
+    ///
     /// Returns the number of events handled (at least 1, at most `max`).
-    fn chain_walk(&mut self, first: Ev, max: u64) -> u64 {
+    fn chain_walk(&mut self, first: Ev, max: u64, bound: SimTime) -> u64 {
         let mut ev = first;
         let mut n = 0u64;
         loop {
@@ -2121,7 +2109,7 @@ impl SsdSim {
                 Some(q) => q <= t,
                 None => false,
             };
-            if beaten || t > self.horizon || n >= max {
+            if beaten || t >= bound || n >= max {
                 if beaten {
                     self.chain_demoted += 1;
                 }
