@@ -834,13 +834,16 @@ fn cmd_serve(rest: &[String]) -> Result<(), ArgError> {
             "--report needs the live front-end (drop --batch)".into(),
         ));
     }
+    let arch = cfg.architecture;
+    let mut sim = SsdSim::new(cfg);
+    spec.check_fits(sim.ftl().lpn_count())
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
     println!(
         "serving {} tenants on {} for {} ms\n",
         spec.tenants.len(),
-        cfg.architecture.label(),
+        arch.label(),
         spec.duration.as_ns() as f64 / 1e6
     );
-    let mut sim = SsdSim::new(cfg);
     sim.set_progress(flags.switch("progress"));
     if let Some(tc) = tracing {
         sim.enable_tracing(tc);
@@ -1022,4 +1025,31 @@ fn cmd_volumes(rest: &[String]) -> Result<(), ArgError> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `dssd-cli serve --spec FILE` on a spec written to a
+    /// temporary file.
+    fn serve_spec(name: &str, spec: &str) -> Result<(), ArgError> {
+        let file = format!("dssd-cli-{}-{name}.spec", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        std::fs::write(&path, spec).expect("temp dir is writable");
+        let out = cmd_serve(&["--spec".into(), path.display().to_string()]);
+        let _ = std::fs::remove_file(&path);
+        out
+    }
+
+    #[test]
+    fn serve_rejects_specs_it_cannot_run() {
+        let huge = "duration_ms 1\ntenant a iops=1000 pages=4000000000\n";
+        let e = serve_spec("huge-request", huge).unwrap_err();
+        assert!(e.0.contains("cannot hold a 4000000000 page request of tenant a"), "{e}");
+        let e = serve_spec("inf-iops", "duration_ms 1\ntenant a iops=inf\n").unwrap_err();
+        assert!(e.0.contains("iops"), "{e}");
+        let e = serve_spec("huge-duration", "duration_ms 1e30\ntenant a iops=1\n").unwrap_err();
+        assert!(e.0.contains("nanosecond clock"), "{e}");
+    }
 }

@@ -23,6 +23,8 @@
 //!   parallel sweeps, with results in deterministic input order.
 //! * [`snap`] — a tiny hand-rolled binary codec for simulation snapshots
 //!   (the workspace vendors no external serialization crate).
+//! * [`check`] — a std-only property-test harness over seeded [`Rng`]
+//!   cases that names the failing case's seed.
 //!
 //! # Example
 //!
@@ -40,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod check;
 mod event;
 pub mod hash;
 pub mod parallel;
@@ -50,6 +53,7 @@ pub mod snap;
 pub mod stats;
 mod time;
 
+pub use check::check;
 pub use event::{EventQueue, ARRIVAL_RANK, DEFAULT_RANK};
 pub use hash::{FxHashMap, FxHasher};
 pub use rng::Rng;

@@ -256,53 +256,53 @@ mod tests {
         let rel = (achieved - 8e9).abs() / 8e9;
         assert!(rel < 0.01, "achieved {achieved}");
     }
-}
 
-#[cfg(all(test, feature = "proptest"))]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Service intervals never overlap, never start before arrival,
-        /// and preserve FIFO order; accounting matches exactly.
-        #[test]
-        fn fifo_invariants(
-            arrivals in proptest::collection::vec((0u64..10_000, 1u64..100_000), 1..100),
-        ) {
+    /// Service intervals never overlap, never start before arrival,
+    /// and preserve FIFO order; accounting matches exactly.
+    #[test]
+    fn fifo_invariants() {
+        crate::check(256, 0xF1F0_0000, |rng| {
             let mut s = BandwidthServer::new(1_000_000_000, SimSpan::from_ns(7));
-            let mut arrivals = arrivals;
-            arrivals.sort();
+            let mut arrivals: Vec<(u64, u64)> = (0..rng.range_u64(1..100))
+                .map(|_| (rng.range_u64(0..10_000), rng.range_u64(1..100_000)))
+                .collect();
+            arrivals.sort_unstable();
             let mut prev_done = SimTime::ZERO;
             let mut total_bytes = 0u64;
             let mut total_busy = SimSpan::ZERO;
             for &(at, bytes) in &arrivals {
                 let t = s.enqueue(SimTime::from_ns(at), bytes, 0);
-                prop_assert!(t.start >= SimTime::from_ns(at), "service before arrival");
-                prop_assert!(t.start >= prev_done, "overlapping service");
-                prop_assert!(t.done > t.start);
+                if t.start < SimTime::from_ns(at) || t.start < prev_done || t.done <= t.start {
+                    return Err(format!("{t:?} for {bytes} B at {at} ns after {prev_done:?}"));
+                }
                 prev_done = t.done;
                 total_bytes += bytes;
                 total_busy += t.service();
             }
             let stats = s.class_stats(0);
-            prop_assert_eq!(stats.bytes, total_bytes);
-            prop_assert_eq!(stats.items, arrivals.len() as u64);
-            prop_assert_eq!(stats.busy, total_busy);
-            prop_assert_eq!(s.busy_until(), prev_done);
-        }
+            let got = (stats.bytes, stats.items, stats.busy, s.busy_until());
+            let want = (total_bytes, arrivals.len() as u64, total_busy, prev_done);
+            if got != want {
+                return Err(format!("accounting {got:?}, expected {want:?}"));
+            }
+            Ok(())
+        });
+    }
 
-        /// `enqueue_extra` only ever lengthens service, monotonically.
-        #[test]
-        fn extra_overhead_is_additive(bytes in 1u64..100_000, extra in 0u64..10_000) {
+    /// `enqueue_extra` lengthens service by exactly the extra overhead.
+    #[test]
+    fn extra_overhead_is_additive() {
+        crate::check(256, 0xE47A_0000, |rng| {
+            let bytes = rng.range_u64(1..100_000);
+            let extra = rng.range_u64(0..10_000);
             let mut a = BandwidthServer::new(2_000_000_000, SimSpan::from_ns(5));
             let mut b = BandwidthServer::new(2_000_000_000, SimSpan::from_ns(5));
             let ta = a.enqueue(SimTime::ZERO, bytes, 0);
             let tb = b.enqueue_extra(SimTime::ZERO, bytes, 0, SimSpan::from_ns(extra));
-            prop_assert_eq!(
-                tb.service().as_ns(),
-                ta.service().as_ns() + extra
-            );
-        }
+            if tb.service().as_ns() != ta.service().as_ns() + extra {
+                return Err(format!("{bytes} B + {extra} ns: {ta:?} vs {tb:?}"));
+            }
+            Ok(())
+        });
     }
 }

@@ -32,6 +32,9 @@ use crate::ring::Sqe;
 /// Per-tenant rng fork stream tag (xored with the tenant index).
 const TENANT_STREAM: u64 = 0x7E4A_5EED;
 
+/// Highest offered load a tenant may declare: one arrival per nanosecond.
+const MAX_IOPS: f64 = 1e9;
+
 /// One tenant's offered load, namespace share and QoS configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
@@ -178,7 +181,7 @@ impl ServiceSpec {
                     if !(v > 0.0) {
                         return Err(err(format!("duration_ms must be positive, got {v}")));
                     }
-                    spec.duration = SimSpan::from_ns((v * 1e6) as u64);
+                    spec.duration = ms_span(key, v).map_err(err)?;
                     saw_duration = true;
                 }
                 "warmup_ms" => {
@@ -186,7 +189,7 @@ impl ServiceSpec {
                     if !(v >= 0.0) {
                         return Err(err(format!("warmup_ms must be non-negative, got {v}")));
                     }
-                    spec.warmup = SimSpan::from_ns((v * 1e6) as u64);
+                    spec.warmup = ms_span(key, v).map_err(err)?;
                 }
                 "seed" => spec.seed = parse_word(words.next(), key, lineno + 1)?,
                 "backlog" => {
@@ -234,9 +237,14 @@ impl ServiceSpec {
                             }
                         }
                     }
-                    if !(t.iops > 0.0) {
+                    // Arrivals land on whole nanoseconds, so more than one
+                    // per nanosecond means nothing; iops=inf (a zero gap)
+                    // would never advance the schedule at all.
+                    if !(t.iops > 0.0 && t.iops <= MAX_IOPS) {
                         return Err(err(format!(
-                            "tenant '{name}' needs a positive iops=…"
+                            "tenant '{name}' needs a positive iops=… of at most \
+                             {MAX_IOPS:e}, got {}",
+                            t.iops
                         )));
                     }
                     if t.pages == 0 {
@@ -270,25 +278,42 @@ impl ServiceSpec {
         Ok(spec)
     }
 
+    /// Checks that a drive of `lpn_count` logical pages gives every
+    /// tenant a namespace share that holds at least one of its requests.
+    /// Call it before [`ServiceSpec::namespaces`], [`ServiceSpec::schedule`]
+    /// or `serve` on a drive the spec was not written for.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] naming the first tenant that does not fit.
+    pub fn check_fits(&self, lpn_count: u64) -> Result<(), SpecError> {
+        let share = lpn_count / self.tenants.len() as u64;
+        match self.tenants.iter().find(|t| share < u64::from(t.pages)) {
+            Some(t) => Err(SpecError {
+                line: 0,
+                message: format!(
+                    "namespace share {share} pages cannot hold a {} page request of tenant {}",
+                    t.pages, t.name
+                ),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Equal-share namespace layout over a drive of `lpn_count` logical
     /// pages: tenant `i` owns `[i * share, (i + 1) * share)`.
     ///
     /// # Panics
     ///
     /// Panics if the drive is too small to give every tenant at least
-    /// its request size.
+    /// its request size (see [`ServiceSpec::check_fits`]).
     #[must_use]
     pub fn namespaces(&self, lpn_count: u64) -> Vec<Namespace> {
+        if let Err(e) = self.check_fits(lpn_count) {
+            panic!("{}", e.message);
+        }
         let n = self.tenants.len() as u64;
         let share = lpn_count / n;
-        for t in &self.tenants {
-            assert!(
-                share >= u64::from(t.pages),
-                "namespace share {share} pages cannot hold a {} page request of tenant {}",
-                t.pages,
-                t.name
-            );
-        }
         (0..n).map(|i| Namespace { base: i * share, pages: share }).collect()
     }
 
@@ -345,6 +370,18 @@ impl ServiceSpec {
             .into_iter()
             .map(|s| (s.at, namespaces[s.tenant as usize].map(s.sqe)))
             .collect()
+    }
+}
+
+/// `ms` milliseconds (the value of directive `key`) as a span. Fails
+/// when the nanosecond count is infinite or overflows `u64`, where an
+/// `as u64` cast would saturate into a horizon the schedule never reaches.
+fn ms_span(key: &str, ms: f64) -> Result<SimSpan, String> {
+    let ns = ms * 1e6;
+    if ns < u64::MAX as f64 {
+        Ok(SimSpan::from_ns(ns as u64))
+    } else {
+        Err(format!("{key} {ms} does not fit the 64-bit nanosecond clock"))
     }
 }
 
@@ -415,6 +452,15 @@ tenant b iops=50000 rate=4000 burst=4 qd=16  # trailing comment
             ("duration_ms 1\nwarmup_ms 1\ntenant a iops=1\n", "warmup"),
             ("duration_ms 1\nwarmup_ms -2\ntenant a iops=1\n", "warmup"),
             ("duration_ms 1\ntenant a iops=1 read=1.5\n", "read fraction"),
+            ("duration_ms 1\ntenant a iops=inf\n", "iops"),
+            ("duration_ms 1\ntenant a iops=NaN\n", "iops"),
+            ("duration_ms 1\ntenant a iops=2e9\n", "iops"),
+            ("duration_ms inf\ntenant a iops=1\n", "nanosecond clock"),
+            ("duration_ms NaN\ntenant a iops=1\n", "positive"),
+            ("duration_ms 1e30\ntenant a iops=1\n", "nanosecond clock"),
+            ("duration_ms 1.9e13\ntenant a iops=1\n", "nanosecond clock"),
+            ("duration_ms 1\nwarmup_ms inf\ntenant a iops=1\n", "nanosecond clock"),
+            ("duration_ms 1\nwarmup_ms NaN\ntenant a iops=1\n", "warmup"),
         ] {
             let e = ServiceSpec::parse(bad).unwrap_err();
             assert!(e.message.contains(needle), "{bad:?} gave {e}");
@@ -443,6 +489,15 @@ tenant b iops=50000 rate=4000 burst=4 qd=16  # trailing comment
         assert_eq!(ns.len(), 2);
         assert_eq!(ns[0], Namespace { base: 0, pages: 500 });
         assert_eq!(ns[1], Namespace { base: 500, pages: 500 });
+    }
+
+    #[test]
+    fn oversized_requests_do_not_fit_the_namespace() {
+        let s = ServiceSpec::parse("duration_ms 1\ntenant a iops=1\ntenant b iops=1 pages=600\n")
+            .unwrap();
+        assert_eq!(s.check_fits(1200), Ok(()));
+        let e = s.check_fits(1000).unwrap_err();
+        assert!(e.message.contains("600 page request of tenant b"), "{e}");
     }
 
     #[test]
