@@ -74,9 +74,9 @@
 //! `--progress` prints a once-per-second heartbeat (sim-time, events
 //! processed, events/sec) to stderr; stdout stays byte-identical.
 //! `--no-noc-express` disables the fNoC's contention-free express path
-//! and forces pure flit-level simulation — results are bit-identical
-//! either way, so this only matters when debugging a suspected
-//! divergence (see DESIGN.md §10). `--no-flash-express` does the same
+//! and forces pure flit-level simulation, for debugging a suspected
+//! divergence. Results are meant to be bit-identical either way, but
+//! two figure points differ (see DESIGN.md §10). `--no-flash-express` does the same
 //! for the flash-side express path (analytic leg-chain coalescing, the
 //! NoC event burst loop, and the quiet-router sweep skip — DESIGN.md
 //! §13): byte-identical output, one-event-at-a-time execution.

@@ -1,7 +1,7 @@
 //! Deterministic future-event list.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::SimTime;
 
@@ -32,6 +32,10 @@ const _: () = assert!(NUM_BUCKETS.is_power_of_two() && NUM_BUCKETS.is_multiple_o
 /// the rank sits above them.
 const SEQ_BITS: u32 = 56;
 
+/// Number of FIFO lanes in the constant-delay tier
+/// ([`EventQueue::push_fifo`]).
+pub const FIFOS: usize = 3;
+
 /// A deterministic priority queue of timestamped events.
 ///
 /// Events are delivered in non-decreasing timestamp order. Events that
@@ -51,15 +55,19 @@ const SEQ_BITS: u32 = 56;
 ///
 /// # Implementation
 ///
-/// Two tiers: a bucketed *calendar* covering a sliding near-future
-/// window, and a binary-heap overflow for events beyond it. The common
+/// Three tiers: a bucketed *calendar* covering a sliding near-future
+/// window, a binary-heap overflow for events beyond it, and [`FIFOS`]
+/// FIFO lanes for events scheduled at a constant delay. The common
 /// short-horizon push/pop is O(1) amortized — append to a bucket, scan
 /// the earliest non-empty bucket — instead of the heap's O(log n)
 /// sift per operation. An occupancy bitmap over the buckets lets the
 /// cursor jump straight to the next non-empty one, so a sparse schedule
 /// costs no more per pop than a dense one. Far events migrate into the
-/// calendar as the window slides over their timestamps. Every entry is
-/// ordered by one packed `(time, rank, seq)` key, so ordering (including
+/// calendar as the window slides over their timestamps. A FIFO lane
+/// only accepts an entry at or after its tail, so each lane is sorted
+/// by construction and its head is its minimum. Every entry is ordered
+/// by one packed `(time, rank, seq)` key and a pop takes the least key
+/// across the calendar front and the lane heads, so ordering (including
 /// FIFO tie-breaking by insertion sequence) is bit-identical to a
 /// pure-heap implementation; a randomized differential test asserts it.
 ///
@@ -95,8 +103,27 @@ pub struct EventQueue<E> {
     /// on the sparse Baseline trace replay but 0.91× on the two-tenant
     /// serve workload, so it stays a heap.
     far: BinaryHeap<Reverse<Entry<E>>>,
+    /// Constant-delay tier: each lane sorted by key, see
+    /// [`EventQueue::push_fifo`].
+    fifos: [VecDeque<Entry<E>>; FIFOS],
+    /// Events currently in the FIFO lanes.
+    fifo_len: usize,
+    /// A lower bound on every calendar key, near and far: each calendar
+    /// push lowers it, and a pop that has to look at the calendar sets it
+    /// to the calendar's minimum. A lane head below it pops without that
+    /// look, which on flit-level NoC traffic is nearly every pop.
+    calendar_floor: u128,
     seq: u64,
     popped: u64,
+}
+
+/// Where the earliest pending entry sits.
+#[derive(Debug, Clone, Copy)]
+enum Front {
+    /// Index into the cursor bucket.
+    Near(usize),
+    /// The head of this FIFO lane.
+    Fifo(usize),
 }
 
 /// Rank assigned by [`EventQueue::push`]. Ranks below this pop first at
@@ -154,9 +181,20 @@ impl<E> EventQueue<E> {
             window_start_q: 0,
             cursor: 0,
             far: BinaryHeap::new(),
+            fifos: std::array::from_fn(|_| VecDeque::new()),
+            fifo_len: 0,
+            calendar_floor: u128::MAX,
             seq: 0,
             popped: 0,
         }
+    }
+
+    /// The next insertion sequence number.
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        debug_assert!(seq < 1 << SEQ_BITS, "insertion sequence overflows the order key");
+        self.seq += 1;
+        seq
     }
 
     /// Schedules `event` at absolute time `time` with [`DEFAULT_RANK`].
@@ -168,10 +206,8 @@ impl<E> EventQueue<E> {
     /// At equal timestamps lower ranks pop first; within a rank, pushes
     /// pop FIFO. See the type-level docs for why ranks exist.
     pub fn push_ranked(&mut self, time: SimTime, rank: u8, event: E) {
-        let seq = self.seq;
-        debug_assert!(seq < 1 << SEQ_BITS, "insertion sequence overflows the order key");
-        self.seq += 1;
-        let entry = Entry { time, order: (u64::from(rank) << SEQ_BITS) | seq, event };
+        let entry = Entry { time, order: (u64::from(rank) << SEQ_BITS) | self.next_seq(), event };
+        self.calendar_floor = self.calendar_floor.min(entry.key());
         let q = quantum(time);
         if q >= self.window_start_q + NUM_BUCKETS as u64 {
             self.far.push(Reverse(entry));
@@ -186,6 +222,24 @@ impl<E> EventQueue<E> {
             (q % NUM_BUCKETS as u64) as usize
         };
         self.insert_near(slot, entry);
+    }
+
+    /// Schedules `event` at `time` with [`DEFAULT_RANK`] on FIFO lane
+    /// `fifo` (below [`FIFOS`]): exactly [`EventQueue::push`] in the pop
+    /// order, only cheaper for a caller that schedules each lane's events
+    /// at one constant delay after a non-decreasing "now". Such pushes
+    /// arrive in time order, so the lane appends them and its head is
+    /// always its minimum — no bucket, no scan. A push earlier than the
+    /// lane's tail goes to the calendar instead, so a caller that
+    /// classifies an event wrongly loses speed, never order.
+    pub fn push_fifo(&mut self, fifo: usize, time: SimTime, event: E) {
+        if self.fifos[fifo].back().is_some_and(|tail| time < tail.time) {
+            self.push(time, event);
+            return;
+        }
+        let order = (u64::from(DEFAULT_RANK) << SEQ_BITS) | self.next_seq();
+        self.fifos[fifo].push_back(Entry { time, order, event });
+        self.fifo_len += 1;
     }
 
     fn insert_near(&mut self, slot: usize, entry: Entry<E>) {
@@ -224,7 +278,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves the cursor to the earliest non-empty bucket and returns the
-    /// index of its minimum entry, or `None` if the queue is empty.
+    /// index of its minimum entry, or `None` if the calendar is empty.
     fn front(&mut self) -> Option<usize> {
         if self.near[self.cursor].is_empty() {
             self.advance()?;
@@ -244,9 +298,34 @@ impl<E> EventQueue<E> {
         Some(best)
     }
 
+    /// Finds the earliest entry across the calendar and the FIFO lanes,
+    /// or `None` if the queue is empty.
+    fn locate(&mut self) -> Option<Front> {
+        if self.fifo_len == 0 {
+            return self.front().map(Front::Near);
+        }
+        let (lane, key) = (0..FIFOS)
+            .filter_map(|f| self.fifos[f].front().map(|e| (f, e.key())))
+            .min_by_key(|&(_, key)| key)?;
+        if key < self.calendar_floor {
+            return Some(Front::Fifo(lane));
+        }
+        // With nothing in the window, the calendar's minimum is the far
+        // top; jump the window to it only if it beats the lanes.
+        if self.near_len == 0 {
+            self.calendar_floor = self.far.peek().map_or(u128::MAX, |Reverse(top)| top.key());
+            if key < self.calendar_floor {
+                return Some(Front::Fifo(lane));
+            }
+        }
+        let i = self.front().expect("the calendar holds the entry at its floor");
+        self.calendar_floor = self.near[self.cursor][i].key();
+        Some(if self.calendar_floor < key { Front::Near(i) } else { Front::Fifo(lane) })
+    }
+
     /// Moves the cursor off its empty bucket to the earliest non-empty
     /// one, migrating far events the moved window now covers; `None` if
-    /// the queue is empty.
+    /// the calendar is empty.
     fn advance(&mut self) -> Option<()> {
         if self.near_len == 0 {
             // Calendar empty: jump the window to the earliest far event.
@@ -265,8 +344,21 @@ impl<E> EventQueue<E> {
         Some(())
     }
 
+    /// Removes the entry `locate` found.
+    fn take(&mut self, front: Front) -> (SimTime, E) {
+        match front {
+            Front::Near(i) => self.take_near(i),
+            Front::Fifo(lane) => {
+                let entry = self.fifos[lane].pop_front().expect("located an empty lane");
+                self.fifo_len -= 1;
+                self.popped += 1;
+                (entry.time, entry.event)
+            }
+        }
+    }
+
     /// Removes entry `index` of the cursor bucket.
-    fn take(&mut self, index: usize) -> (SimTime, E) {
+    fn take_near(&mut self, index: usize) -> (SimTime, E) {
         let bucket = &mut self.near[self.cursor];
         let entry = bucket.swap_remove(index);
         if bucket.is_empty() {
@@ -279,8 +371,14 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let best = self.front()?;
-        Some(self.take(best))
+        // With every lane empty this is the calendar's own pop plus one
+        // branch, as before the lanes existed.
+        if self.fifo_len == 0 {
+            let i = self.front()?;
+            return Some(self.take_near(i));
+        }
+        let front = self.locate()?;
+        Some(self.take(front))
     }
 
     /// Removes and returns the earliest event only if `pred` accepts it;
@@ -291,17 +389,30 @@ impl<E> EventQueue<E> {
     /// events without paying a separate [`EventQueue::peek_time`] scan
     /// per event.
     pub fn pop_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        let best = self.front()?;
-        let entry = &self.near[self.cursor][best];
+        let front = self.locate()?;
+        let entry = match front {
+            Front::Near(i) => &self.near[self.cursor][i],
+            Front::Fifo(lane) => &self.fifos[lane][0],
+        };
         if !pred(entry.time, &entry.event) {
             return None;
         }
-        Some(self.take(best))
+        Some(self.take(front))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
+        let near = self.calendar_peek_time();
+        if self.fifo_len == 0 {
+            return near;
+        }
+        let lanes = self.fifos.iter().filter_map(|l| l.front().map(|e| e.time));
+        near.into_iter().chain(lanes).min()
+    }
+
+    /// The timestamp of the calendar's earliest event, if any.
+    fn calendar_peek_time(&self) -> Option<SimTime> {
         let mut bucket = &self.near[self.cursor];
         if bucket.is_empty() {
             if self.near_len == 0 {
@@ -317,7 +428,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.near_len + self.far.len() + self.fifo_len
     }
 
     /// True if no events are pending.
@@ -327,7 +438,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Total number of events delivered so far (a cheap progress/size
-    /// metric for long simulations). Counts pops from both tiers, so
+    /// metric for long simulations). Counts pops from every tier, so
     /// `delivered() + len()` always equals the number of pushes.
     #[must_use]
     pub fn delivered(&self) -> u64 {
@@ -474,11 +585,12 @@ mod tests {
     struct HeapQueue<E> {
         heap: BinaryHeap<Reverse<RefEntry<E>>>,
         seq: u64,
+        popped: u64,
     }
 
     impl<E: Copy> HeapQueue<E> {
         fn new() -> Self {
-            HeapQueue { heap: BinaryHeap::new(), seq: 0 }
+            HeapQueue { heap: BinaryHeap::new(), seq: 0, popped: 0 }
         }
 
         fn push_ranked(&mut self, time: SimTime, rank: u8, event: E) {
@@ -493,64 +605,79 @@ mod tests {
 
         fn pop(&mut self) -> Option<(SimTime, E)> {
             let Reverse(e) = self.heap.pop()?;
+            self.popped += 1;
             Some((e.time, e.event))
         }
     }
 
     type Popped = Option<(SimTime, u64)>;
 
-    /// Drives the calendar and the heap reference through one random
+    /// `Err` naming `what` unless the queue's `got` equals the
+    /// reference's `want`.
+    fn same<T: PartialEq + std::fmt::Debug>(got: T, want: T, what: &str) -> Result<(), String> {
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!("{what}: queue {got:?}, reference {want:?}"))
+        }
+    }
+
+    /// The constant delay of each FIFO lane in the differential schedule:
+    /// inside one bucket, a few buckets, and most of the window.
+    const LANE_DELAYS: [u64; FIFOS] = [5, 40, 50_000];
+
+    /// Drives the queue and the heap reference through one random
     /// schedule of pushes and `pop_step` calls (each returning the
-    /// calendar's and the reference's result), asserting equal results
-    /// and equal `peek_time`/`len` before every operation.
+    /// queue's and the reference's result), comparing every result and
+    /// `peek_time`, `len` and `delivered` before every operation.
     ///
-    /// Simulated "now" only moves forward, like a real event loop, but
-    /// pushes target five horizon classes: the same bucket, a few
-    /// microseconds, the whole window, the far tier, and gaps of many
-    /// windows. Now and then both queues drain to empty and the schedule
-    /// restarts from the last popped time. Together these exercise
-    /// late pushes, cursor jumps that wrap the occupancy bitmap, far
-    /// migration and window jumps over an empty calendar.
+    /// Simulated "now" only moves forward, like a real event loop.
+    /// Calendar pushes target five horizon classes: the same bucket, a
+    /// few microseconds, the whole window, the far tier, and gaps of many
+    /// windows. FIFO pushes go to every lane at the lane's constant delay
+    /// after now, except that one in eight lands anywhere up to that
+    /// delay, often before the lane's tail, so the lane must hand it to
+    /// the calendar. Now and then both queues drain to empty and the
+    /// schedule restarts from the last popped time. Together these
+    /// exercise late pushes, cursor jumps that wrap the occupancy bitmap,
+    /// far migration, window jumps over an empty calendar, lane fallbacks,
+    /// and same-time ties between lane heads and calendar entries.
     fn differential(
-        seed: u64,
+        rng: &mut Rng,
         mut pop_step: impl FnMut(
             &mut Rng,
             &mut EventQueue<u64>,
             &mut HeapQueue<u64>,
         ) -> (Popped, Popped),
-    ) {
+    ) -> Result<(), String> {
         let window_ns = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
-        let mut rng = Rng::new(seed);
-        let mut calendar = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut reference = HeapQueue::new();
         let mut now = 0u64;
         let mut id = 0u64;
-        let check_front = |calendar: &EventQueue<u64>, reference: &HeapQueue<u64>| {
-            assert_eq!(
-                calendar.peek_time(),
-                reference.peek().map(|(t, _)| t),
-                "peek_time divergence at seed {seed:#x}"
-            );
-            assert_eq!(calendar.len(), reference.heap.len(), "len divergence at seed {seed:#x}");
+        let check_front = |queue: &EventQueue<u64>, reference: &HeapQueue<u64>| {
+            same(queue.peek_time(), reference.peek().map(|(t, _)| t), "peek_time")?;
+            same(queue.len(), reference.heap.len(), "len")?;
+            same(queue.delivered(), reference.popped, "delivered")
         };
         for _ in 0..3000 {
-            check_front(&calendar, &reference);
-            let op = rng.range_u64(0..300);
-            if op < 100 {
-                let (a, b) = pop_step(&mut rng, &mut calendar, &mut reference);
-                assert_eq!(a, b, "divergence at seed {seed:#x}");
+            check_front(&queue, &reference)?;
+            let op = rng.range_u64(0..400);
+            if op < 130 {
+                let (a, b) = pop_step(rng, &mut queue, &mut reference);
+                same(a, b, "pop")?;
                 if let Some((t, _)) = a {
                     now = now.max(t.as_ns());
                 }
-            } else if op < 102 {
+            } else if op < 132 {
                 // Drain to empty; the next push re-opens an empty queue.
                 while let Some((t, e)) = reference.pop() {
-                    assert_eq!(calendar.pop(), Some((t, e)), "drain divergence at seed {seed:#x}");
-                    check_front(&calendar, &reference);
+                    same(queue.pop(), Some((t, e)), "drain pop")?;
+                    check_front(&queue, &reference)?;
                     now = t.as_ns();
                 }
-                assert_eq!(calendar.pop(), None);
-            } else {
+                same(queue.pop(), None, "pop of a drained queue")?;
+            } else if op < 300 {
                 let horizon = match rng.range_u64(0..5) {
                     0 => rng.range_u64(0..1024),
                     1 => rng.range_u64(0..65536),
@@ -560,32 +687,62 @@ mod tests {
                 };
                 let t = SimTime::from_ns(now + horizon);
                 let rank = if rng.range_u64(0..4) == 0 { ARRIVAL_RANK } else { DEFAULT_RANK };
-                calendar.push_ranked(t, rank, id);
+                queue.push_ranked(t, rank, id);
                 reference.push_ranked(t, rank, id);
+                id += 1;
+            } else {
+                let lane = rng.range_u64(0..FIFOS as u64) as usize;
+                let delay = match rng.range_u64(0..8) {
+                    0 => rng.range_u64(0..LANE_DELAYS[lane]),
+                    _ => LANE_DELAYS[lane],
+                };
+                let t = SimTime::from_ns(now + delay);
+                queue.push_fifo(lane, t, id);
+                reference.push_ranked(t, DEFAULT_RANK, id);
                 id += 1;
             }
         }
         loop {
-            check_front(&calendar, &reference);
-            let a = calendar.pop();
-            assert_eq!(a, reference.pop(), "final drain divergence at seed {seed:#x}");
+            check_front(&queue, &reference)?;
+            let a = queue.pop();
+            same(a, reference.pop(), "final drain pop")?;
             if a.is_none() {
                 break;
             }
         }
-        assert_eq!(calendar.delivered(), id);
+        same(queue.delivered(), id, "delivered after the final drain")
     }
 
-    /// Randomized differential test: the calendar queue must pop the
-    /// exact same sequence as the heap-only reference for any interleaved
-    /// push/pop schedule, including times that straddle the window.
+    /// Randomized differential test: the queue must pop the exact same
+    /// sequence as the heap-only reference for any interleaved push/pop
+    /// schedule, including times that straddle the window and FIFO-lane
+    /// pushes that fall back to the calendar.
     #[test]
     fn differential_against_heap_reference() {
-        for seed in 0..20u64 {
-            differential(0xCA1E_4DA2 ^ seed, |_, calendar, reference| {
-                (calendar.pop(), reference.pop())
-            });
-        }
+        crate::check(20, 0xCA1E_4DA2, |rng| {
+            differential(rng, |_, queue, reference| (queue.pop(), reference.pop()))
+        });
+    }
+
+    /// A FIFO-lane push earlier than the lane's tail goes to the calendar
+    /// and still pops in `(time, seq)` order; same-time lane entries pop
+    /// in push order, interleaved with same-time calendar entries.
+    #[test]
+    fn fifo_lanes_keep_push_order() {
+        let mut q = EventQueue::new();
+        q.push_fifo(0, SimTime::from_ns(50), "lane 50");
+        q.push(SimTime::from_ns(50), "calendar 50");
+        q.push_fifo(0, SimTime::from_ns(50), "lane 50 again");
+        q.push_fifo(0, SimTime::from_ns(20), "behind the tail");
+        q.push_fifo(1, SimTime::from_ns(30), "lane 1");
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(20)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec!["behind the tail", "lane 1", "lane 50", "calendar 50", "lane 50 again"]
+        );
+        assert_eq!(q.delivered(), 5);
     }
 
     /// A lower-rank event pushed *after* a same-time default-rank event
@@ -669,27 +826,27 @@ mod tests {
 
     /// Randomized differential: an interleaved schedule of pushes and
     /// `pop_if` calls must match peek-then-pop on the heap reference —
-    /// the fused bucket scan may not see a different minimum than `pop`
-    /// would, and a declined pop must leave the queue bit-identical.
+    /// the fused scan may not see a different minimum than `pop` would,
+    /// and a declined pop must leave the queue bit-identical.
     #[test]
     fn pop_if_differential_against_peek_then_pop() {
-        for seed in 0..10u64 {
-            differential(0x90F1_F000 ^ seed, |rng, calendar, reference| {
+        crate::check(10, 0x90F1_F000, |rng| {
+            differential(rng, |rng, queue, reference| {
                 // The predicate depends on both time and payload so
                 // declines are state-dependent, like the NoC burst loop's
-                // "only same-or-earlier NoC events" filter. The time bound
-                // sits around the next event, so about half pass it.
+                // "only NoC events before the bound" filter. The time
+                // bound sits around the next event, so about half pass it.
                 let next = reference.peek().map_or(0, |(t, _)| t.as_ns());
                 let bound = next.saturating_sub(128) + rng.range_u64(0..256);
                 let accept = |t: SimTime, e: &u64| t.as_ns() <= bound && !e.is_multiple_of(3);
-                let a = calendar.pop_if(accept);
+                let a = queue.pop_if(accept);
                 let b = match reference.peek() {
                     Some((t, e)) if accept(t, &e) => reference.pop(),
                     _ => None,
                 };
                 (a, b)
-            });
-        }
+            })
+        });
     }
 
     /// Ties pushed into different tiers (one far, one near after the

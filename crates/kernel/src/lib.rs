@@ -54,7 +54,7 @@ pub mod stats;
 mod time;
 
 pub use check::check;
-pub use event::{EventQueue, ARRIVAL_RANK, DEFAULT_RANK};
+pub use event::{EventQueue, ARRIVAL_RANK, DEFAULT_RANK, FIFOS};
 pub use hash::{FxHashMap, FxHasher};
 pub use rng::Rng;
 pub use server::{BandwidthServer, ServerStats, Transfer};

@@ -17,8 +17,10 @@
 //! * a **contention-free express path** (default on, see
 //!   [`NocConfig::with_express`]) fast-forwards packets whose route is
 //!   provably interference-free, replacing their per-flit event traffic
-//!   with one delivery event — with bit-identical results, including
-//!   under demotion when contention appears later.
+//!   with one delivery event, and demotes them to flit-level simulation
+//!   when contention appears later. It is meant to be bit-identical to
+//!   the flit-level engine; see [`NocConfig::express`] for the two
+//!   figure points where it is not.
 //!
 //! The network is event-driven but *passive*: it never owns the event
 //! loop. [`Network::inject`] and [`Network::handle`] return the events to

@@ -82,6 +82,33 @@ pub enum NocEvent {
     },
 }
 
+impl NocEvent {
+    /// The event's lane in the embedder queue's constant-delay tier
+    /// ([`EventQueue::push_fifo`]), one per delay it is scheduled at:
+    /// `router_latency`, the flit serialization time, or both added.
+    /// `None` for `ExpressDone`, whose delay varies.
+    #[must_use]
+    pub fn fifo(&self) -> Option<usize> {
+        match self {
+            NocEvent::Credit { .. } => Some(0),
+            NocEvent::OutputFree { .. }
+            | NocEvent::Eject { .. }
+            | NocEvent::ExpressResolve { .. } => Some(1),
+            NocEvent::FlitArrive { .. } => Some(2),
+            NocEvent::ExpressDone { .. } => None,
+        }
+    }
+
+    /// Schedules the event on `queue`: on its constant-delay lane if it
+    /// has one, else on the calendar.
+    pub fn schedule<E>(self, queue: &mut EventQueue<E>, t: SimTime, wrap: impl FnOnce(Self) -> E) {
+        match self.fifo() {
+            Some(lane) => queue.push_fifo(lane, t, wrap(self)),
+            None => queue.push(t, wrap(self)),
+        }
+    }
+}
+
 /// A packet that completed delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivered {
@@ -203,33 +230,6 @@ struct RouterNode {
     /// (quiet, unchanged) node would re-count. Only meaningful while
     /// `quiet` is set.
     quiet_total: u32,
-}
-
-/// An event in the express path's private forward-run heap, ordered like
-/// the embedder's event queue: by time, FIFO within a timestamp.
-#[derive(Debug, Clone)]
-struct FwdEv {
-    t: SimTime,
-    seq: u64,
-    ev: NocEvent,
-}
-
-impl PartialEq for FwdEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for FwdEv {}
-impl PartialOrd for FwdEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FwdEv {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.t.cmp(&self.t).then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// Identifies one express reservation group.
@@ -425,8 +425,10 @@ pub struct Network {
     /// True while a forward run (or demotion replay) is reusing the
     /// normal handlers: suppresses claim release in [`Self::eject`].
     in_forward: bool,
-    /// Reusable forward-run event heap.
-    fwd_heap: std::collections::BinaryHeap<FwdEv>,
+    /// Reusable event queue of forward runs and demotion replays, empty
+    /// between them. Never swapped out: a fresh one allocates the whole
+    /// calendar ring.
+    fwd_queue: EventQueue<NocEvent>,
     /// Reusable forward-run step buffer.
     fwd_step: Step,
     /// Per-packet `(flit_hops, credit_stalls)` attribution during a joint
@@ -535,7 +537,7 @@ impl Network {
             express_events: 0,
             express_diag: ExpressDiag::default(),
             in_forward: false,
-            fwd_heap: std::collections::BinaryHeap::new(),
+            fwd_queue: EventQueue::new(),
             fwd_step: Step::default(),
             fwd_attr: FxHashMap::default(),
             route_scratch: Vec::new(),
@@ -1007,10 +1009,8 @@ impl Network {
         self.in_forward = true;
         self.fwd_attr.clear();
 
-        let mut heap = std::mem::take(&mut self.fwd_heap);
         let mut fwd = std::mem::take(&mut self.fwd_step);
-        debug_assert!(heap.is_empty() && fwd.schedule.is_empty());
-        let mut seq = 0u64;
+        debug_assert!(self.fwd_queue.is_empty() && fwd.schedule.is_empty());
         let mut pops = 0u64;
         let mut hops = Vec::new();
         let mut delivered = Vec::new();
@@ -1018,25 +1018,18 @@ impl Network {
             let n = flit_count(p.bytes, self.config.header_bytes, self.config.flit_bytes);
             self.fill_injection_buffer(*p, n);
             self.try_node(now, p.src, &mut fwd);
-            for (t, e) in fwd.schedule.drain(..) {
-                heap.push(FwdEv { t, seq, ev: e });
-                seq += 1;
-            }
+            self.fwd_schedule(&mut fwd);
             hops.append(&mut fwd.hops);
         }
-        while let Some(FwdEv { t, ev, .. }) = heap.pop() {
+        while let Some((t, ev)) = self.fwd_queue.pop() {
             pops += 1;
             self.handle_into(t, ev, &mut fwd);
-            for (t, e) in fwd.schedule.drain(..) {
-                heap.push(FwdEv { t, seq, ev: e });
-                seq += 1;
-            }
+            self.fwd_schedule(&mut fwd);
             hops.append(&mut fwd.hops);
             delivered.append(&mut fwd.delivered);
         }
         self.in_forward = false;
         std::mem::swap(&mut self.stats, &mut scratch);
-        self.fwd_heap = heap;
         self.fwd_step = fwd;
         self.express_diag.forward_pops += pops;
 
@@ -1096,6 +1089,14 @@ impl Network {
             }
         }
         GroupTimeline { rel, post, fwd_pops: pops }
+    }
+
+    /// Moves a forward run's or demotion replay's successors from `fwd`
+    /// into its private queue.
+    fn fwd_schedule(&mut self, fwd: &mut Step) {
+        for (t, e) in fwd.schedule.drain(..) {
+            e.schedule(&mut self.fwd_queue, t, |e| e);
+        }
     }
 
     /// Demotes an express group back to live flit-level simulation:
@@ -1159,20 +1160,15 @@ impl Network {
         let mut scratch = NocStats::default();
         std::mem::swap(&mut self.stats, &mut scratch);
         self.in_forward = true;
-        let mut heap = std::mem::take(&mut self.fwd_heap);
         let mut fwd = std::mem::take(&mut self.fwd_step);
-        let mut seq = 0u64;
         let mut replayed = 0u64;
         for (_, p) in &group.members {
             let n = flit_count(p.bytes, self.config.header_bytes, self.config.flit_bytes);
             self.fill_injection_buffer(*p, n);
             self.try_node(t0, p.src, &mut fwd);
-            for (t, e) in fwd.schedule.drain(..) {
-                heap.push(FwdEv { t, seq, ev: e });
-                seq += 1;
-            }
+            self.fwd_schedule(&mut fwd);
         }
-        while let Some(FwdEv { t, ev, .. }) = heap.pop() {
+        while let Some((t, ev)) = self.fwd_queue.pop() {
             // A completed member's `ExpressDone` can precede the demotion
             // within one timestamp; its final ejection then falls exactly
             // at `now` and must replay here (its delivery was already
@@ -1182,10 +1178,7 @@ impl Network {
             if replay {
                 replayed += 1;
                 self.handle_into(t, ev, &mut fwd);
-                for (t, e) in fwd.schedule.drain(..) {
-                    heap.push(FwdEv { t, seq, ev: e });
-                    seq += 1;
-                }
+                self.fwd_schedule(&mut fwd);
             } else {
                 // Not processed here: the embedder pops it live.
                 step.schedule.push((t, ev));
@@ -1213,7 +1206,6 @@ impl Network {
         } else {
             step.hops.extend(fwd.hops.drain(..).filter(|h| !done_ids.contains(&h.packet)));
         }
-        self.fwd_heap = heap;
         self.fwd_step = fwd;
         // The replay left live members' flits buffered on the restored
         // nodes; any quiet memo recorded before the grant is stale.
@@ -1933,7 +1925,7 @@ pub fn drive_counted(
         };
         out.extend(step.delivered);
         for (t, e) in step.schedule {
-            queue.push(t, Ev::Noc(e));
+            e.schedule(&mut queue, t, Ev::Noc);
         }
     }
     let events = queue.delivered() + (net.express_events() - express_before);

@@ -333,8 +333,11 @@ pub struct NocConfig {
     /// Enable the contention-free express path (default on). When a
     /// packet's whole route is provably free of interference, the network
     /// fast-forwards it with a single delivery event instead of per-flit
-    /// router events; results are bit-identical either way, so this only
-    /// exists as a debugging escape hatch (`--no-noc-express`).
+    /// router events (`--no-noc-express` turns it off). It is meant to
+    /// be bit-identical to the flit-level engine, but two figure points
+    /// differ: fig08's dSSD_f at ×4 on-chip bandwidth and fig13's ring at
+    /// 2 GB/s bisection with 4-flit buffers (ROADMAP.md, "Delete the NoC
+    /// express path").
     pub express: bool,
 }
 

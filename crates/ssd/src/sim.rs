@@ -811,10 +811,11 @@ impl SsdSim {
     }
 
     /// Flash-side express diagnostics: `(coalesced, demoted)` — leg
-    /// events the chain walk executed without a queue round-trip, and
-    /// continuations demoted to a normal push because a competing event
-    /// was due first. Strictly observational; both are 0 with
-    /// `--no-flash-express`.
+    /// events the chain walk executed without a queue round-trip (only
+    /// chain-walk legs: a NoC burst pops every event it handles from the
+    /// queue), and continuations demoted to a normal push because a
+    /// competing event was due first. Strictly observational; both are 0
+    /// with `--no-flash-express`.
     #[must_use]
     pub fn flash_express_diag(&self) -> (u64, u64) {
         (self.lane_events, self.chain_demoted)
@@ -922,8 +923,9 @@ impl SsdSim {
     /// The express paths take one observation bound instead of a gate
     /// per feature: the earliest of `stop`, the next epoch boundary, the
     /// armed power-loss instant, and the end of the horizon. The chain
-    /// walk and the NoC burst run an event in place only if it is
-    /// strictly earlier than both the queue minimum and the bound, so
+    /// walk runs a continuation in place only if it is strictly earlier
+    /// than both the queue minimum and the bound, and the NoC burst pops
+    /// a next event only if it is strictly earlier than the bound, so
     /// every event at or past the bound comes back through this loop,
     /// where the pause, epoch sample or power loss it triggers runs
     /// exactly as in the one-event-at-a-time engine. Their event budget
@@ -1029,7 +1031,7 @@ impl SsdSim {
         if self.epoch.is_some() {
             self.sample_epochs_until(upto);
         }
-        // Queue pops, plus burst-lane pops that bypassed the queue, plus
+        // Queue pops, plus chain-walk legs that bypassed the queue, plus
         // the flit-level events the NoC express path simulated privately —
         // so "events processed" measures the same logical work with the
         // fast paths on or off.
@@ -1903,13 +1905,13 @@ impl SsdSim {
     /// Drains a run of consecutive NoC events in one burst.
     ///
     /// The execution order is bit-identical to the event-at-a-time loop
-    /// by construction: the calendar queue stays the ordering authority
-    /// (`pop_if` only accepts the true minimum when it is a NoC event
-    /// strictly earlier than `bound`, see [`SsdSim::run_bounded`]), the
-    /// burst merely keeps the NoC step buffer and the `self.noc` borrow
-    /// hot across the run instead of paying the full outer-loop dispatch
-    /// per event. A successor it consumes in place is also strictly
-    /// earlier than `bound`.
+    /// by construction: each event's successors go to the queue exactly
+    /// as [`SsdSim::absorb_noc`] pushes them there, and the queue stays
+    /// the ordering authority (`pop_if` only accepts the true minimum
+    /// when it is a NoC event strictly earlier than `bound`, see
+    /// [`SsdSim::run_bounded`]). The burst merely keeps the NoC step
+    /// buffer hot across the run instead of paying the full outer-loop
+    /// dispatch per event.
     ///
     /// Returns the number of events handled (at least 1, at most `max`).
     fn noc_burst(&mut self, first: NocEvent, max: u64, bound: SimTime) -> u64 {
@@ -1922,127 +1924,17 @@ impl SsdSim {
                 .expect("NoC event without NoC")
                 .handle_into(self.now, ev, &mut step);
             n += 1;
-            // Inline absorb: hops exist only when tracing, deliveries are
-            // rare.
-            if !step.hops.is_empty() {
-                self.trace_noc_hops(&mut step);
+            self.absorb_noc(&mut step);
+            if n >= max {
+                break;
             }
-            // Direct consume: when the step scheduled successors and
-            // delivered nothing, its earliest successor may be runnable
-            // without a calendar round-trip. Eligibility mirrors the
-            // chain walk: the candidate must *strictly* beat the queue
-            // minimum — a queued event due at the same instant was
-            // pushed first and owns the tie.
-            // A deferred successor whose claim to "next event" is still
-            // unresolved: it is settled against the queue head by the
-            // fused `pop_if` below, and demoted to a normal push if the
-            // queue wins.
-            let mut cand: Option<(SimTime, NocEvent)> = None;
-            // A successor already proven to be the global next event:
-            // consumed without touching the queue at all.
-            let mut direct: Option<(SimTime, NocEvent)> = None;
-            if n < max && step.delivered.is_empty() && !step.schedule.is_empty() {
-                let mut idx = 0;
-                for i in 1..step.schedule.len() {
-                    if step.schedule[i].0 < step.schedule[idx].0 {
-                        idx = i;
-                    }
+            match self.queue.pop_if(|t, e| t < bound && matches!(e, Ev::Noc(_))) {
+                Some((t, Ev::Noc(next))) => {
+                    self.now = t;
+                    ev = next;
                 }
-                let t0 = step.schedule[idx].0;
-                let unique =
-                    step.schedule.iter().enumerate().all(|(i, s)| i == idx || s.0 > t0);
-                if t0 < bound {
-                    if unique {
-                        // Strictly earliest among its siblings: safe to
-                        // defer — even if demoted, time order (not FIFO)
-                        // separates it from the pushed siblings.
-                        for (i, (t, e)) in step.schedule.drain(..).enumerate() {
-                            if i == idx {
-                                cand = Some((t, e));
-                            } else {
-                                self.queue.push(t, Ev::Noc(e));
-                            }
-                        }
-                    } else if self.queue.peek_time().is_none_or(|q| q > t0) {
-                        // Same-time siblings would lose their FIFO order
-                        // if the first were demoted after the rest, so
-                        // consume it only when the queue is *strictly*
-                        // later — then it is provably next and no
-                        // demotion can occur. The rest are pushed in
-                        // order, exactly as the one-at-a-time path would.
-                        for (i, (t, e)) in step.schedule.drain(..).enumerate() {
-                            if i == idx {
-                                direct = Some((t, e));
-                            } else {
-                                self.queue.push(t, Ev::Noc(e));
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some((t, e)) = direct {
-                self.lane_events += 1;
-                self.now = t;
-                ev = e;
-                continue;
-            }
-            if cand.is_none() {
-                for (t, e) in step.schedule.drain(..) {
-                    self.queue.push(t, Ev::Noc(e));
-                }
-                if !step.delivered.is_empty() {
-                    self.absorb_noc_delivered(&mut step);
-                }
-                if n >= max {
-                    break;
-                }
-            }
-            match cand {
-                Some((t, e)) => {
-                    // Pop the queue head only when it is due at or
-                    // before the candidate (it owns any tie).
-                    let mut blocked = false;
-                    let popped = self.queue.pop_if(|qt, qe| {
-                        if qt > t {
-                            false // candidate wins
-                        } else if matches!(qe, Ev::Noc(_)) {
-                            true
-                        } else {
-                            blocked = true; // non-NoC due first: end burst
-                            false
-                        }
-                    });
-                    match popped {
-                        Some((qt, Ev::Noc(next))) => {
-                            self.queue.push(t, Ev::Noc(e));
-                            self.now = qt;
-                            ev = next;
-                        }
-                        Some(_) => unreachable!("pop_if accepted a non-NoC event"),
-                        None if blocked => {
-                            self.queue.push(t, Ev::Noc(e));
-                            break;
-                        }
-                        None => {
-                            // The candidate is the global minimum:
-                            // consume it in place, bypassing the queue.
-                            self.lane_events += 1;
-                            self.now = t;
-                            ev = e;
-                        }
-                    }
-                }
-                None => match self
-                    .queue
-                    .pop_if(|t, e| t < bound && matches!(e, Ev::Noc(_)))
-                {
-                    Some((t, Ev::Noc(next))) => {
-                        self.now = t;
-                        ev = next;
-                    }
-                    Some(_) => unreachable!("pop_if accepted a non-NoC event"),
-                    None => break,
-                },
+                Some(_) => unreachable!("pop_if accepted a non-NoC event"),
+                None => break,
             }
         }
         self.noc_step = step;
@@ -2124,7 +2016,9 @@ impl SsdSim {
     }
 
     /// Drains a NoC [`Step`](dssd_noc::Step) into the event queue,
-    /// leaving its buffers empty (capacity retained) for reuse.
+    /// leaving its buffers empty (capacity retained) for reuse. Flit
+    /// events ride the queue's constant-delay lanes
+    /// ([`NocEvent::fifo`]).
     fn absorb_noc(&mut self, step: &mut dssd_noc::Step) {
         // Per-hop link slices first: `packet_jobs` entries are removed on
         // delivery, and the delivered packet's final hops ride in the same
@@ -2133,7 +2027,7 @@ impl SsdSim {
             self.trace_noc_hops(step);
         }
         for (t, e) in step.schedule.drain(..) {
-            self.queue.push(t, Ev::Noc(e));
+            e.schedule(&mut self.queue, t, Ev::Noc);
         }
         if !step.delivered.is_empty() {
             self.absorb_noc_delivered(step);

@@ -13,6 +13,7 @@
 //!   immediately before the slab/calendar/flat-Vec migration.
 
 use dssd_kernel::SimSpan;
+use dssd_noc::TopologyKind;
 use dssd_ssd::{Architecture, FaultConfig, SsdConfig, SsdSim};
 use dssd_workload::{msr, AccessPattern, SyntheticWorkload};
 
@@ -171,6 +172,64 @@ fn bit_identical_fault_and_remap_paths() {
         fingerprint(SsdSim::new(cfg), false, 10),
         "req=1928 gc_pages=1699 gc_rounds=0 io_bytes=63176704 gc_bytes=6959104 mean_ns=325486 p99_ns=811424 first_gc=Some(0) remaps=0 bad_sb=0",
         "dSSD_f SRT-remap run drifted from the golden run"
+    );
+}
+
+/// One 6 ms continuous-GC dSSD_f run of 8-page random writes, with
+/// `dram_hit` of them served from DRAM: `summary` plus the event count,
+/// the state digest, and the NoC's flit hops and credit stalls.
+fn fnoc_run(mut cfg: SsdConfig, dram_hit: f64) -> String {
+    cfg.gc_continuous = true;
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    let wl = SyntheticWorkload::writes(AccessPattern::Random, 8).with_dram_hit_fraction(dram_hit);
+    sim.run_closed_loop(wl, SimSpan::from_ms(6));
+    let noc = sim.noc().expect("dSSD_f has a NoC").stats();
+    let (flit_hops, credit_stalls) = (noc.flit_hops, noc.credit_stalls);
+    format!(
+        "{} events={} digest={:#018x} flit_hops={flit_hops} credit_stalls={credit_stalls}",
+        summary(&mut sim),
+        sim.report().events_delivered,
+        sim.state_digest(),
+    )
+}
+
+/// Golden fNoC fingerprints with event counts, on the topologies the
+/// closed-loop goldens above never run: Fig 13's ring and crossbar (2
+/// GB/s bisection, 4-flit buffers, all-DRAM-hit writes), and the default
+/// mesh with injected link degradation, whose demotions hand in-flight
+/// flit events back to the simulator's queue out of time order. At six
+/// milliseconds the NoC express path and the flit-level engine still
+/// agree on all three runs: with the express path off, every field but
+/// `events` and `digest` (two fewer events per express grant) is the
+/// same. Captured before the event queue's constant-delay FIFO tier
+/// landed.
+#[test]
+fn bit_identical_fnoc_topologies_and_hand_offs() {
+    let fig13 = |kind: TopologyKind| {
+        let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+        cfg.noc.topology = kind;
+        cfg.noc = cfg.noc.with_bisection_bandwidth(2_000_000_000).with_input_buffer_flits(4);
+        fnoc_run(cfg, 1.0)
+    };
+    assert_eq!(
+        fig13(TopologyKind::Ring),
+        "req=1428 gc_pages=1700 gc_rounds=0 io_bytes=46792704 gc_bytes=6963200 mean_ns=262808 p99_ns=268544 first_gc=Some(0) remaps=0 bad_sb=0 events=1699998 digest=0x6b1e246211f23315 flit_hops=627585 credit_stalls=553646",
+        "dSSD_f ring run drifted from the golden run"
+    );
+    assert_eq!(
+        fig13(TopologyKind::Crossbar),
+        "req=1428 gc_pages=1686 gc_rounds=0 io_bytes=46792704 gc_bytes=6905856 mean_ns=262808 p99_ns=268544 first_gc=Some(0) remaps=0 bad_sb=0 events=1526911 digest=0xab58775c93041489 flit_hops=569520 credit_stalls=242611",
+        "dSSD_f crossbar run drifted from the golden run"
+    );
+
+    let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+    cfg.faults = FaultConfig::none();
+    cfg.faults.noc_degrade_prob = 0.05;
+    assert_eq!(
+        fnoc_run(cfg, 0.0),
+        "req=1014 gc_pages=1699 gc_rounds=0 io_bytes=33226752 gc_bytes=6959104 mean_ns=369927 p99_ns=543752 first_gc=Some(0) remaps=0 bad_sb=0 events=2174372 digest=0xb19f912983f2966b flit_hops=786126 credit_stalls=282710",
+        "dSSD_f degraded-mesh run drifted from the golden run"
     );
 }
 
