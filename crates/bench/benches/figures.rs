@@ -74,8 +74,8 @@ fn synthetic(arch: Architecture, pages: u32, hit: f64) -> f64 {
 /// [`synthetic`] with the flash-side express path set explicitly, for
 /// the A/B rows: `express = false` is the unmodified one-event-at-a-time
 /// reference engine, `true` (the default everywhere else) adds the
-/// flash-leg chain walk and quiet-router skips. Reports are identical
-/// either way; only wall time differs.
+/// flash-leg chain walk and the NoC event burst loop. Reports are
+/// identical either way; only wall time differs.
 fn synthetic_fx(arch: Architecture, pages: u32, hit: f64, express: bool) -> f64 {
     let mut cfg = perf_config(arch);
     cfg.gc_continuous = true;

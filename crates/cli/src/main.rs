@@ -77,9 +77,9 @@
 //! and forces pure flit-level simulation, for debugging a suspected
 //! divergence. Results are meant to be bit-identical either way, but
 //! two figure points differ (see DESIGN.md §10). `--no-flash-express` does the same
-//! for the flash-side express path (analytic leg-chain coalescing, the
-//! NoC event burst loop, and the quiet-router sweep skip — DESIGN.md
-//! §13): byte-identical output, one-event-at-a-time execution.
+//! for the flash-side express path (analytic leg-chain coalescing and
+//! the NoC event burst loop — DESIGN.md §13): byte-identical output,
+//! one-event-at-a-time execution.
 //!
 //! Every subcommand rejects flags it does not read (`unknown flag --x`),
 //! so a typo never silently falls back to a default.
@@ -981,6 +981,7 @@ fn cmd_noc(rest: &[String]) -> Result<(), ArgError> {
         .with_bisection_bandwidth(flags.get_or("bisection", 2_000_000_000u64)?)
         .with_input_buffer_flits(flags.get_or("buffer", 4usize)?)
         .with_express(!flags.switch("no-noc-express"));
+    config.validate().map_err(ArgError)?;
     let mut rng = Rng::new(flags.get_or("seed", 7u64)?);
     let packets = schedule(
         terminals,
@@ -1051,5 +1052,18 @@ mod tests {
         assert!(e.0.contains("iops"), "{e}");
         let e = serve_spec("huge-duration", "duration_ms 1e30\ntenant a iops=1\n").unwrap_err();
         assert!(e.0.contains("nanosecond clock"), "{e}");
+    }
+
+    #[test]
+    fn noc_rejects_flags_it_cannot_run() {
+        let noc = |args: &[&str]| {
+            cmd_noc(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>()).unwrap_err()
+        };
+        let e = noc(&["--terminals", "1"]);
+        assert!(e.0.contains("at least two terminals"), "{e}");
+        let e = noc(&["--buffer", "0"]);
+        assert!(e.0.contains("at least one flit"), "{e}");
+        let e = noc(&["--topology", "crossbar", "--terminals", "33"]);
+        assert!(e.0.contains("at most 32 terminals"), "{e}");
     }
 }

@@ -200,36 +200,18 @@ struct OutputPort {
     owner: Vec<Option<(usize, usize)>>,
     /// Round-robin pointer over (in_port, vc) candidates.
     rr: usize,
-    /// Credit stalls this output's portion of the last memoized sweep
-    /// counted (see [`Network::set_quiet_credit_skip`]). Only meaningful
-    /// while the node's `quiet` flag is set.
-    stalls_memo: u32,
-    /// Bitmask of downstream VCs those stalled candidates target — an
-    /// enabling credit on a VC outside this mask cannot wake anyone.
-    /// Only meaningful while the node's `quiet` flag is set.
-    stall_vcs: u8,
+    /// Request mask over the node's arbitration slots (`in_port * VCS +
+    /// vc`): bit set ⇔ that VC buffer is non-empty and its front flit
+    /// asks for this output — its allocated output mid-packet, else its
+    /// routed one. Exactly the candidates arbitration would find by
+    /// scanning every slot.
+    req: u64,
 }
 
 #[derive(Debug, Clone)]
 struct RouterNode {
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
-    /// Occupancy bitmap over arbitration slots (`in_port * VCS + vc`):
-    /// bit set ⇔ that VC buffer is non-empty. Slots ≥ 128 (only possible
-    /// on a crossbar hub with > 64 terminals) are not tracked and always
-    /// fall through to the buffer check, so this is purely a fast path —
-    /// it never changes which candidate arbitration picks.
-    occ: u128,
-    /// Quiet-sweep memo (see [`Network::set_quiet_credit_skip`]): true
-    /// when the most recent arbitration sweep of this router sent
-    /// nothing; each output's exact stall count from that sweep lives in
-    /// its [`OutputPort::stalls_memo`]. Maintained only while the skip
-    /// is enabled and outside forward runs / demotion replays.
-    quiet: bool,
-    /// Sum of the outputs' `stalls_memo` — what a full sweep of this
-    /// (quiet, unchanged) node would re-count. Only meaningful while
-    /// `quiet` is set.
-    quiet_total: u32,
 }
 
 /// Identifies one express reservation group.
@@ -436,14 +418,6 @@ pub struct Network {
     fwd_attr: FxHashMap<PacketId, (u64, u64)>,
     /// Reusable route-node scratch buffer.
     route_scratch: Vec<u32>,
-    /// Enables the quiet-node credit skip (see
-    /// [`Self::set_quiet_credit_skip`]). Off by default: the reference
-    /// event-at-a-time path stays exactly as before.
-    quiet_skip: bool,
-    /// Per-`try_output` scratch: bitmask of downstream VCs whose credit
-    /// exhaustion stalled a candidate during the current sweep. Reset by
-    /// memoizing callers before each output sweep; garbage otherwise.
-    sweep_mask: u8,
 }
 
 impl Network {
@@ -451,9 +425,15 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the config has fewer than two terminals.
+    /// Panics if [`NocConfig::validate`] rejects the config — among
+    /// others, a crossbar of more than [`NocConfig::MAX_CROSSBAR_TERMINALS`]
+    /// terminals, whose hub would have more input slots than one `u64`
+    /// request mask holds — or if its link bandwidth is zero.
     #[must_use]
     pub fn new(config: NocConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid fNoC config: {e}");
+        }
         assert!(
             config.link_bytes_per_sec > 0,
             "link bandwidth must be non-zero (0 is the embedder's \"derive\" sentinel)"
@@ -462,6 +442,7 @@ impl Network {
         let mut nodes: Vec<RouterNode> = (0..topology.nodes())
             .map(|n| {
                 let ports = topology.ports(n);
+                assert!(ports * VCS <= 64, "request masks hold 64 input slots");
                 RouterNode {
                     inputs: (0..ports)
                         .map(|_| InputPort {
@@ -485,14 +466,10 @@ impl Network {
                                 credits,
                                 owner: vec![None; VCS],
                                 rr: 0,
-                                stalls_memo: 0,
-                                stall_vcs: 0,
+                                req: 0,
                             }
                         })
                         .collect(),
-                    occ: 0,
-                    quiet: false,
-                    quiet_total: 0,
                 }
             })
             .collect();
@@ -541,52 +518,7 @@ impl Network {
             fwd_step: Step::default(),
             fwd_attr: FxHashMap::default(),
             route_scratch: Vec::new(),
-            quiet_skip: false,
-            sweep_mask: 0,
         }
-    }
-
-    /// Enable or disable the quiet-node sweep skip.
-    ///
-    /// A *quiet* router is one whose last arbitration sweep sent nothing;
-    /// each output remembers the exact credit-stall count its portion of
-    /// that sweep accumulated ([`OutputPort::stalls_memo`]). While a node
-    /// stays quiet, no sweep-relevant state — buffers, allocations,
-    /// owners, free flags — changes without triggering a sweep of its
-    /// own, and a fruitless sweep scans every slot regardless of the
-    /// round-robin pointer, so its stall counts are reproducible. Two
-    /// provably-identical shortcuts follow:
-    ///
-    /// * **Credit skip** — a returning credit whose counter was already
-    ///   non-zero before the increment cannot enable any candidate
-    ///   (every credit-blocked candidate targets a zero-credit VC, and an
-    ///   increment on such a VC would have found the counter at zero).
-    ///   The sweep it would run is fruitless and counts exactly the
-    ///   memoized stalls: add them, elide the sweep.
-    /// * **Freed-output retry** — an [`NocEvent::OutputFree`] only
-    ///   changes the freed output's own eligibility, so on a quiet node
-    ///   the other outputs' sweeps would repeat their memoized outcome.
-    ///   Only the freed output is swept live (in full-sweep position:
-    ///   earlier outputs' stalls are replayed before, later outputs'
-    ///   after — or live, if the freed output sent and thereby changed
-    ///   the state later outputs would see). See
-    ///   [`Self::retry_freed_output`].
-    ///
-    /// Both shortcuts leave state and stats bit-identical to the swept
-    /// execution. The memo is neither consulted nor updated inside
-    /// express forward runs or demotion replays (per-packet stall
-    /// attribution needs the real sweep), and a demotion clears it on
-    /// every route node it restores (the replay leaves live flits
-    /// buffered there).
-    pub fn set_quiet_credit_skip(&mut self, on: bool) {
-        if on && !self.quiet_skip {
-            // The memo was not maintained while the skip was off; start
-            // from the safe "not known quiet" state.
-            for n in &mut self.nodes {
-                n.quiet = false;
-            }
-        }
-        self.quiet_skip = on;
     }
 
     /// Enable or disable [`HopRecord`] emission into [`Step::hops`].
@@ -759,8 +691,8 @@ impl Network {
     /// (local input port 0, VC 0). The injection buffer is unbounded:
     /// back-pressure is applied by the network, not the NI.
     fn fill_injection_buffer(&mut self, packet: Packet, n: u32) {
-        let node_r = &mut self.nodes[packet.src];
-        let buf = &mut node_r.inputs[0].vcs[0];
+        let buf = &mut self.nodes[packet.src].inputs[0].vcs[0];
+        let was_empty = buf.flits.is_empty();
         for i in 0..n {
             buf.flits.push_back(Flit {
                 packet: packet.id,
@@ -768,7 +700,24 @@ impl Network {
                 kind: flit_kind(i, n),
             });
         }
-        node_r.occ |= 1; // injection slot: in_port 0, VC 0
+        if was_empty {
+            self.request_front(packet.src, 0, 0);
+        }
+    }
+
+    /// Sets the request bit of input slot `(ip, vc)`'s front flit, if it
+    /// has one, on the output that flit asks for: its allocated output
+    /// mid-packet, else its routed one. Called wherever a buffer's front
+    /// changes — a push into an empty buffer, or a pop (after the pop's
+    /// allocation update, which decides what the new front asks for).
+    fn request_front(&mut self, node: usize, ip: usize, vc: usize) {
+        let buf = &self.nodes[node].inputs[ip].vcs[vc];
+        let Some(front) = buf.flits.front() else { return };
+        let out = match buf.alloc {
+            Some((o, _)) => o,
+            None => self.topology.route(node, front.dst as usize),
+        };
+        self.nodes[node].outputs[out].req |= 1 << (ip * VCS + vc);
     }
 
     /// Every router on the `src → dst` route, source and destination
@@ -1207,11 +1156,6 @@ impl Network {
             step.hops.extend(fwd.hops.drain(..).filter(|h| !done_ids.contains(&h.packet)));
         }
         self.fwd_step = fwd;
-        // The replay left live members' flits buffered on the restored
-        // nodes; any quiet memo recorded before the grant is stale.
-        for &nd in &group.route_nodes {
-            self.nodes[nd as usize].quiet = false;
-        }
         self.express_diag.replay_pops += replayed;
         // The replayed events were processed privately in place of
         // embedder events; everything past `now` runs through the
@@ -1279,39 +1223,15 @@ impl Network {
         match event {
             NocEvent::FlitArrive { node, in_port, vc, flit } => {
                 let (node, in_port, vc) = (node as usize, in_port as usize, vc as usize);
-                let node_r = &mut self.nodes[node];
-                let buf = &mut node_r.inputs[in_port].vcs[vc];
+                let buf = &mut self.nodes[node].inputs[in_port].vcs[vc];
                 debug_assert!(
                     buf.flits.len() < self.config.input_buffer_flits,
                     "credit protocol violated: buffer overflow at {node}:{in_port}:{vc}"
                 );
                 let was_empty = buf.flits.is_empty();
                 buf.flits.push_back(flit);
-                let slot = in_port * VCS + vc;
-                if slot < 128 {
-                    node_r.occ |= 1 << slot;
-                }
-                if self.quiet_skip && !self.in_forward && self.nodes[node].quiet {
-                    if !was_empty {
-                        // Arbitration only sees buffer *fronts*; a push
-                        // onto a non-empty buffer changes none, so the
-                        // sweep would repeat its memoized outcome.
-                        self.replay_quiet_stalls(node);
-                        return;
-                    }
-                    // The push created a new front, which is a candidate
-                    // for exactly one output: its allocation (body flit)
-                    // or its route (head flit). Every other output's
-                    // arbitration inputs are unchanged.
-                    let out = match self.nodes[node].inputs[in_port].vcs[vc].alloc {
-                        Some((o, _)) => o,
-                        None => {
-                            debug_assert!(flit.kind.is_head(), "unallocated non-head at front");
-                            self.topology.route(node, flit.dst as usize)
-                        }
-                    };
-                    self.retry_one_output(now, node, out, step);
-                    return;
+                if was_empty {
+                    self.request_front(node, in_port, vc);
                 }
                 self.try_node(now, node, step);
             }
@@ -1322,44 +1242,13 @@ impl Network {
                 // uncovered a new head flit (at the front of the same
                 // input buffer) that routes to a *different* output, which
                 // would otherwise never be woken.
-                if self.quiet_skip && !self.in_forward && self.nodes[node].quiet {
-                    // ...unless the node is quiet: only the freed output's
-                    // eligibility changed (see `set_quiet_credit_skip`).
-                    let n = &self.nodes[node];
-                    if n.occ == 0 && n.inputs.len() * VCS <= 128 {
-                        // Quiet with nothing buffered: every memo is zero
-                        // (the sweep that went quiet was the `occ == 0`
-                        // early-out) — done.
-                        return;
-                    }
-                    self.retry_one_output(now, node, out_port, step);
-                } else {
-                    self.try_node(now, node, step);
-                }
+                self.try_node(now, node, step);
             }
             NocEvent::Credit { node, out_port, vc } => {
                 let (node, out_port) = (node as usize, out_port as usize);
                 let c = &mut self.nodes[node].outputs[out_port].credits[vc as usize];
-                let enabling = *c == 0;
                 if *c != usize::MAX {
                     *c += 1;
-                }
-                if self.quiet_skip && !self.in_forward && self.nodes[node].quiet {
-                    // A credit on a quiet router is fruitless unless it
-                    // both crossed zero *and* some stalled candidate
-                    // targets exactly this (output, VC): non-enabling
-                    // credits cannot wake anyone (every credit-blocked
-                    // candidate targets a zero-credit VC), and an
-                    // enabling credit outside the memoized stall mask has
-                    // no one waiting on it. Either way the elided sweep
-                    // would send nothing and re-count exactly the
-                    // memoized stalls (see `set_quiet_credit_skip`).
-                    let waking = enabling
-                        && self.nodes[node].outputs[out_port].stall_vcs & (1 << vc) != 0;
-                    if !waking {
-                        self.replay_quiet_stalls(node);
-                        return;
-                    }
                 }
                 self.try_node(now, node, step);
             }
@@ -1453,238 +1342,11 @@ impl Network {
         }
     }
 
-    /// Try to make progress on every output of `node`.
+    /// Try to make progress on every output of `node`, in port order.
     fn try_node(&mut self, now: SimTime, node: usize, step: &mut Step) {
-        let memo = self.quiet_skip && !self.in_forward;
-        let outs = {
-            let n = &self.nodes[node];
-            // Nothing buffered anywhere on this router ⇒ no output can
-            // send. (Exact only when every slot fits the occupancy bitmap.)
-            if n.occ == 0 && n.inputs.len() * VCS <= 128 {
-                if memo {
-                    let n = &mut self.nodes[node];
-                    n.quiet = true;
-                    n.quiet_total = 0;
-                    for o in &mut n.outputs {
-                        o.stalls_memo = 0;
-                        o.stall_vcs = 0;
-                    }
-                }
-                return;
-            }
-            n.outputs.len()
-        };
-        if !memo {
-            for out in 0..outs {
-                self.try_output(now, node, out, step);
-            }
-            return;
+        for out in 0..self.nodes[node].outputs.len() {
+            self.try_output(now, node, out, step);
         }
-        for out in 0..outs {
-            self.sweep_mask = 0;
-            let before = self.stats.credit_stalls;
-            match self.try_output(now, node, out, step) {
-                Some(slot) => {
-                    self.continue_after_send(now, node, out, slot, step);
-                    return;
-                }
-                None => {
-                    let o = &mut self.nodes[node].outputs[out];
-                    o.stalls_memo = (self.stats.credit_stalls - before) as u32;
-                    o.stall_vcs = self.sweep_mask;
-                }
-            }
-        }
-        let n = &mut self.nodes[node];
-        n.quiet = true;
-        n.quiet_total = n.outputs.iter().map(|o| u64::from(o.stalls_memo)).sum::<u64>() as u32;
-    }
-
-    /// Finishes a sweep whose output `sent_out` just sent (popping the
-    /// winning flit from input slot `slot`), repairing the memo table so
-    /// the node can stay quiet even though it made progress.
-    ///
-    /// Soundness: a send's effects on *future* arbitration are local.
-    /// The sending output is busy until its `OutputFree`, so a fresh
-    /// sweep counts zero stalls there and cannot send through it (and
-    /// `OutputFree` re-sweeps it live, never trusting the memo). The
-    /// credit it consumed and the output VC it (de)allocated only affect
-    /// candidates of that same busy output. The only non-local effect is
-    /// the popped buffer's newly exposed front, which becomes a candidate
-    /// on exactly one output: outputs swept after the exposure see it
-    /// live (this loop), outputs swept before it have stale memos and
-    /// are recounted on the final state ([`Self::recount_output`]). If a
-    /// recount finds a candidate that could send — the cascade a full
-    /// re-sweep would serve on the next trigger — the node stays
-    /// non-quiet so that full sweep still happens, exactly as at event
-    /// level.
-    fn continue_after_send(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        sent_out: usize,
-        slot: (usize, usize),
-        step: &mut Step,
-    ) {
-        let outs = self.nodes[node].outputs.len();
-        debug_assert!(outs <= 64, "dirty mask assumes at most 64 outputs");
-        let mut dirty: u64 = 0;
-        {
-            let o = &mut self.nodes[node].outputs[sent_out];
-            o.stalls_memo = 0;
-            o.stall_vcs = 0;
-        }
-        self.mark_exposed(node, sent_out, slot, &mut dirty);
-        for out in sent_out + 1..outs {
-            self.sweep_mask = 0;
-            let before = self.stats.credit_stalls;
-            match self.try_output(now, node, out, step) {
-                Some(slot) => {
-                    let o = &mut self.nodes[node].outputs[out];
-                    o.stalls_memo = 0;
-                    o.stall_vcs = 0;
-                    self.mark_exposed(node, out, slot, &mut dirty);
-                }
-                None => {
-                    let o = &mut self.nodes[node].outputs[out];
-                    o.stalls_memo = (self.stats.credit_stalls - before) as u32;
-                    o.stall_vcs = self.sweep_mask;
-                }
-            }
-        }
-        let mut quiet = true;
-        while dirty != 0 {
-            let out = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            match self.recount_output(node, out) {
-                Some((stalls, mask)) => {
-                    let o = &mut self.nodes[node].outputs[out];
-                    o.stalls_memo = stalls;
-                    o.stall_vcs = mask;
-                }
-                None => {
-                    quiet = false;
-                    break;
-                }
-            }
-        }
-        let n = &mut self.nodes[node];
-        n.quiet = quiet;
-        if quiet {
-            n.quiet_total =
-                n.outputs.iter().map(|o| u64::from(o.stalls_memo)).sum::<u64>() as u32;
-        }
-    }
-
-    /// If popping input slot `(ip, vc)` exposed a new buffer front, marks
-    /// the one output it is a candidate for as needing a memo recount —
-    /// but only when that output was swept *before* the exposure
-    /// (`tgt < sent_out`); later outputs see the front live, and the
-    /// sending output itself is busy (memo already zeroed).
-    fn mark_exposed(&self, node: usize, sent_out: usize, (ip, vc): (usize, usize), dirty: &mut u64) {
-        let buf = &self.nodes[node].inputs[ip].vcs[vc];
-        let Some(front) = buf.flits.front() else { return };
-        let tgt = match buf.alloc {
-            Some((o, _)) => o,
-            None => self.topology.route(node, front.dst as usize),
-        };
-        if tgt < sent_out {
-            *dirty |= 1 << tgt;
-        }
-    }
-
-    /// What a fresh sweep of `(node, out)` would observe, without running
-    /// it: `Some((stalls, stall_vcs))` when it provably sends nothing, or
-    /// `None` when some candidate could send (the caller must then leave
-    /// the node non-quiet so the next trigger sweeps for real). Mirrors
-    /// the candidate scan in [`Self::try_output`]; visiting every
-    /// occupied slot in index order is sound because a fruitless sweep
-    /// never breaks early, making its stall count round-robin
-    /// independent.
-    fn recount_output(&self, node: usize, out: usize) -> Option<(u32, u8)> {
-        let n = &self.nodes[node];
-        if !n.outputs[out].free {
-            return Some((0, 0));
-        }
-        let mut stalls = 0u32;
-        let mut mask = 0u8;
-        for (ip, input) in n.inputs.iter().enumerate() {
-            for vc in 0..VCS {
-                let slot = ip * VCS + vc;
-                if slot < 128 && n.occ & (1 << slot) == 0 {
-                    continue;
-                }
-                let buf = &input.vcs[vc];
-                let Some(front) = buf.flits.front() else { continue };
-                match buf.alloc {
-                    Some((o, ovc)) if o == out => {
-                        if self.credit_ok(node, out, ovc) {
-                            return None;
-                        }
-                        stalls += 1;
-                        mask |= 1 << ovc;
-                    }
-                    Some(_) => {}
-                    None => {
-                        if self.topology.route(node, front.dst as usize) != out {
-                            continue;
-                        }
-                        let ovc = self.next_vc(node, out, vc);
-                        if n.outputs[out].owner[ovc].is_none() {
-                            if self.credit_ok(node, out, ovc) {
-                                return None;
-                            }
-                            stalls += 1;
-                            mask |= 1 << ovc;
-                        }
-                    }
-                }
-            }
-        }
-        Some((stalls, mask))
-    }
-
-    /// Partial sweep of a quiet node after an event that changed only
-    /// output `out`'s arbitration inputs (its link was freed, or a new
-    /// buffer front appeared that only `out` can serve): replay the other
-    /// outputs' memoized (provably unchanged) sweep outcomes and sweep
-    /// only `out` live, in its full-sweep position. If it sends, the
-    /// outputs after it see changed state and sweep live too.
-    /// Bit-identical to the full sweep by the argument on
-    /// [`Self::set_quiet_credit_skip`].
-    fn retry_one_output(&mut self, now: SimTime, node: usize, out: usize, step: &mut Step) {
-        let earlier: u64 = self.nodes[node].outputs[..out]
-            .iter()
-            .map(|o| u64::from(o.stalls_memo))
-            .sum();
-        self.stats.credit_stalls += earlier;
-        self.sweep_mask = 0;
-        let before = self.stats.credit_stalls;
-        match self.try_output(now, node, out, step) {
-            Some(slot) => {
-                // It sent: finish the sweep live and repair memos so the
-                // node can stay quiet (see `continue_after_send`).
-                self.continue_after_send(now, node, out, slot, step);
-            }
-            None => {
-                let delta = self.stats.credit_stalls - before;
-                let o = &mut self.nodes[node].outputs[out];
-                o.stalls_memo = delta as u32;
-                o.stall_vcs = self.sweep_mask;
-                let later: u64 = self.nodes[node].outputs[out + 1..]
-                    .iter()
-                    .map(|o| u64::from(o.stalls_memo))
-                    .sum();
-                self.stats.credit_stalls += later;
-                self.nodes[node].quiet_total = (earlier + delta + later) as u32;
-            }
-        }
-    }
-
-    /// Adds every output's memoized stall count — what a full sweep of a
-    /// quiet, unchanged node would re-count.
-    fn replay_quiet_stalls(&mut self, node: usize) {
-        self.stats.credit_stalls += u64::from(self.nodes[node].quiet_total);
     }
 
     /// The downstream VC a head flit must use when leaving `node` through
@@ -1707,91 +1369,61 @@ impl Network {
         }
     }
 
-    /// Attempt to send one flit through `(node, out)`; returns the input
-    /// slot `(in_port, vc)` the winning flit was popped from, or `None`
-    /// if nothing was sent.
-    fn try_output(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        out: usize,
-        step: &mut Step,
-    ) -> Option<(usize, usize)> {
-        if !self.nodes[node].outputs[out].free {
-            return None;
+    /// Attempt to send one flit through `(node, out)`.
+    fn try_output(&mut self, now: SimTime, node: usize, out: usize, step: &mut Step) {
+        let port = &self.nodes[node].outputs[out];
+        if !port.free || port.req == 0 {
+            return;
         }
-        let n_inputs = self.nodes[node].inputs.len();
-        let slots = n_inputs * VCS;
-
-        // Collect the (in_port, vc, downstream_vc) candidate, honoring
-        // round-robin order. Empty slots can never be chosen, so skipping
-        // them via the occupancy bitmap preserves arbitration order.
-        let rr = self.nodes[node].outputs[out].rr;
-        let occ = self.nodes[node].occ;
-        let mut chosen: Option<(usize, usize, usize)> = None;
-        for off in 0..slots {
-            let slot = rr + off;
-            let slot = if slot >= slots { slot - slots } else { slot };
-            if slot < 128 && occ & (1 << slot) == 0 {
-                continue;
-            }
-            let (ip, vc) = (slot / VCS, slot % VCS);
-            let front = match self.nodes[node].inputs[ip].vcs[vc].flits.front() {
-                Some(f) => *f,
-                None => continue,
-            };
-            let alloc = self.nodes[node].inputs[ip].vcs[vc].alloc;
-            match alloc {
+        // Walk the requesting slots in round-robin order: rotating the
+        // mask by `rr` puts slots `rr..` first and wraps `..rr` above
+        // them (every slot index is below 64), so this visits exactly the
+        // candidates, in exactly the order, of a scan over every slot
+        // starting at `rr`.
+        let rr = port.rr;
+        let mut bits = port.req.rotate_right(rr as u32);
+        let mut chosen: Option<(usize, usize)> = None;
+        while bits != 0 {
+            let slot = (bits.trailing_zeros() as usize + rr) % 64;
+            bits &= bits - 1;
+            let buf = &self.nodes[node].inputs[slot / VCS].vcs[slot % VCS];
+            let front = *buf.flits.front().expect("request bit on an empty buffer");
+            let ovc = match buf.alloc {
                 // Mid-packet: must continue on its allocated output VC.
-                Some((o, ovc)) if o == out => {
-                    if self.credit_ok(node, out, ovc) {
-                        chosen = Some((ip, vc, ovc));
-                    } else {
-                        self.stats.credit_stalls += 1;
-                        self.sweep_mask |= 1 << ovc;
-                        if self.in_forward {
-                            self.fwd_attr.entry(front.packet).or_default().1 += 1;
-                        }
-                    }
+                Some((allocated, ovc)) => {
+                    debug_assert_eq!(allocated, out, "request bit on a foreign output");
+                    ovc
                 }
-                Some(_) => {}
-                // Head flit: needs routing + output VC allocation.
+                // Head flit: needs a free output VC.
                 None => {
                     debug_assert!(front.kind.is_head(), "unallocated non-head at front");
-                    if self.topology.route(node, front.dst as usize) != out {
+                    debug_assert_eq!(self.topology.route(node, front.dst as usize), out);
+                    let ovc = self.next_vc(node, out, slot % VCS);
+                    if self.nodes[node].outputs[out].owner[ovc].is_some() {
                         continue;
                     }
-                    let ovc = self.next_vc(node, out, vc);
-                    let owner = self.nodes[node].outputs[out].owner[ovc];
-                    if owner.is_none() {
-                        if self.credit_ok(node, out, ovc) {
-                            chosen = Some((ip, vc, ovc));
-                        } else {
-                            self.stats.credit_stalls += 1;
-                            self.sweep_mask |= 1 << ovc;
-                            if self.in_forward {
-                                self.fwd_attr.entry(front.packet).or_default().1 += 1;
-                            }
-                        }
-                    }
+                    ovc
                 }
-            }
-            if chosen.is_some() {
-                self.nodes[node].outputs[out].rr = (slot + 1) % slots;
+            };
+            if self.credit_ok(node, out, ovc) {
+                chosen = Some((slot, ovc));
                 break;
             }
-        }
-        let (ip, vc, ovc) = chosen?;
-
-        // Dequeue and update wormhole state.
-        let buf = &mut self.nodes[node].inputs[ip].vcs[vc];
-        let flit = buf.flits.pop_front().expect("candidate had empty buffer");
-        if buf.flits.is_empty() {
-            let slot = ip * VCS + vc;
-            if slot < 128 {
-                self.nodes[node].occ &= !(1 << slot);
+            self.stats.credit_stalls += 1;
+            if self.in_forward {
+                self.fwd_attr.entry(front.packet).or_default().1 += 1;
             }
         }
+        let Some((slot, ovc)) = chosen else { return };
+        let (ip, vc) = (slot / VCS, slot % VCS);
+        let slots = self.nodes[node].inputs.len() * VCS;
+        self.nodes[node].outputs[out].rr = (slot + 1) % slots;
+
+        // Dequeue and update wormhole state.
+        let flit = self.nodes[node].inputs[ip].vcs[vc]
+            .flits
+            .pop_front()
+            .expect("candidate had empty buffer");
         if flit.kind.is_head() {
             self.nodes[node].outputs[out].owner[ovc] = Some((ip, vc));
             self.nodes[node].inputs[ip].vcs[vc].alloc = Some((out, ovc));
@@ -1800,6 +1432,10 @@ impl Network {
             self.nodes[node].outputs[out].owner[ovc] = None;
             self.nodes[node].inputs[ip].vcs[vc].alloc = None;
         }
+        // The slot's front changed: withdraw its request and file the new
+        // front's, which the allocation update above decides.
+        self.nodes[node].outputs[out].req &= !(1 << slot);
+        self.request_front(node, ip, vc);
 
         // Consume a downstream credit.
         let credits = &mut self.nodes[node].outputs[out].credits[ovc];
@@ -1860,7 +1496,6 @@ impl Network {
                 ));
             }
         }
-        Some((ip, vc))
     }
 
     fn credit_ok(&self, node: usize, out: usize, ovc: usize) -> bool {
@@ -2118,6 +1753,34 @@ mod tests {
     fn inject_to_hub_rejected() {
         let mut net = Network::new(cfg(TopologyKind::Crossbar, 4));
         net.inject(SimTime::ZERO, Packet::new(0, 0, 4, 128));
+    }
+
+    #[test]
+    fn widest_crossbar_hub_drains_through_every_request_bit() {
+        // A 32-terminal hub has 64 input slots, the request masks' full
+        // width, so its round-robin walk wraps past bit 63.
+        let run = |express: bool| {
+            let c = cfg(TopologyKind::Crossbar, NocConfig::MAX_CROSSBAR_TERMINALS)
+                .with_express(express);
+            let mut rng = Rng::new(31);
+            let pkts = schedule(32, Pattern::UniformRandom, 900_000_000, 4096,
+                                SimSpan::from_us(10), &mut rng);
+            let n = pkts.len();
+            let mut net = Network::new(c);
+            let got = drive(&mut net, pkts);
+            assert_eq!(got.len(), n, "hub dropped packets");
+            assert!(net.is_idle());
+            let mut deliv: Vec<_> = got.iter().map(|d| (d.packet.id, d.at.as_ns())).collect();
+            deliv.sort_unstable();
+            (deliv, net.stats().credit_stalls)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 terminals")]
+    fn crossbar_wider_than_the_request_mask_is_rejected() {
+        let _ = Network::new(cfg(TopologyKind::Crossbar, 33));
     }
 
     #[test]

@@ -342,6 +342,41 @@ pub struct NocConfig {
 }
 
 impl NocConfig {
+    /// The widest crossbar a [`Network`](crate::Network) runs. Each
+    /// router output keeps a one-`u64` request mask over its node's
+    /// input slots (ports × 2 virtual channels), and the crossbar hub has
+    /// one port per terminal; every mesh, ring and 2-D mesh router has at
+    /// most five ports.
+    pub const MAX_CROSSBAR_TERMINALS: usize = 32;
+
+    /// Checks that a [`Network`](crate::Network) can be built from this
+    /// config and carry traffic: at least two terminals, input buffers of
+    /// at least one flit (a zero-flit buffer never grants a credit), and a
+    /// crossbar no wider than [`Self::MAX_CROSSBAR_TERMINALS`]. The link
+    /// bandwidth is not checked: embedders use zero as a "derive it"
+    /// sentinel.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first violated rule.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.terminals < 2 {
+            let k = self.terminals;
+            return Err(format!("fNoC needs at least two terminals, got {k}"));
+        }
+        if self.input_buffer_flits == 0 {
+            return Err("fNoC input buffers need at least one flit".into());
+        }
+        let widest = Self::MAX_CROSSBAR_TERMINALS;
+        if self.topology == TopologyKind::Crossbar && self.terminals > widest {
+            return Err(format!(
+                "a crossbar fNoC supports at most {widest} terminals, got {}",
+                self.terminals
+            ));
+        }
+        Ok(())
+    }
+
     /// A config with the paper's defaults: 1 GB/s channels (equal to one
     /// flash-bus channel), 32 B flits, 16 B header, 4-flit input buffers
     /// and a 2 ns router pipeline.

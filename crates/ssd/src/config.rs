@@ -251,10 +251,9 @@ pub struct SsdConfig {
     pub gc_continuous: bool,
     /// Flash-side express path (on by default): provably-identical
     /// fast-forwarding of the event loop — analytic coalescing of
-    /// uncontended flash leg chains, the NoC event burst loop, and the
-    /// quiet-router sweep skip. Purely an execution strategy: results
-    /// are byte-identical with it off (`--no-flash-express`), only wall
-    /// clock changes.
+    /// uncontended flash leg chains and the NoC event burst loop. Purely
+    /// an execution strategy: results are byte-identical with it off
+    /// (`--no-flash-express`), only wall clock changes.
     pub flash_express: bool,
     /// Random seed.
     pub seed: u64,
@@ -421,13 +420,14 @@ impl SsdConfig {
                 self.onchip_bw_factor
             ));
         }
-        if self.architecture == Architecture::DssdFnoc
-            && self.noc.terminals != g.channels as usize
-        {
-            return Err(format!(
-                "fNoC has {} terminals but the SSD has {} channels",
-                self.noc.terminals, g.channels
-            ));
+        if self.architecture == Architecture::DssdFnoc {
+            if self.noc.terminals != g.channels as usize {
+                return Err(format!(
+                    "fNoC has {} terminals but the SSD has {} channels",
+                    self.noc.terminals, g.channels
+                ));
+            }
+            self.noc.validate()?;
         }
         if self.ftl.gc_hard_free > self.ftl.gc_threshold_free {
             return Err("GC hard threshold exceeds the trigger threshold".into());
@@ -550,6 +550,18 @@ mod tests {
         let mut c = SsdConfig::test_tiny(Architecture::DssdFnoc);
         c.noc.terminals = 3;
         assert!(c.validate().unwrap_err().contains("terminals"));
+
+        let mut c = SsdConfig::test_tiny(Architecture::DssdFnoc);
+        c.noc.input_buffer_flits = 0;
+        assert!(c.validate().unwrap_err().contains("at least one flit"));
+
+        let mut c = SsdConfig::test_tiny(Architecture::DssdFnoc);
+        c.geometry.channels = 33;
+        c.noc.terminals = 33;
+        c.noc.topology = TopologyKind::Crossbar;
+        assert!(c.validate().unwrap_err().contains("at most 32 terminals"));
+        c.noc.topology = TopologyKind::Mesh1D;
+        c.validate().unwrap();
 
         let mut c = SsdConfig::test_tiny(Architecture::Baseline);
         c.geometry.channels = 0;

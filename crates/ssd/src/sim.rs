@@ -933,9 +933,6 @@ impl SsdSim {
     /// exactly too. Progress ticks at chain boundaries.
     fn run_bounded(&mut self, limit: u64, stop: Option<SimTime>) -> RunState {
         let express = self.config.flash_express;
-        if let Some(n) = self.noc.as_mut() {
-            n.set_quiet_credit_skip(express);
-        }
         let mut progress = self.progress.then(ProgressMeter::new);
         let mut bound = self.observation_bound(stop);
         let mut handled = 0u64;

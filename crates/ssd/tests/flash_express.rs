@@ -3,9 +3,8 @@
 //! With `flash_express` off the simulator is the unmodified
 //! one-event-at-a-time reference engine; with it on (the default), the
 //! NoC burst loop drains runs of NoC events with one fused queue pop
-//! each, the quiet-router sweep skips elide fruitless arbitration, and
-//! the flash-leg chain walk coalesces provably conflict-free event
-//! chains without going through the central queue. Nothing observable
+//! each, and the flash-leg chain walk coalesces provably conflict-free
+//! event chains without going through the central queue. Nothing observable
 //! may change: report fingerprints, the state digest, event accounting,
 //! and NoC credit-stall counts must be byte-identical across every
 //! architecture, workload mix, seed, fault class, and power-loss
