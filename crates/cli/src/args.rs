@@ -73,6 +73,18 @@ impl Flags {
                 .map_err(|_| ArgError(format!("--{key}: cannot parse `{v}`"))),
         }
     }
+
+    /// [`Flags::get_or`] for a count that must be at least `min`.
+    pub fn get_at_least<T>(&self, key: &str, default: T, min: T) -> Result<T, ArgError>
+    where
+        T: std::str::FromStr + PartialOrd + fmt::Display,
+    {
+        let v = self.get_or(key, default)?;
+        if v < min {
+            return Err(ArgError(format!("--{key} must be >= {min}")));
+        }
+        Ok(v)
+    }
 }
 
 #[cfg(test)]
@@ -103,5 +115,8 @@ mod tests {
         let typo = Flags::parse(&args(&["--ms", "3", "--sed", "4"]), &[], &["ms", "seed"]);
         assert_eq!(typo.unwrap_err(), ArgError("unknown flag --sed".into()));
         assert!(Flags::parse(&args(&["--reads", "--workers", "2"]), &["reads"], &["ms"]).is_err());
+        let f = Flags::parse(&args(&["--qd", "0"]), &[], &["qd"]).unwrap();
+        assert_eq!(f.get_at_least("qd", 64usize, 1), Err(ArgError("--qd must be >= 1".into())));
+        assert_eq!(f.get_at_least("pages", 8u32, 1), Ok(8));
     }
 }

@@ -181,9 +181,7 @@ fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
     let seed = flags.get_or("seed", cfg.seed)?;
     cfg = cfg.with_seed(seed);
     let factor = flags.get_or("onchip-factor", cfg.onchip_bw_factor)?;
-    if factor >= 1.0 {
-        cfg = cfg.with_onchip_factor(factor);
-    }
+    cfg = cfg.with_onchip_factor(check_factor("onchip-factor", factor)?);
     cfg.faults = build_faults(flags)?;
     build_durability(flags, &mut cfg)?;
     if flags.switch("no-noc-express") {
@@ -200,6 +198,16 @@ fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
         return Err(ArgError(e));
     }
     Ok(cfg)
+}
+
+/// `factor` from `--flag` if it is an on-chip bandwidth factor a run can
+/// use: finite and at least the baseline's 1.0.
+fn check_factor(flag: &str, factor: f64) -> Result<f64, ArgError> {
+    if factor.is_finite() && factor >= 1.0 {
+        Ok(factor)
+    } else {
+        Err(ArgError(format!("--{flag}: `{factor}` must be a finite number >= 1.0")))
+    }
 }
 
 /// Parses the durability and power-loss flags. Any of them implies
@@ -525,7 +533,7 @@ fn cmd_crashpoints(rest: &[String]) -> Result<(), ArgError> {
         base.durability = Some(DurabilityConfig::default());
     }
     base.power_loss = PowerLossConfig::none();
-    let pages = flags.get_or("pages", 8u32)?;
+    let pages = flags.get_at_least("pages", 8u32, 1)?;
     let ms = flags.get_or("ms", 2u64)?;
     let stride = flags.get_or("stride", 500u64)?;
     if stride == 0 {
@@ -612,9 +620,9 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
     )?;
     let cfg = build_config(&flags)?;
     let tracing = trace_config(&flags)?;
-    let pages = flags.get_or("pages", 8u32)?;
+    let pages = flags.get_at_least("pages", 8u32, 1)?;
     let ms = flags.get_or("ms", 30u64)?;
-    let qd = flags.get_or("qd", 64usize)?;
+    let qd = flags.get_at_least("qd", 64usize, 1)?;
     let pattern = match flags.get("pattern").unwrap_or("random") {
         "random" | "rand" => AccessPattern::Random,
         "sequential" | "seq" => AccessPattern::Sequential,
@@ -698,7 +706,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
     )?;
     let jobs = flags.get_or("jobs", 0usize)?; // 0 = all available cores
     let ms = flags.get_or("ms", 5u64)?;
-    let pages = flags.get_or("pages", 8u32)?;
+    let pages = flags.get_at_least("pages", 8u32, 1)?;
     let factors: Vec<f64> = match flags.get("factors") {
         None => vec![1.0],
         Some(list) => list
@@ -717,9 +725,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
     let mut points = Vec::new();
     for &arch in &archs {
         for &factor in &factors {
-            if factor < 1.0 {
-                return Err(ArgError(format!("--factors: `{factor}` must be >= 1.0")));
-            }
+            check_factor("factors", factor)?;
             let mut cfg = SsdConfig::test_tiny(arch);
             cfg.gc_continuous = flags.switch("gc-continuous");
             let seed = flags.get_or("seed", cfg.seed)?;
@@ -769,6 +775,17 @@ fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
     let tracing = trace_config(&flags)?;
     let ms = flags.get_or("ms", 40u64)?;
     let speedup: f64 = flags.get_or("speedup", 10.0)?;
+    if !(speedup.is_finite() && speedup > 0.0) {
+        return Err(ArgError(format!("--speedup: `{speedup}` must be a finite number > 0")));
+    }
+    // The replay covers `ms` of the accelerated trace: `ms * speedup` of
+    // the original, which must fit the nanosecond clock.
+    let original_ns = SimSpan::from_ms(ms).as_ns() as f64 * speedup;
+    if original_ns >= u64::MAX as f64 {
+        return Err(ArgError(format!(
+            "--speedup: {ms} ms at {speedup}x overflows the nanosecond clock"
+        )));
+    }
     let trace: Trace = match (flags.get("csv"), flags.get("volume")) {
         (Some(path), _) => std::fs::read_to_string(path)
             .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?
@@ -778,10 +795,7 @@ fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
             let name = volume.unwrap_or("prn_0");
             let profile = msr::profile(name)
                 .ok_or_else(|| ArgError(format!("unknown volume `{name}` (try `volumes`)")))?;
-            profile.synthesize(
-                SimSpan::from_ns((SimSpan::from_ms(ms).as_ns() as f64 * speedup) as u64),
-                flags.get_or("seed", 42u64)?,
-            )
+            profile.synthesize(SimSpan::from_ns(original_ns as u64), flags.get_or("seed", 42u64)?)
         }
     };
     println!(
@@ -908,6 +922,7 @@ fn cmd_endurance(rest: &[String]) -> Result<(), ArgError> {
             page_bytes: cfg.page_bytes,
         });
     }
+    cfg.validate().map_err(ArgError)?;
     let policies: Vec<SuperblockPolicy> = match flags.get("policy") {
         None | Some("all") => SuperblockPolicy::all().to_vec(),
         Some("baseline") => vec![SuperblockPolicy::Baseline],
@@ -1052,6 +1067,60 @@ mod tests {
         assert!(e.0.contains("iops"), "{e}");
         let e = serve_spec("huge-duration", "duration_ms 1e30\ntenant a iops=1\n").unwrap_err();
         assert!(e.0.contains("nanosecond clock"), "{e}");
+    }
+
+    /// Runs subcommand `cmd` on `args` and returns the error it must
+    /// report.
+    fn rejected(cmd: fn(&[String]) -> Result<(), ArgError>, args: &[&str]) -> ArgError {
+        cmd(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>()).unwrap_err()
+    }
+
+    #[test]
+    fn run_rejects_flags_it_cannot_run() {
+        let e = rejected(cmd_run, &["--pages", "0"]);
+        assert!(e.0.contains("--pages must be >= 1"), "{e}");
+        let e = rejected(cmd_run, &["--qd", "0"]);
+        assert!(e.0.contains("--qd must be >= 1"), "{e}");
+        for factor in ["0.5", "NaN", "inf"] {
+            let e = rejected(cmd_run, &["--onchip-factor", factor]);
+            assert!(e.0.contains("must be a finite number >= 1.0"), "{factor}: {e}");
+        }
+    }
+
+    #[test]
+    fn sweep_and_crashpoints_reject_empty_requests() {
+        let e = rejected(cmd_sweep, &["--pages", "0"]);
+        assert!(e.0.contains("--pages must be >= 1"), "{e}");
+        for factor in ["0.5", "nan", "inf"] {
+            let e = rejected(cmd_sweep, &["--factors", factor]);
+            assert!(e.0.contains("must be a finite number >= 1.0"), "{factor}: {e}");
+        }
+        let e = rejected(cmd_crashpoints, &["--pages", "0"]);
+        assert!(e.0.contains("--pages must be >= 1"), "{e}");
+    }
+
+    #[test]
+    fn trace_rejects_speedups_it_cannot_replay() {
+        for speedup in ["0", "-1", "nan", "inf"] {
+            let e = rejected(cmd_trace, &["--speedup", speedup]);
+            assert!(e.0.contains("must be a finite number > 0"), "{speedup}: {e}");
+        }
+        let e = rejected(cmd_trace, &["--speedup", "1e300"]);
+        assert!(e.0.contains("overflows the nanosecond clock"), "{e}");
+    }
+
+    #[test]
+    fn endurance_rejects_degenerate_configs() {
+        for n in ["0", "1"] {
+            let e = rejected(cmd_endurance, &["--superblocks", n]);
+            assert!(e.0.contains("too few"), "{n}: {e}");
+        }
+        for r in ["1", "1.5"] {
+            let e = rejected(cmd_endurance, &["--reserved", r]);
+            assert!(e.0.contains("[0, 1)"), "{r}: {e}");
+        }
+        let e = rejected(cmd_endurance, &["--srt", "0"]);
+        assert!(e.0.contains("SRT needs at least one entry"), "{e}");
     }
 
     #[test]

@@ -28,13 +28,9 @@ const NUM_BUCKETS: usize = 4096;
 const OCCUPANCY_WORDS: usize = NUM_BUCKETS / 64;
 const _: () = assert!(NUM_BUCKETS.is_power_of_two() && NUM_BUCKETS.is_multiple_of(64));
 
-/// Bits of an entry's packed order key that hold the insertion sequence;
+/// Bits of an entry's packed order that hold the insertion sequence;
 /// the rank sits above them.
 const SEQ_BITS: u32 = 56;
-
-/// Number of FIFO lanes in the constant-delay tier
-/// ([`EventQueue::push_fifo`]).
-pub const FIFOS: usize = 3;
 
 /// A deterministic priority queue of timestamped events.
 ///
@@ -55,21 +51,23 @@ pub const FIFOS: usize = 3;
 ///
 /// # Implementation
 ///
-/// Three tiers: a bucketed *calendar* covering a sliding near-future
-/// window, a binary-heap overflow for events beyond it, and [`FIFOS`]
-/// FIFO lanes for events scheduled at a constant delay. The common
+/// Two tiers: a bucketed *calendar* covering a sliding near-future
+/// window, and a binary-heap overflow for events beyond it. The common
 /// short-horizon push/pop is O(1) amortized — append to a bucket, scan
-/// the earliest non-empty bucket — instead of the heap's O(log n)
-/// sift per operation. An occupancy bitmap over the buckets lets the
-/// cursor jump straight to the next non-empty one, so a sparse schedule
-/// costs no more per pop than a dense one. Far events migrate into the
-/// calendar as the window slides over their timestamps. A FIFO lane
-/// only accepts an entry at or after its tail, so each lane is sorted
-/// by construction and its head is its minimum. Every entry is ordered
-/// by one packed `(time, rank, seq)` key and a pop takes the least key
-/// across the calendar front and the lane heads, so ordering (including
-/// FIFO tie-breaking by insertion sequence) is bit-identical to a
-/// pure-heap implementation; a randomized differential test asserts it.
+/// the earliest non-empty bucket — instead of the heap's O(log n) sift
+/// per operation. An occupancy bitmap over the buckets lets the cursor
+/// jump straight to the next non-empty one, so a sparse schedule costs
+/// no more per pop than a dense one. Far events migrate into the
+/// calendar as the window slides over their timestamps. Every entry is
+/// ordered by one packed [`EventKey`], so ordering (including FIFO
+/// tie-breaking by insertion sequence) is bit-identical to a pure-heap
+/// implementation; a randomized differential test asserts it.
+///
+/// Events a caller schedules at a few constant delays need no calendar
+/// at all: [`FifoLanes`] stamped from this queue's counter
+/// ([`EventQueue::orders`]) hold them, and a caller that pops whichever
+/// of [`EventQueue::peek_key`] and [`FifoLanes::peek_key`] is smaller
+/// sees exactly the order of one queue holding both.
 ///
 /// # Example
 ///
@@ -103,27 +101,8 @@ pub struct EventQueue<E> {
     /// on the sparse Baseline trace replay but 0.91× on the two-tenant
     /// serve workload, so it stays a heap.
     far: BinaryHeap<Reverse<Entry<E>>>,
-    /// Constant-delay tier: each lane sorted by key, see
-    /// [`EventQueue::push_fifo`].
-    fifos: [VecDeque<Entry<E>>; FIFOS],
-    /// Events currently in the FIFO lanes.
-    fifo_len: usize,
-    /// A lower bound on every calendar key, near and far: each calendar
-    /// push lowers it, and a pop that has to look at the calendar sets it
-    /// to the calendar's minimum. A lane head below it pops without that
-    /// look, which on flit-level NoC traffic is nearly every pop.
-    calendar_floor: u128,
-    seq: u64,
+    orders: Orders,
     popped: u64,
-}
-
-/// Where the earliest pending entry sits.
-#[derive(Debug, Clone, Copy)]
-enum Front {
-    /// Index into the cursor bucket.
-    Near(usize),
-    /// The head of this FIFO lane.
-    Fifo(usize),
 }
 
 /// Rank assigned by [`EventQueue::push`]. Ranks below this pop first at
@@ -133,6 +112,64 @@ pub const DEFAULT_RANK: u8 = 1;
 /// Rank for host-arrival events: sorts before internally-scheduled events
 /// ([`DEFAULT_RANK`]) at the same instant, no matter when it was pushed.
 pub const ARRIVAL_RANK: u8 = 0;
+
+/// An event's place in the total pop order — its time, then its rank,
+/// then its insertion sequence — packed into one word, so comparing two
+/// events is one integer compare. Keys drawn from one [`Orders`] counter
+/// are unique.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EventKey(u128);
+
+impl EventKey {
+    /// Greater than every event's key.
+    pub const MAX: EventKey = EventKey(u128::MAX);
+
+    fn new(time: SimTime, order: u64) -> Self {
+        EventKey((u128::from(time.as_ns()) << 64) | u128::from(order))
+    }
+
+    /// The least key at `time`: above every earlier event's key and
+    /// below every key at `time` or later, so "key below `at(t)`" means
+    /// "strictly earlier than `t`".
+    #[must_use]
+    pub fn at(time: SimTime) -> Self {
+        EventKey::new(time, 0)
+    }
+
+    /// The event's time.
+    #[must_use]
+    pub fn time(self) -> SimTime {
+        SimTime::from_ns((self.0 >> 64) as u64)
+    }
+}
+
+/// The insertion counter behind the same-time tie-break: each draw
+/// packs a rank above a sequence number one greater than the last.
+/// Every [`EventQueue`] push draws from the queue's own counter, and
+/// [`FifoLanes::push`] draws from whichever counter it is handed, so
+/// lane entries stamped from a queue's counter ([`EventQueue::orders`])
+/// tie-break against the queue's entries exactly as if they had been
+/// pushed into it.
+#[derive(Debug, Clone, Default)]
+pub struct Orders {
+    seq: u64,
+}
+
+impl Orders {
+    /// A counter whose first draw has sequence zero.
+    #[must_use]
+    pub fn new() -> Self {
+        Orders::default()
+    }
+
+    /// The next order at `rank`: `rank << 56 | seq`.
+    fn draw(&mut self, rank: u8) -> u64 {
+        let seq = self.seq;
+        debug_assert!(seq < 1 << SEQ_BITS, "insertion sequence overflows the order key");
+        self.seq += 1;
+        (u64::from(rank) << SEQ_BITS) | seq
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Entry<E> {
@@ -144,8 +181,8 @@ struct Entry<E> {
 
 impl<E> Entry<E> {
     /// The entry's place in the total `(time, rank, seq)` order.
-    fn key(&self) -> u128 {
-        (u128::from(self.time.as_ns()) << 64) | u128::from(self.order)
+    fn key(&self) -> EventKey {
+        EventKey::new(self.time, self.order)
     }
 }
 
@@ -181,20 +218,15 @@ impl<E> EventQueue<E> {
             window_start_q: 0,
             cursor: 0,
             far: BinaryHeap::new(),
-            fifos: std::array::from_fn(|_| VecDeque::new()),
-            fifo_len: 0,
-            calendar_floor: u128::MAX,
-            seq: 0,
+            orders: Orders::new(),
             popped: 0,
         }
     }
 
-    /// The next insertion sequence number.
-    fn next_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        debug_assert!(seq < 1 << SEQ_BITS, "insertion sequence overflows the order key");
-        self.seq += 1;
-        seq
+    /// The insertion counter every push draws from. Stamp [`FifoLanes`]
+    /// entries from it to merge them with this queue by key.
+    pub fn orders(&mut self) -> &mut Orders {
+        &mut self.orders
     }
 
     /// Schedules `event` at absolute time `time` with [`DEFAULT_RANK`].
@@ -206,8 +238,7 @@ impl<E> EventQueue<E> {
     /// At equal timestamps lower ranks pop first; within a rank, pushes
     /// pop FIFO. See the type-level docs for why ranks exist.
     pub fn push_ranked(&mut self, time: SimTime, rank: u8, event: E) {
-        let entry = Entry { time, order: (u64::from(rank) << SEQ_BITS) | self.next_seq(), event };
-        self.calendar_floor = self.calendar_floor.min(entry.key());
+        let entry = Entry { time, order: self.orders.draw(rank), event };
         let q = quantum(time);
         if q >= self.window_start_q + NUM_BUCKETS as u64 {
             self.far.push(Reverse(entry));
@@ -222,24 +253,6 @@ impl<E> EventQueue<E> {
             (q % NUM_BUCKETS as u64) as usize
         };
         self.insert_near(slot, entry);
-    }
-
-    /// Schedules `event` at `time` with [`DEFAULT_RANK`] on FIFO lane
-    /// `fifo` (below [`FIFOS`]): exactly [`EventQueue::push`] in the pop
-    /// order, only cheaper for a caller that schedules each lane's events
-    /// at one constant delay after a non-decreasing "now". Such pushes
-    /// arrive in time order, so the lane appends them and its head is
-    /// always its minimum — no bucket, no scan. A push earlier than the
-    /// lane's tail goes to the calendar instead, so a caller that
-    /// classifies an event wrongly loses speed, never order.
-    pub fn push_fifo(&mut self, fifo: usize, time: SimTime, event: E) {
-        if self.fifos[fifo].back().is_some_and(|tail| time < tail.time) {
-            self.push(time, event);
-            return;
-        }
-        let order = (u64::from(DEFAULT_RANK) << SEQ_BITS) | self.next_seq();
-        self.fifos[fifo].push_back(Entry { time, order, event });
-        self.fifo_len += 1;
     }
 
     fn insert_near(&mut self, slot: usize, entry: Entry<E>) {
@@ -278,7 +291,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves the cursor to the earliest non-empty bucket and returns the
-    /// index of its minimum entry, or `None` if the calendar is empty.
+    /// index of its minimum entry, or `None` if the queue is empty.
     fn front(&mut self) -> Option<usize> {
         if self.near[self.cursor].is_empty() {
             self.advance()?;
@@ -298,34 +311,9 @@ impl<E> EventQueue<E> {
         Some(best)
     }
 
-    /// Finds the earliest entry across the calendar and the FIFO lanes,
-    /// or `None` if the queue is empty.
-    fn locate(&mut self) -> Option<Front> {
-        if self.fifo_len == 0 {
-            return self.front().map(Front::Near);
-        }
-        let (lane, key) = (0..FIFOS)
-            .filter_map(|f| self.fifos[f].front().map(|e| (f, e.key())))
-            .min_by_key(|&(_, key)| key)?;
-        if key < self.calendar_floor {
-            return Some(Front::Fifo(lane));
-        }
-        // With nothing in the window, the calendar's minimum is the far
-        // top; jump the window to it only if it beats the lanes.
-        if self.near_len == 0 {
-            self.calendar_floor = self.far.peek().map_or(u128::MAX, |Reverse(top)| top.key());
-            if key < self.calendar_floor {
-                return Some(Front::Fifo(lane));
-            }
-        }
-        let i = self.front().expect("the calendar holds the entry at its floor");
-        self.calendar_floor = self.near[self.cursor][i].key();
-        Some(if self.calendar_floor < key { Front::Near(i) } else { Front::Fifo(lane) })
-    }
-
     /// Moves the cursor off its empty bucket to the earliest non-empty
     /// one, migrating far events the moved window now covers; `None` if
-    /// the calendar is empty.
+    /// the queue is empty.
     fn advance(&mut self) -> Option<()> {
         if self.near_len == 0 {
             // Calendar empty: jump the window to the earliest far event.
@@ -344,21 +332,9 @@ impl<E> EventQueue<E> {
         Some(())
     }
 
-    /// Removes the entry `locate` found.
-    fn take(&mut self, front: Front) -> (SimTime, E) {
-        match front {
-            Front::Near(i) => self.take_near(i),
-            Front::Fifo(lane) => {
-                let entry = self.fifos[lane].pop_front().expect("located an empty lane");
-                self.fifo_len -= 1;
-                self.popped += 1;
-                (entry.time, entry.event)
-            }
-        }
-    }
-
-    /// Removes entry `index` of the cursor bucket.
-    fn take_near(&mut self, index: usize) -> (SimTime, E) {
+    /// Removes and returns the earliest event, or `None` if empty.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let index = self.front()?;
         let bucket = &mut self.near[self.cursor];
         let entry = bucket.swap_remove(index);
         if bucket.is_empty() {
@@ -366,69 +342,28 @@ impl<E> EventQueue<E> {
         }
         self.near_len -= 1;
         self.popped += 1;
-        (entry.time, entry.event)
+        Some((entry.time, entry.event))
     }
 
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // With every lane empty this is the calendar's own pop plus one
-        // branch, as before the lanes existed.
-        if self.fifo_len == 0 {
-            let i = self.front()?;
-            return Some(self.take_near(i));
-        }
-        let front = self.locate()?;
-        Some(self.take(front))
-    }
-
-    /// Removes and returns the earliest event only if `pred` accepts it;
-    /// otherwise the queue is untouched (aside from cursor maintenance
-    /// that [`EventQueue::pop`] would also have performed). This lets a
-    /// hot loop fuse peek-and-pop into a single bucket scan: the event
-    /// loop's NoC burst fast path drains runs of consecutive network
-    /// events without paying a separate [`EventQueue::peek_time`] scan
-    /// per event.
-    pub fn pop_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        let front = self.locate()?;
-        let entry = match front {
-            Front::Near(i) => &self.near[self.cursor][i],
-            Front::Fifo(lane) => &self.fifos[lane][0],
-        };
-        if !pred(entry.time, &entry.event) {
-            return None;
-        }
-        Some(self.take(front))
-    }
-
-    /// The timestamp of the earliest pending event, if any.
+    /// The key of the earliest pending event, if any.
     #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let near = self.calendar_peek_time();
-        if self.fifo_len == 0 {
-            return near;
-        }
-        let lanes = self.fifos.iter().filter_map(|l| l.front().map(|e| e.time));
-        near.into_iter().chain(lanes).min()
-    }
-
-    /// The timestamp of the calendar's earliest event, if any.
-    fn calendar_peek_time(&self) -> Option<SimTime> {
+    pub fn peek_key(&self) -> Option<EventKey> {
         let mut bucket = &self.near[self.cursor];
         if bucket.is_empty() {
             if self.near_len == 0 {
-                return self.far.peek().map(|Reverse(e)| e.time);
+                return self.far.peek().map(|Reverse(e)| e.key());
             }
             bucket = &self.near[self.next_occupied(self.cursor)];
         }
         // The first non-empty bucket from the cursor holds the earliest
         // calendar quantum, and every far event lies beyond the window.
-        bucket.iter().map(|e| e.time).min()
+        bucket.iter().map(Entry::key).min()
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len() + self.fifo_len
+        self.near_len + self.far.len()
     }
 
     /// True if no events are pending.
@@ -438,8 +373,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Total number of events delivered so far (a cheap progress/size
-    /// metric for long simulations). Counts pops from every tier, so
-    /// `delivered() + len()` always equals the number of pushes.
+    /// metric for long simulations), so `delivered() + len()` always
+    /// equals the number of pushes.
     #[must_use]
     pub fn delivered(&self) -> u64 {
         self.popped
@@ -447,6 +382,138 @@ impl<E> EventQueue<E> {
 }
 
 impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// `N` FIFO lanes of pending events, for a caller that schedules each
+/// lane's events at one constant delay after a non-decreasing "now"
+/// (a flit-level network's link and router delays). Such pushes arrive
+/// in key order, so a push appends and each lane's head is its minimum:
+/// no bucket, no scan, and a pop compares `N` heads.
+///
+/// A push earlier than its lane's tail is inserted in key order, so
+/// each lane stays sorted whatever the caller pushes; a caller that
+/// puts an event on the wrong lane loses speed, never order.
+///
+/// Entries draw their same-time tie-break from an [`Orders`] counter at
+/// [`DEFAULT_RANK`]. Stamped from an [`EventQueue`]'s counter, they
+/// merge with that queue by [`EventKey`]: pop whichever head is smaller
+/// and the sequence is exactly that of one queue holding both.
+///
+/// # Example
+///
+/// ```
+/// use dssd_kernel::{EventKey, EventQueue, FifoLanes, SimTime};
+///
+/// let mut q = EventQueue::new();
+/// let mut lanes: FifoLanes<&str, 2> = FifoLanes::new();
+/// q.push(SimTime::from_ns(50), "queue 50");
+/// lanes.push(0, SimTime::from_ns(50), q.orders(), "lane 50"); // stamped later
+/// lanes.push(0, SimTime::from_ns(20), q.orders(), "behind the tail");
+/// lanes.push(1, SimTime::from_ns(30), q.orders(), "lane 1");
+///
+/// let mut order = Vec::new();
+/// loop {
+///     let head = q.peek_key().unwrap_or(EventKey::MAX);
+///     match lanes.pop_before(head).or_else(|| q.pop()) {
+///         Some((_, e)) => order.push(e),
+///         None => break,
+///     }
+/// }
+/// assert_eq!(order, ["behind the tail", "lane 1", "queue 50", "lane 50"]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FifoLanes<E, const N: usize> {
+    lanes: [VecDeque<Entry<E>>; N],
+    /// Each lane's head key, [`EventKey::MAX`] while it is empty, so a
+    /// pop compares `N` words instead of reading `N` deques.
+    heads: [EventKey; N],
+}
+
+impl<E, const N: usize> FifoLanes<E, N> {
+    /// `N` empty lanes.
+    #[must_use]
+    pub fn new() -> Self {
+        FifoLanes {
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            heads: [EventKey::MAX; N],
+        }
+    }
+
+    /// Schedules `event` at `time` on `lane` (below `N`), stamped with
+    /// the next order `orders` draws at [`DEFAULT_RANK`].
+    pub fn push(&mut self, lane: usize, time: SimTime, orders: &mut Orders, event: E) {
+        let entry = Entry { time, order: orders.draw(DEFAULT_RANK), event };
+        let key = entry.key();
+        let queue = &mut self.lanes[lane];
+        match queue.back() {
+            Some(tail) if key < tail.key() => Self::insert_sorted(queue, entry),
+            _ => queue.push_back(entry),
+        }
+        self.heads[lane] = self.heads[lane].min(key);
+    }
+
+    /// Inserts an entry earlier than its lane's tail in key order.
+    #[cold]
+    fn insert_sorted(lane: &mut VecDeque<Entry<E>>, entry: Entry<E>) {
+        let at = lane.partition_point(|e| e.key() < entry.key());
+        lane.insert(at, entry);
+    }
+
+    /// The lane whose head has the least key, and that key
+    /// ([`EventKey::MAX`] if every lane is empty).
+    fn least_head(&self) -> (usize, EventKey) {
+        let mut least = (0, self.heads[0]);
+        for (i, &key) in self.heads.iter().enumerate().skip(1) {
+            if key < least.1 {
+                least = (i, key);
+            }
+        }
+        least
+    }
+
+    /// The key of the earliest pending entry, if any.
+    #[must_use]
+    pub fn peek_key(&self) -> Option<EventKey> {
+        Some(self.least_head().1).filter(|&key| key != EventKey::MAX)
+    }
+
+    /// Removes and returns the earliest entry if its key is below
+    /// `limit`; otherwise the lanes are untouched. With `limit` the
+    /// merged queue's head key, this is the merge: the lane entry pops
+    /// only if it precedes everything the queue holds.
+    pub fn pop_before(&mut self, limit: EventKey) -> Option<(SimTime, E)> {
+        let (lane, key) = self.least_head();
+        if key >= limit {
+            return None;
+        }
+        let queue = &mut self.lanes[lane];
+        let entry = queue.pop_front().expect("a lane with a head key holds an entry");
+        self.heads[lane] = queue.front().map_or(EventKey::MAX, Entry::key);
+        Some((entry.time, entry.event))
+    }
+
+    /// Removes and returns the earliest entry, or `None` if empty.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_before(EventKey::MAX)
+    }
+
+    /// Number of pending entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
+    }
+
+    /// True if no entries are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<E, const N: usize> Default for FifoLanes<E, N> {
     fn default() -> Self {
         Self::new()
     }
@@ -494,9 +561,9 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
         q.push(SimTime::from_ns(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(42)));
+        assert_eq!(q.peek_key().map(EventKey::time), Some(SimTime::from_ns(42)));
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -514,7 +581,7 @@ mod tests {
         q.push(SimTime::from_ns(window_ns + 7), "mid");
         q.push(SimTime::from_ns(3 * window_ns), "far2"); // FIFO with "far"
         assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(5)));
+        assert_eq!(q.peek_key().map(EventKey::time), Some(SimTime::from_ns(5)));
         assert_eq!(q.pop().unwrap().1, "near");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "far");
@@ -622,127 +689,148 @@ mod tests {
         }
     }
 
-    /// The constant delay of each FIFO lane in the differential schedule:
-    /// inside one bucket, a few buckets, and most of the window.
-    const LANE_DELAYS: [u64; FIFOS] = [5, 40, 50_000];
+    /// Lanes in the differential schedule.
+    const LANES: usize = 3;
 
-    /// Drives the queue and the heap reference through one random
-    /// schedule of pushes and `pop_step` calls (each returning the
-    /// queue's and the reference's result), comparing every result and
-    /// `peek_time`, `len` and `delivered` before every operation.
+    /// The constant delay of each lane in the differential schedule:
+    /// inside one bucket, a few buckets, and most of the window.
+    const LANE_DELAYS: [u64; LANES] = [5, 40, 50_000];
+
+    /// A queue plus lanes stamped from its counter, popped the way an
+    /// embedder merges them: the least lane head pops only if its key is
+    /// below the queue's head key.
+    struct Merged {
+        queue: EventQueue<u64>,
+        lanes: FifoLanes<u64, LANES>,
+        lane_pops: u64,
+    }
+
+    impl Merged {
+        fn pop(&mut self) -> Popped {
+            let lane = match self.queue.peek_key() {
+                Some(head) => self.lanes.pop_before(head),
+                None => self.lanes.pop(),
+            };
+            if lane.is_some() {
+                self.lane_pops += 1;
+                return lane;
+            }
+            self.queue.pop()
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            let heads = [self.queue.peek_key(), self.lanes.peek_key()];
+            heads.into_iter().flatten().min().map(EventKey::time)
+        }
+
+        fn len(&self) -> usize {
+            self.queue.len() + self.lanes.len()
+        }
+
+        fn delivered(&self) -> u64 {
+            self.queue.delivered() + self.lane_pops
+        }
+    }
+
+    /// Drives the queue, with or without lanes, and the heap reference
+    /// through one random schedule of pushes and pops, comparing every
+    /// pop and `peek_time`, `len` and `delivered` before every operation.
     ///
     /// Simulated "now" only moves forward, like a real event loop.
-    /// Calendar pushes target five horizon classes: the same bucket, a
-    /// few microseconds, the whole window, the far tier, and gaps of many
-    /// windows. FIFO pushes go to every lane at the lane's constant delay
-    /// after now, except that one in eight lands anywhere up to that
-    /// delay, often before the lane's tail, so the lane must hand it to
-    /// the calendar. Now and then both queues drain to empty and the
-    /// schedule restarts from the last popped time. Together these
-    /// exercise late pushes, cursor jumps that wrap the occupancy bitmap,
-    /// far migration, window jumps over an empty calendar, lane fallbacks,
-    /// and same-time ties between lane heads and calendar entries.
-    fn differential(
-        rng: &mut Rng,
-        mut pop_step: impl FnMut(
-            &mut Rng,
-            &mut EventQueue<u64>,
-            &mut HeapQueue<u64>,
-        ) -> (Popped, Popped),
-    ) -> Result<(), String> {
+    /// Calendar pushes target six horizon classes: the same bucket, a
+    /// few microseconds, the whole window, the far tier, gaps of many
+    /// windows, and exactly one lane delay, which ties with that lane's
+    /// entries pushed at the same now — ranked below them or after them
+    /// in push order. With `lanes`, a quarter of the pushes go to a
+    /// random lane at its constant delay after now, except that one in
+    /// eight lands anywhere up to that delay, often behind the lane's
+    /// tail. Now and then both sides drain to empty and the schedule
+    /// restarts from the last popped time. Together these exercise late
+    /// pushes, cursor jumps that wrap the occupancy bitmap, far
+    /// migration, window jumps over an empty calendar, sorted lane
+    /// inserts, and same-time ties between lane heads and ranked
+    /// calendar entries.
+    fn differential(rng: &mut Rng, lanes: bool) -> Result<(), String> {
         let window_ns = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
-        let mut queue = EventQueue::new();
+        let mut merged =
+            Merged { queue: EventQueue::new(), lanes: FifoLanes::new(), lane_pops: 0 };
         let mut reference = HeapQueue::new();
         let mut now = 0u64;
         let mut id = 0u64;
-        let check_front = |queue: &EventQueue<u64>, reference: &HeapQueue<u64>| {
-            same(queue.peek_time(), reference.peek().map(|(t, _)| t), "peek_time")?;
-            same(queue.len(), reference.heap.len(), "len")?;
-            same(queue.delivered(), reference.popped, "delivered")
+        let check_front = |merged: &Merged, reference: &HeapQueue<u64>| {
+            same(merged.peek_time(), reference.peek().map(|(t, _)| t), "peek_time")?;
+            same(merged.len(), reference.heap.len(), "len")?;
+            same(merged.delivered(), reference.popped, "delivered")
         };
         for _ in 0..3000 {
-            check_front(&queue, &reference)?;
+            check_front(&merged, &reference)?;
             let op = rng.range_u64(0..400);
             if op < 130 {
-                let (a, b) = pop_step(rng, &mut queue, &mut reference);
-                same(a, b, "pop")?;
+                let a = merged.pop();
+                same(a, reference.pop(), "pop")?;
                 if let Some((t, _)) = a {
                     now = now.max(t.as_ns());
                 }
             } else if op < 132 {
                 // Drain to empty; the next push re-opens an empty queue.
                 while let Some((t, e)) = reference.pop() {
-                    same(queue.pop(), Some((t, e)), "drain pop")?;
-                    check_front(&queue, &reference)?;
+                    same(merged.pop(), Some((t, e)), "drain pop")?;
+                    check_front(&merged, &reference)?;
                     now = t.as_ns();
                 }
-                same(queue.pop(), None, "pop of a drained queue")?;
-            } else if op < 300 {
-                let horizon = match rng.range_u64(0..5) {
+                same(merged.pop(), None, "pop of a drained queue")?;
+            } else if op < 300 || !lanes {
+                let horizon = match rng.range_u64(0..6) {
                     0 => rng.range_u64(0..1024),
                     1 => rng.range_u64(0..65536),
                     2 => rng.range_u64(0..window_ns),
                     3 => rng.range_u64(0..3 * window_ns),
-                    _ => rng.range_u64(4..64) * window_ns + rng.range_u64(0..window_ns),
+                    4 => rng.range_u64(4..64) * window_ns + rng.range_u64(0..window_ns),
+                    _ => LANE_DELAYS[rng.range_u64(0..LANES as u64) as usize],
                 };
                 let t = SimTime::from_ns(now + horizon);
                 let rank = if rng.range_u64(0..4) == 0 { ARRIVAL_RANK } else { DEFAULT_RANK };
-                queue.push_ranked(t, rank, id);
+                merged.queue.push_ranked(t, rank, id);
                 reference.push_ranked(t, rank, id);
                 id += 1;
             } else {
-                let lane = rng.range_u64(0..FIFOS as u64) as usize;
+                let lane = rng.range_u64(0..LANES as u64) as usize;
                 let delay = match rng.range_u64(0..8) {
                     0 => rng.range_u64(0..LANE_DELAYS[lane]),
                     _ => LANE_DELAYS[lane],
                 };
                 let t = SimTime::from_ns(now + delay);
-                queue.push_fifo(lane, t, id);
+                merged.lanes.push(lane, t, merged.queue.orders(), id);
                 reference.push_ranked(t, DEFAULT_RANK, id);
                 id += 1;
             }
         }
         loop {
-            check_front(&queue, &reference)?;
-            let a = queue.pop();
+            check_front(&merged, &reference)?;
+            let a = merged.pop();
             same(a, reference.pop(), "final drain pop")?;
             if a.is_none() {
                 break;
             }
         }
-        same(queue.delivered(), id, "delivered after the final drain")
+        same(merged.delivered(), id, "delivered after the final drain")
     }
 
     /// Randomized differential test: the queue must pop the exact same
     /// sequence as the heap-only reference for any interleaved push/pop
-    /// schedule, including times that straddle the window and FIFO-lane
-    /// pushes that fall back to the calendar.
+    /// schedule, including times that straddle the window.
     #[test]
     fn differential_against_heap_reference() {
-        crate::check(20, 0xCA1E_4DA2, |rng| {
-            differential(rng, |_, queue, reference| (queue.pop(), reference.pop()))
-        });
+        crate::check(20, 0xCA1E_4DA2, |rng| differential(rng, false));
     }
 
-    /// A FIFO-lane push earlier than the lane's tail goes to the calendar
-    /// and still pops in `(time, seq)` order; same-time lane entries pop
-    /// in push order, interleaved with same-time calendar entries.
+    /// Lanes stamped from the queue's counter and merged by key must pop
+    /// exactly as one heap holding both: behind-the-tail lane pushes
+    /// keep their lane sorted, and same-time ties with ranked calendar
+    /// entries break by rank, then by stamp.
     #[test]
-    fn fifo_lanes_keep_push_order() {
-        let mut q = EventQueue::new();
-        q.push_fifo(0, SimTime::from_ns(50), "lane 50");
-        q.push(SimTime::from_ns(50), "calendar 50");
-        q.push_fifo(0, SimTime::from_ns(50), "lane 50 again");
-        q.push_fifo(0, SimTime::from_ns(20), "behind the tail");
-        q.push_fifo(1, SimTime::from_ns(30), "lane 1");
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(20)));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(
-            order,
-            vec!["behind the tail", "lane 1", "lane 50", "calendar 50", "lane 50 again"]
-        );
-        assert_eq!(q.delivered(), 5);
+    fn lanes_merged_by_key_pop_like_the_heap_reference() {
+        crate::check(20, 0x1A7E_5EED, |rng| differential(rng, true));
     }
 
     /// A lower-rank event pushed *after* a same-time default-rank event
@@ -788,8 +876,8 @@ mod tests {
         loop {
             // Inject every arrival due at or before the next pop instant.
             while let Some(&&(t, e)) = pending.peek() {
-                let due = match live.peek_time() {
-                    Some(next) => SimTime::from_ns(t) <= next,
+                let due = match live.peek_key() {
+                    Some(next) => SimTime::from_ns(t) <= next.time(),
                     None => true,
                 };
                 if !due {
@@ -804,49 +892,6 @@ mod tests {
             }
         }
         assert_eq!(live_order, batch_order);
-    }
-
-    /// `pop_if` with an always-true predicate is exactly `pop`; with an
-    /// always-false predicate it must leave the queue untouched.
-    #[test]
-    fn pop_if_is_pop_or_noop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(30), "late");
-        q.push(SimTime::from_ns(10), "early");
-        q.push(SimTime::from_ns(10), "early2");
-        assert_eq!(q.pop_if(|_, _| false), None);
-        assert_eq!(q.len(), 3);
-        // Declining must not reorder: the FIFO tie still resolves in
-        // insertion order afterwards.
-        assert_eq!(q.pop_if(|_, e| *e == "early"), Some((SimTime::from_ns(10), "early")));
-        assert_eq!(q.pop(), Some((SimTime::from_ns(10), "early2")));
-        assert_eq!(q.pop_if(|t, _| t.as_ns() < 100), Some((SimTime::from_ns(30), "late")));
-        assert_eq!(q.pop_if(|_, _| true), None);
-    }
-
-    /// Randomized differential: an interleaved schedule of pushes and
-    /// `pop_if` calls must match peek-then-pop on the heap reference —
-    /// the fused scan may not see a different minimum than `pop` would,
-    /// and a declined pop must leave the queue bit-identical.
-    #[test]
-    fn pop_if_differential_against_peek_then_pop() {
-        crate::check(10, 0x90F1_F000, |rng| {
-            differential(rng, |rng, queue, reference| {
-                // The predicate depends on both time and payload so
-                // declines are state-dependent, like the NoC burst loop's
-                // "only NoC events before the bound" filter. The time
-                // bound sits around the next event, so about half pass it.
-                let next = reference.peek().map_or(0, |(t, _)| t.as_ns());
-                let bound = next.saturating_sub(128) + rng.range_u64(0..256);
-                let accept = |t: SimTime, e: &u64| t.as_ns() <= bound && !e.is_multiple_of(3);
-                let a = queue.pop_if(accept);
-                let b = match reference.peek() {
-                    Some((t, e)) if accept(t, &e) => reference.pop(),
-                    _ => None,
-                };
-                (a, b)
-            })
-        });
     }
 
     /// Ties pushed into different tiers (one far, one near after the

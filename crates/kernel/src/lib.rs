@@ -6,7 +6,8 @@
 //! * [`SimTime`] / [`SimSpan`] — nanosecond-resolution simulated time.
 //! * [`EventQueue`] — a deterministic future-event list with stable
 //!   (insertion-order) tie-breaking, so identical inputs always replay the
-//!   exact same schedule.
+//!   exact same schedule; [`FifoLanes`] hold constant-delay events outside
+//!   it and merge with it by [`EventKey`].
 //! * [`Rng`] — a small, seedable xoshiro256\*\* pseudo-random generator with
 //!   Gaussian sampling, so simulation results never depend on an external
 //!   RNG crate's version behaviour.
@@ -54,7 +55,7 @@ pub mod stats;
 mod time;
 
 pub use check::check;
-pub use event::{EventQueue, ARRIVAL_RANK, DEFAULT_RANK, FIFOS};
+pub use event::{EventKey, EventQueue, FifoLanes, Orders, ARRIVAL_RANK, DEFAULT_RANK};
 pub use hash::{FxHashMap, FxHasher};
 pub use rng::Rng;
 pub use server::{BandwidthServer, ServerStats, Transfer};

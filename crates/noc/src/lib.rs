@@ -22,10 +22,15 @@
 //!   the flit-level engine; see [`NocConfig::express`] for the two
 //!   figure points where it is not.
 //!
-//! The network is event-driven but *passive*: it never owns the event
-//! loop. [`Network::inject`] and [`Network::handle`] return the events to
-//! schedule, and the embedding simulator (or the [`drive`] helper) runs
-//! them through its own queue.
+//! The network is event-driven but never owns the event loop. It holds
+//! its own pending flit events, on three constant-delay lanes stamped
+//! from the embedder's insertion counter ([`dssd_kernel::Orders`]); the
+//! embedder compares [`Network::next_key`] with its own queue's head and
+//! lets [`Network::run`] handle flit events while they come first, so
+//! the two merge exactly as one queue holding both would pop. What the
+//! embedder must act on — deliveries, hop records, and the express
+//! deliveries it schedules on its own queue — comes back in a [`Step`].
+//! The [`drive`] helper is the smallest such embedder.
 //!
 //! # Example
 //!
@@ -51,7 +56,9 @@ mod stats;
 mod topology;
 pub mod traffic;
 
-pub use network::{drive, drive_counted, Delivered, ExpressDiag, HopRecord, Network, NocEvent, Step};
+pub use network::{
+    drive, drive_counted, Delivered, ExpressDiag, HopRecord, Network, NocEvent, Step,
+};
 pub use packet::{Flit, FlitKind, Packet, PacketId};
 pub use stats::NocStats;
 pub use topology::{NocConfig, Topology, TopologyKind};

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use dssd_kernel::{EventQueue, FxHashMap, SimSpan, SimTime};
+use dssd_kernel::{EventKey, EventQueue, FifoLanes, FxHashMap, Orders, SimSpan, SimTime};
 
 use crate::packet::{flit_count, flit_kind, PacketState};
 use crate::stats::NocStats;
@@ -18,12 +18,19 @@ use crate::{Flit, NocConfig, Packet, PacketId, Topology};
 /// Number of virtual channels per input port.
 const VCS: usize = 2;
 
-/// Internal network event. Opaque to embedders: produce them with
-/// [`Network::inject`], feed them back through [`Network::handle`].
+/// Number of the network's constant-delay event lanes
+/// ([`NocEvent::lane`]).
+const LANES: usize = 3;
+
+/// Internal network event. The network holds its pending flit events
+/// itself, on constant-delay lanes that [`Network::run`] drains; the one
+/// event an embedder sees is [`NocEvent::ExpressDone`], which
+/// [`Step::schedule`] hands out for the embedder's own queue and
+/// [`Network::handle_into`] takes back.
 ///
 /// Fields are deliberately narrow (`u32`/`u8` indices): these events are
-/// the bulk of a flit-level simulation's event-queue traffic, and every
-/// byte here is copied on each push/pop.
+/// the bulk of a flit-level simulation's events, and every byte here is
+/// copied on each push/pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NocEvent {
     /// A flit finished traversing a link and lands in an input buffer.
@@ -83,28 +90,18 @@ pub enum NocEvent {
 }
 
 impl NocEvent {
-    /// The event's lane in the embedder queue's constant-delay tier
-    /// ([`EventQueue::push_fifo`]), one per delay it is scheduled at:
-    /// `router_latency`, the flit serialization time, or both added.
-    /// `None` for `ExpressDone`, whose delay varies.
-    #[must_use]
-    pub fn fifo(&self) -> Option<usize> {
+    /// The network lane the event waits on, one per constant delay it is
+    /// scheduled at: `router_latency`, the flit serialization time, or
+    /// both added. `ExpressDone`, whose delay varies, has none: it rides
+    /// the embedder's queue.
+    fn lane(&self) -> usize {
         match self {
-            NocEvent::Credit { .. } => Some(0),
+            NocEvent::Credit { .. } => 0,
             NocEvent::OutputFree { .. }
             | NocEvent::Eject { .. }
-            | NocEvent::ExpressResolve { .. } => Some(1),
-            NocEvent::FlitArrive { .. } => Some(2),
-            NocEvent::ExpressDone { .. } => None,
-        }
-    }
-
-    /// Schedules the event on `queue`: on its constant-delay lane if it
-    /// has one, else on the calendar.
-    pub fn schedule<E>(self, queue: &mut EventQueue<E>, t: SimTime, wrap: impl FnOnce(Self) -> E) {
-        match self.fifo() {
-            Some(lane) => queue.push_fifo(lane, t, wrap(self)),
-            None => queue.push(t, wrap(self)),
+            | NocEvent::ExpressResolve { .. } => 1,
+            NocEvent::FlitArrive { .. } => 2,
+            NocEvent::ExpressDone { .. } => unreachable!("ExpressDone rides the embedder's queue"),
         }
     }
 }
@@ -146,17 +143,19 @@ pub struct HopRecord {
     pub link_busy: SimSpan,
 }
 
-/// The result of one [`Network::handle`] or [`Network::inject`] call.
-///
-/// Embedders on a hot path should keep one `Step` alive and use
-/// [`Network::handle_into`] / [`Network::inject_into`]: the vectors then
-/// retain their capacity across events and the per-event heap traffic
-/// disappears.
+/// What the network hands its embedder: deliveries, express deliveries
+/// to schedule, and hop records. Every entry point appends to a
+/// caller-owned `Step`; keep one alive and drain it after each call, so
+/// its vectors retain their capacity. Flit events never appear here:
+/// the network keeps them on its own lanes.
 #[derive(Debug, Default, Clone)]
 pub struct Step {
     /// Packets fully delivered by this step.
     pub delivered: Vec<Delivered>,
-    /// Events the embedder must schedule.
+    /// Express deliveries ([`NocEvent::ExpressDone`]) the embedder must
+    /// schedule on its own queue and feed back through
+    /// [`Network::handle_into`] at their time: their delay varies, so
+    /// they have no lane.
     pub schedule: Vec<(SimTime, NocEvent)>,
     /// Link crossings (only populated when hop recording is enabled).
     pub hops: Vec<HopRecord>,
@@ -168,6 +167,12 @@ impl Step {
         self.delivered.clear();
         self.schedule.clear();
         self.hops.clear();
+    }
+
+    /// True if every list is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.delivered.is_empty() && self.schedule.is_empty() && self.hops.is_empty()
     }
 }
 
@@ -181,7 +186,7 @@ struct VcBuffer {
 
 #[derive(Debug, Clone)]
 struct InputPort {
-    vcs: Vec<VcBuffer>,
+    vcs: [VcBuffer; VCS],
     /// The (upstream node, upstream out_port) feeding this input, if any
     /// (injection ports have no upstream). Fixed at build time.
     up: Option<(usize, usize)>,
@@ -195,9 +200,9 @@ struct OutputPort {
     /// Accumulated serialization time on this link.
     busy: SimSpan,
     /// Credits per downstream VC (usize::MAX for ejection ports).
-    credits: Vec<usize>,
+    credits: [usize; VCS],
     /// Which input (port, vc) currently owns each output VC.
-    owner: Vec<Option<(usize, usize)>>,
+    owner: [Option<(usize, usize)>; VCS],
     /// Round-robin pointer over (in_port, vc) candidates.
     rr: usize,
     /// Request mask over the node's arbitration slots (`in_port * VCS +
@@ -356,7 +361,16 @@ struct MemberRel {
     credit_stalls: u64,
 }
 
-/// The fNoC: a set of routers plus per-packet bookkeeping.
+/// The fNoC: a set of routers, their pending flit events, and
+/// per-packet bookkeeping.
+///
+/// Flit events wait on three lanes that the network owns, one per
+/// constant delay they are scheduled at, stamped from the embedder's
+/// insertion counter (an [`Orders`]) at the moment a handler schedules
+/// them. The embedder compares [`Network::next_key`] with its own
+/// queue's head and lets
+/// [`Network::run`] handle flit events while they come first, so the
+/// two merge by key exactly as one queue holding both would pop.
 ///
 /// See the [crate documentation](crate) for the modeling overview and an
 /// end-to-end example.
@@ -365,6 +379,8 @@ pub struct Network {
     config: NocConfig,
     topology: Topology,
     nodes: Vec<RouterNode>,
+    /// Pending flit events, one lane per constant delay.
+    lanes: FifoLanes<NocEvent, LANES>,
     packets: FxHashMap<PacketId, PacketState>,
     /// Serialization time of one flit on a link (constant per network).
     flit_ser: SimSpan,
@@ -407,10 +423,10 @@ pub struct Network {
     /// True while a forward run (or demotion replay) is reusing the
     /// normal handlers: suppresses claim release in [`Self::eject`].
     in_forward: bool,
-    /// Reusable event queue of forward runs and demotion replays, empty
-    /// between them. Never swapped out: a fresh one allocates the whole
-    /// calendar ring.
-    fwd_queue: EventQueue<NocEvent>,
+    /// Private lanes of forward runs and demotion replays, empty between
+    /// them: swapped with `lanes` for the run, so the handlers schedule
+    /// into them and the live lanes stay untouched.
+    spare_lanes: FifoLanes<NocEvent, LANES>,
     /// Reusable forward-run step buffer.
     fwd_step: Step,
     /// Per-packet `(flit_hops, credit_stalls)` attribution during a joint
@@ -445,26 +461,21 @@ impl Network {
                 assert!(ports * VCS <= 64, "request masks hold 64 input slots");
                 RouterNode {
                     inputs: (0..ports)
-                        .map(|_| InputPort {
-                            vcs: (0..VCS).map(|_| VcBuffer::default()).collect(),
-                            up: None,
-                        })
+                        .map(|_| InputPort { vcs: Default::default(), up: None })
                         .collect(),
                     outputs: (0..ports)
                         .map(|p| {
                             let link = topology.output(n, p);
                             let credits = match link {
-                                PortLink::Local => vec![usize::MAX; VCS],
-                                PortLink::Link { .. } => {
-                                    vec![config.input_buffer_flits; VCS]
-                                }
+                                PortLink::Local => [usize::MAX; VCS],
+                                PortLink::Link { .. } => [config.input_buffer_flits; VCS],
                             };
                             OutputPort {
                                 link,
                                 free: true,
                                 busy: SimSpan::ZERO,
                                 credits,
-                                owner: vec![None; VCS],
+                                owner: [None; VCS],
                                 rr: 0,
                                 req: 0,
                             }
@@ -491,6 +502,7 @@ impl Network {
             config,
             topology,
             nodes,
+            lanes: FifoLanes::new(),
             packets: FxHashMap::default(),
             flit_ser,
             stats: NocStats::default(),
@@ -514,7 +526,7 @@ impl Network {
             express_events: 0,
             express_diag: ExpressDiag::default(),
             in_forward: false,
-            fwd_queue: EventQueue::new(),
+            spare_lanes: FifoLanes::new(),
             fwd_step: Step::default(),
             fwd_attr: FxHashMap::default(),
             route_scratch: Vec::new(),
@@ -581,25 +593,21 @@ impl Network {
             .fold(0.0, f64::max)
     }
 
-    /// Injects a packet at its source terminal at time `now`.
+    /// Injects a packet at its source terminal at time `now`, appending
+    /// what the embedder must see into `step` (not cleared first). Flit
+    /// events it schedules take their orders from `orders`.
     ///
     /// # Panics
     ///
     /// Panics if src/dst are not terminals or the packet id was already
     /// injected and is still in flight.
-    pub fn inject(&mut self, now: SimTime, packet: Packet) -> Step {
-        let mut step = Step::default();
-        self.inject_into(now, packet, &mut step);
-        step
-    }
-
-    /// [`inject`](Self::inject), appending into a caller-owned [`Step`]
-    /// so hot paths can reuse its buffers. Does not clear `step`.
-    ///
-    /// # Panics
-    ///
-    /// As [`inject`](Self::inject).
-    pub fn inject_into(&mut self, now: SimTime, packet: Packet, step: &mut Step) {
+    pub fn inject_into(
+        &mut self,
+        now: SimTime,
+        packet: Packet,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) {
         assert!(
             packet.src < self.topology.terminals(),
             "source {} is not a terminal",
@@ -624,7 +632,7 @@ impl Network {
                     .filter(|g| !mergeable || self.express[g].t0 != now)
             });
             match victim {
-                Some(gid) => self.demote_group(now, gid, step),
+                Some(gid) => self.demote_group(now, gid, step, orders),
                 None => break,
             }
         }
@@ -664,7 +672,7 @@ impl Network {
                     || self.node_claims[nd as usize] == 1
             });
         if eligible {
-            self.express_grant(now, seq, packet, &route, step);
+            self.express_grant(now, seq, packet, &route, orders);
             route.clear();
             self.route_scratch = route;
             return;
@@ -676,7 +684,7 @@ impl Network {
         loop {
             let victim = route.iter().find_map(|&nd| self.express_owner[nd as usize]);
             match victim {
-                Some(gid) => self.demote_group(now, gid, step),
+                Some(gid) => self.demote_group(now, gid, step, orders),
                 None => break,
             }
         }
@@ -684,7 +692,12 @@ impl Network {
         self.route_scratch = route;
 
         self.fill_injection_buffer(packet, n);
-        self.try_node(now, packet.src, step);
+        self.try_node(now, packet.src, step, orders);
+    }
+
+    /// Puts a flit event on its lane, stamped with the next of `orders`.
+    fn schedule(&mut self, t: SimTime, orders: &mut Orders, event: NocEvent) {
+        self.lanes.push(event.lane(), t, orders, event);
     }
 
     /// Pushes all `n` flits of `packet` into its source injection buffer
@@ -760,7 +773,7 @@ impl Network {
         seq: u64,
         packet: Packet,
         route: &[u32],
-        step: &mut Step,
+        orders: &mut Orders,
     ) {
         self.express_diag.granted += 1;
         // The same-timestamp groups we merge with: the distinct owners
@@ -814,7 +827,7 @@ impl Network {
         for &nd in &route_nodes {
             self.express_owner[nd as usize] = Some(gid);
         }
-        step.schedule.push((now + self.flit_ser, NocEvent::ExpressResolve { group: gid }));
+        self.schedule(now + self.flit_ser, orders, NocEvent::ExpressResolve { group: gid });
         let live = members.len();
         self.express.insert(
             gid,
@@ -959,24 +972,26 @@ impl Network {
         self.fwd_attr.clear();
 
         let mut fwd = std::mem::take(&mut self.fwd_step);
-        debug_assert!(self.fwd_queue.is_empty() && fwd.schedule.is_empty());
+        debug_assert!(self.spare_lanes.is_empty() && fwd.is_empty());
+        std::mem::swap(&mut self.lanes, &mut self.spare_lanes);
+        let mut orders = Orders::new();
         let mut pops = 0u64;
         let mut hops = Vec::new();
         let mut delivered = Vec::new();
         for (_, p) in members {
             let n = flit_count(p.bytes, self.config.header_bytes, self.config.flit_bytes);
             self.fill_injection_buffer(*p, n);
-            self.try_node(now, p.src, &mut fwd);
-            self.fwd_schedule(&mut fwd);
+            self.try_node(now, p.src, &mut fwd, &mut orders);
             hops.append(&mut fwd.hops);
         }
-        while let Some((t, ev)) = self.fwd_queue.pop() {
+        while let Some((t, ev)) = self.lanes.pop() {
             pops += 1;
-            self.handle_into(t, ev, &mut fwd);
-            self.fwd_schedule(&mut fwd);
+            self.handle_into(t, ev, &mut fwd, &mut orders);
             hops.append(&mut fwd.hops);
             delivered.append(&mut fwd.delivered);
         }
+        debug_assert!(fwd.schedule.is_empty(), "a forward run scheduled an express event");
+        std::mem::swap(&mut self.lanes, &mut self.spare_lanes);
         self.in_forward = false;
         std::mem::swap(&mut self.stats, &mut scratch);
         self.fwd_step = fwd;
@@ -1040,25 +1055,24 @@ impl Network {
         GroupTimeline { rel, post, fwd_pops: pops }
     }
 
-    /// Moves a forward run's or demotion replay's successors from `fwd`
-    /// into its private queue.
-    fn fwd_schedule(&mut self, fwd: &mut Step) {
-        for (t, e) in fwd.schedule.drain(..) {
-            e.schedule(&mut self.fwd_queue, t, |e| e);
-        }
-    }
-
     /// Demotes an express group back to live flit-level simulation:
     /// rewinds the route union to its pre-group state, then re-runs the
     /// (deterministic) joint forward simulation up to — strictly before —
     /// `now`, leaving the routers exactly as the flit-level world would
-    /// have them. Events falling at or after `now` are handed to the
-    /// embedder to be processed live. Live members' deferred stats are
-    /// discarded (the replay and the live remainder regenerate them);
+    /// have them. Events falling at or after `now` move to the live
+    /// lanes, stamped from `orders` in the order the replay reaches them,
+    /// to be processed live. Live members' deferred stats are discarded
+    /// (the replay and the live remainder regenerate them);
     /// already-completed members replay too (their flits shaped the
     /// survivors' timing), but their contributions — applied in full at
     /// their `ExpressDone` — are subtracted back out.
-    fn demote_group(&mut self, now: SimTime, gid: GroupId, step: &mut Step) {
+    fn demote_group(
+        &mut self,
+        now: SimTime,
+        gid: GroupId,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) {
         let group = self.express.remove(&gid).expect("demoting a missing group");
         self.express_diag.demoted += group.live as u64;
         for &nd in &group.route_nodes {
@@ -1110,14 +1124,18 @@ impl Network {
         std::mem::swap(&mut self.stats, &mut scratch);
         self.in_forward = true;
         let mut fwd = std::mem::take(&mut self.fwd_step);
+        debug_assert!(self.spare_lanes.is_empty() && fwd.is_empty());
+        // The replay schedules into private lanes with a private counter;
+        // the live lanes wait in `spare_lanes` for the hand-offs.
+        std::mem::swap(&mut self.lanes, &mut self.spare_lanes);
+        let mut private = Orders::new();
         let mut replayed = 0u64;
         for (_, p) in &group.members {
             let n = flit_count(p.bytes, self.config.header_bytes, self.config.flit_bytes);
             self.fill_injection_buffer(*p, n);
-            self.try_node(t0, p.src, &mut fwd);
-            self.fwd_schedule(&mut fwd);
+            self.try_node(t0, p.src, &mut fwd, &mut private);
         }
-        while let Some((t, ev)) = self.fwd_queue.pop() {
+        while let Some((t, ev)) = self.lanes.pop() {
             // A completed member's `ExpressDone` can precede the demotion
             // within one timestamp; its final ejection then falls exactly
             // at `now` and must replay here (its delivery was already
@@ -1126,13 +1144,16 @@ impl Network {
                 || matches!(ev, NocEvent::Eject { flit, .. } if done_ids.contains(&flit.packet));
             if replay {
                 replayed += 1;
-                self.handle_into(t, ev, &mut fwd);
-                self.fwd_schedule(&mut fwd);
+                self.handle_into(t, ev, &mut fwd, &mut private);
             } else {
-                // Not processed here: the embedder pops it live.
-                step.schedule.push((t, ev));
+                // Not processed here: it runs live. A hand-off can be
+                // earlier than its live lane's tail; the lane inserts it
+                // in key order.
+                self.spare_lanes.push(ev.lane(), t, orders, ev);
             }
         }
+        debug_assert!(fwd.schedule.is_empty(), "a demotion replay scheduled an express event");
+        std::mem::swap(&mut self.lanes, &mut self.spare_lanes);
         self.in_forward = false;
         std::mem::swap(&mut self.stats, &mut scratch);
         // The replay regenerated every member's pre-`now` stats; completed
@@ -1178,13 +1199,14 @@ impl Network {
         src: usize,
         dst: usize,
         step: &mut Step,
+        orders: &mut Orders,
     ) {
         let mut route = std::mem::take(&mut self.route_scratch);
         self.collect_route_nodes(src, dst, &mut route);
         loop {
             let victim = route.iter().find_map(|&nd| self.express_owner[nd as usize]);
             match victim {
-                Some(gid) => self.demote_group(now, gid, step),
+                Some(gid) => self.demote_group(now, gid, step, orders),
                 None => break,
             }
         }
@@ -1210,16 +1232,64 @@ impl Network {
         self.express_diag
     }
 
-    /// Advances the network by one event.
-    pub fn handle(&mut self, now: SimTime, event: NocEvent) -> Step {
-        let mut step = Step::default();
-        self.handle_into(now, event, &mut step);
-        step
+    /// The key of the next pending flit event, if any: the embedder's
+    /// half of the merge with its own queue.
+    #[must_use]
+    pub fn next_key(&self) -> Option<EventKey> {
+        self.lanes.peek_key()
     }
 
-    /// [`handle`](Self::handle), appending into a caller-owned [`Step`]
-    /// so hot paths can reuse its buffers. Does not clear `step`.
-    pub fn handle_into(&mut self, now: SimTime, event: NocEvent, step: &mut Step) {
+    /// Handles pending flit events in key order while the next one's key
+    /// is below `limit`, at most `max` of them, and returns how many ran
+    /// and the time of the last (zero if none ran). Successors take
+    /// their orders from `orders`, which must be the counter the
+    /// embedder's queue stamps its own pushes from, so that `limit` — its
+    /// queue head, or [`EventKey::at`] a bound it must not reach —
+    /// compares like with like.
+    ///
+    /// Returns early after an event that leaves anything in `step`: a
+    /// delivery, a hop record or an [`NocEvent::ExpressDone`]. The
+    /// embedder books it (pushing whatever it schedules in response) at
+    /// that event's time, before any later flit event draws an order.
+    pub fn run(
+        &mut self,
+        limit: EventKey,
+        max: u64,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) -> (u64, SimTime) {
+        let mut handled = 0;
+        let mut last = SimTime::ZERO;
+        while handled < max {
+            let Some((t, event)) = self.lanes.pop_before(limit) else { break };
+            handled += 1;
+            last = t;
+            self.handle_into(t, event, step, orders);
+            if !step.is_empty() {
+                break;
+            }
+        }
+        (handled, last)
+    }
+
+    /// Drops the next pending flit event unhandled: for an embedder
+    /// whose run ends at a horizon it pops past.
+    pub fn discard_next(&mut self) {
+        self.lanes.pop();
+    }
+
+    /// Handles one event at `now`, appending what the embedder must see
+    /// into `step` (not cleared first); flit events it schedules take
+    /// their orders from `orders`. [`Network::run`] feeds the network's
+    /// own flit events through here; an embedder calls it for the
+    /// [`NocEvent::ExpressDone`]s it scheduled from [`Step::schedule`].
+    pub fn handle_into(
+        &mut self,
+        now: SimTime,
+        event: NocEvent,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) {
         match event {
             NocEvent::FlitArrive { node, in_port, vc, flit } => {
                 let (node, in_port, vc) = (node as usize, in_port as usize, vc as usize);
@@ -1233,7 +1303,7 @@ impl Network {
                 if was_empty {
                     self.request_front(node, in_port, vc);
                 }
-                self.try_node(now, node, step);
+                self.try_node(now, node, step, orders);
             }
             NocEvent::OutputFree { node, out_port } => {
                 let (node, out_port) = (node as usize, out_port as usize);
@@ -1242,7 +1312,7 @@ impl Network {
                 // uncovered a new head flit (at the front of the same
                 // input buffer) that routes to a *different* output, which
                 // would otherwise never be woken.
-                self.try_node(now, node, step);
+                self.try_node(now, node, step, orders);
             }
             NocEvent::Credit { node, out_port, vc } => {
                 let (node, out_port) = (node as usize, out_port as usize);
@@ -1250,7 +1320,7 @@ impl Network {
                 if *c != usize::MAX {
                     *c += 1;
                 }
-                self.try_node(now, node, step);
+                self.try_node(now, node, step, orders);
             }
             NocEvent::Eject { node, flit } => {
                 self.eject(now, node as usize, flit, step);
@@ -1343,9 +1413,9 @@ impl Network {
     }
 
     /// Try to make progress on every output of `node`, in port order.
-    fn try_node(&mut self, now: SimTime, node: usize, step: &mut Step) {
+    fn try_node(&mut self, now: SimTime, node: usize, step: &mut Step, orders: &mut Orders) {
         for out in 0..self.nodes[node].outputs.len() {
-            self.try_output(now, node, out, step);
+            self.try_output(now, node, out, step, orders);
         }
     }
 
@@ -1370,7 +1440,14 @@ impl Network {
     }
 
     /// Attempt to send one flit through `(node, out)`.
-    fn try_output(&mut self, now: SimTime, node: usize, out: usize, step: &mut Step) {
+    fn try_output(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        out: usize,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) {
         let port = &self.nodes[node].outputs[out];
         if !port.free || port.req == 0 {
             return;
@@ -1447,18 +1524,22 @@ impl Network {
         // Return a credit upstream for the slot we just freed (injection
         // buffers have no upstream).
         if let Some((up, up_out)) = self.nodes[node].inputs[ip].up {
-            step.schedule.push((
+            self.schedule(
                 now + self.config.router_latency,
+                orders,
                 NocEvent::Credit { node: up as u32, out_port: up_out as u32, vc: vc as u8 },
-            ));
+            );
         }
 
         // Serialize over the link.
         let ser = self.flit_ser;
         self.nodes[node].outputs[out].free = false;
         self.nodes[node].outputs[out].busy += ser;
-        step.schedule
-            .push((now + ser, NocEvent::OutputFree { node: node as u32, out_port: out as u32 }));
+        self.schedule(
+            now + ser,
+            orders,
+            NocEvent::OutputFree { node: node as u32, out_port: out as u32 },
+        );
         self.stats.flit_hops += 1;
         if self.in_forward {
             self.fwd_attr.entry(flit.packet).or_default().0 += 1;
@@ -1466,7 +1547,7 @@ impl Network {
 
         match self.nodes[node].outputs[out].link {
             PortLink::Local => {
-                step.schedule.push((now + ser, NocEvent::Eject { node: node as u32, flit }));
+                self.schedule(now + ser, orders, NocEvent::Eject { node: node as u32, flit });
             }
             PortLink::Link { peer, peer_in } => {
                 if flit.kind.is_head() {
@@ -1485,15 +1566,16 @@ impl Network {
                         }
                     }
                 }
-                step.schedule.push((
+                self.schedule(
                     now + ser + self.config.router_latency,
+                    orders,
                     NocEvent::FlitArrive {
                         node: peer as u32,
                         in_port: peer_in as u32,
                         vc: ovc as u8,
                         flit,
                     },
-                ));
+                );
             }
         }
     }
@@ -1534,10 +1616,14 @@ pub fn drive(net: &mut Network, packets: Vec<(SimTime, Packet)>) -> Vec<Delivere
     drive_counted(net, packets).0
 }
 
-/// [`drive`], also returning the number of events processed — queue pops
-/// plus the flit-level events express forward runs simulated privately
-/// ([`Network::express_events`]), so the count measures the same logical
-/// work whether the express path is on or off.
+/// [`drive`], also returning the number of events processed — queue and
+/// lane pops plus the flit-level events express forward runs simulated
+/// privately ([`Network::express_events`]), so the count measures the
+/// same logical work whether the express path is on or off.
+///
+/// Injections and express deliveries wait in a queue whose counter
+/// stamps the network's flit events too; each turn runs the network's
+/// flit events while they precede the queue head, else pops the head.
 pub fn drive_counted(
     net: &mut Network,
     packets: Vec<(SimTime, Packet)>,
@@ -1552,18 +1638,27 @@ pub fn drive_counted(
     for (t, p) in packets {
         queue.push(t, Ev::Inject(p));
     }
+    let mut step = Step::default();
+    let mut lane_pops = 0;
     let mut out = Vec::new();
-    while let Some((now, ev)) = queue.pop() {
-        let step = match ev {
-            Ev::Inject(p) => net.inject(now, p),
-            Ev::Noc(e) => net.handle(now, e),
-        };
-        out.extend(step.delivered);
-        for (t, e) in step.schedule {
-            e.schedule(&mut queue, t, Ev::Noc);
+    loop {
+        let head = queue.peek_key().unwrap_or(EventKey::MAX);
+        let (ran, _) = net.run(head, u64::MAX, &mut step, queue.orders());
+        lane_pops += ran;
+        if ran == 0 {
+            let Some((now, ev)) = queue.pop() else { break };
+            match ev {
+                Ev::Inject(p) => net.inject_into(now, p, &mut step, queue.orders()),
+                Ev::Noc(e) => net.handle_into(now, e, &mut step, queue.orders()),
+            }
+        }
+        out.append(&mut step.delivered);
+        step.hops.clear();
+        for (t, e) in step.schedule.drain(..) {
+            queue.push(t, Ev::Noc(e));
         }
     }
-    let events = queue.delivered() + (net.express_events() - express_before);
+    let events = queue.delivered() + lane_pops + (net.express_events() - express_before);
     (out, events)
 }
 
@@ -1576,6 +1671,42 @@ mod tests {
 
     fn cfg(kind: TopologyKind, k: usize) -> NocConfig {
         NocConfig::new(kind, k)
+    }
+
+    /// Runs `net` until it drains, the way an embedder does: flit events
+    /// from the network's lanes, `ExpressDone`s from `queue`, whose
+    /// counter stamps both. Returns the deliveries and hop records in
+    /// the order they appeared, `step`'s leftovers first.
+    fn drain(
+        net: &mut Network,
+        queue: &mut EventQueue<NocEvent>,
+        step: &mut Step,
+    ) -> (Vec<Delivered>, Vec<HopRecord>) {
+        let mut delivered = Vec::new();
+        let mut hops = Vec::new();
+        loop {
+            delivered.append(&mut step.delivered);
+            hops.append(&mut step.hops);
+            for (t, e) in step.schedule.drain(..) {
+                queue.push(t, e);
+            }
+            let head = queue.peek_key().unwrap_or(EventKey::MAX);
+            if net.run(head, u64::MAX, step, queue.orders()).0 == 0 {
+                let Some((t, e)) = queue.pop() else { break };
+                net.handle_into(t, e, step, queue.orders());
+            }
+        }
+        (delivered, hops)
+    }
+
+    /// The network's pending flit events in pop order, with their keys.
+    fn lane_entries(net: &Network) -> Vec<(EventKey, NocEvent)> {
+        let mut lanes = net.lanes.clone();
+        std::iter::from_fn(|| {
+            let key = lanes.peek_key()?;
+            lanes.pop().map(|(_, e)| (key, e))
+        })
+        .collect()
     }
 
     #[test]
@@ -1619,18 +1750,8 @@ mod tests {
         net.set_record_hops(true);
         let mut step = Step::default();
         let mut queue = EventQueue::new();
-        let mut hops: Vec<HopRecord> = Vec::new();
-        let mut delivered = Vec::new();
-        net.inject_into(SimTime::ZERO, Packet::new(9, 0, 7, 4096), &mut step);
-        loop {
-            hops.append(&mut step.hops);
-            delivered.append(&mut step.delivered);
-            for (t, e) in step.schedule.drain(..) {
-                queue.push(t, e);
-            }
-            let Some((t, e)) = queue.pop() else { break };
-            net.handle_into(t, e, &mut step);
-        }
+        net.inject_into(SimTime::ZERO, Packet::new(9, 0, 7, 4096), &mut step, queue.orders());
+        let (delivered, hops) = drain(&mut net, &mut queue, &mut step);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].hops, 7);
         assert_eq!(hops.len(), 7, "one HopRecord per link crossing");
@@ -1752,7 +1873,8 @@ mod tests {
     #[should_panic(expected = "not a terminal")]
     fn inject_to_hub_rejected() {
         let mut net = Network::new(cfg(TopologyKind::Crossbar, 4));
-        net.inject(SimTime::ZERO, Packet::new(0, 0, 4, 128));
+        let (mut step, mut orders) = (Step::default(), Orders::new());
+        net.inject_into(SimTime::ZERO, Packet::new(0, 0, 4, 128), &mut step, &mut orders);
     }
 
     #[test]
@@ -1787,8 +1909,9 @@ mod tests {
     #[should_panic(expected = "already in flight")]
     fn duplicate_packet_id_rejected() {
         let mut net = Network::new(cfg(TopologyKind::Mesh1D, 4));
-        net.inject(SimTime::ZERO, Packet::new(0, 0, 1, 128));
-        net.inject(SimTime::ZERO, Packet::new(0, 1, 2, 128));
+        let (mut step, mut orders) = (Step::default(), Orders::new());
+        net.inject_into(SimTime::ZERO, Packet::new(0, 0, 1, 128), &mut step, &mut orders);
+        net.inject_into(SimTime::ZERO, Packet::new(0, 1, 2, 128), &mut step, &mut orders);
     }
 
     #[test]
@@ -1965,25 +2088,143 @@ mod tests {
             let mut net = Network::new(cfg(TopologyKind::Mesh1D, 8));
             let mut queue: EventQueue<NocEvent> = EventQueue::new();
             let mut step = Step::default();
-            net.inject_into(SimTime::ZERO, Packet::new(1, 0, 7, 4096), &mut step);
+            net.inject_into(SimTime::ZERO, Packet::new(1, 0, 7, 4096), &mut step, queue.orders());
             if poke {
                 // Mid-flight fault on an overlapping route.
-                net.demote_overlapping(SimTime::from_ns(500), 2, 5, &mut step);
+                let t = SimTime::from_ns(500);
+                net.demote_overlapping(t, 2, 5, &mut step, queue.orders());
             }
-            let mut delivered = Vec::new();
-            loop {
-                delivered.append(&mut step.delivered);
-                for (t, e) in step.schedule.drain(..) {
-                    queue.push(t, e);
-                }
-                let Some((t, e)) = queue.pop() else { break };
-                net.handle_into(t, e, &mut step);
-            }
+            let (delivered, _) = drain(&mut net, &mut queue, &mut step);
             assert!(net.is_idle());
             let d: Vec<_> = delivered.iter().map(|d| (d.packet.id, d.at.as_ns(), d.hops)).collect();
             (d, net.stats().flit_hops, net.stats().credit_stalls)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Drives a mesh to `t` with a flit-level flow on routers 0..=3 and
+    /// an express packet on routers 5..=7, granted at 20 ns: packet 1 is
+    /// granted at 0 and demoted at 10 ns by packet 2, which shares its
+    /// routers. Returns the queue holding the express deliveries.
+    fn live_flow_beside_an_express_group(
+        net: &mut Network,
+        step: &mut Step,
+        t: SimTime,
+    ) -> EventQueue<NocEvent> {
+        let mut queue = EventQueue::new();
+        for (at, p) in [(0, Packet::new(1, 0, 3, 4096)), (10, Packet::new(2, 1, 2, 4096))] {
+            net.inject_into(SimTime::from_ns(at), p, step, queue.orders());
+        }
+        net.inject_into(SimTime::from_ns(20), Packet::new(3, 5, 7, 4096), step, queue.orders());
+        while net.run(EventKey::at(t), u64::MAX, step, queue.orders()).0 > 0 {
+            for (at, e) in step.schedule.drain(..) {
+                queue.push(at, e);
+            }
+        }
+        assert!(step.delivered.is_empty() && step.hops.is_empty());
+        queue
+    }
+
+    /// A demotion hands the replay's pending events to the live lanes
+    /// with fresh orders; one earlier than its lane's tail must still pop
+    /// in key order, and the demoted run must deliver exactly as the
+    /// flit-level engine does. Demotion instants across one flit time
+    /// put the express flow's last grant before and after the live
+    /// flow's, so some hand-offs land behind a lane's tail.
+    #[test]
+    fn demotion_hand_off_behind_its_lane_tail_pops_in_key_order() {
+        let run = |express: bool, at: SimTime| {
+            let mut net = Network::new(cfg(TopologyKind::Mesh1D, 8).with_express(express));
+            let mut step = Step::default();
+            let mut queue = live_flow_beside_an_express_group(&mut net, &mut step, at);
+            let before = lane_entries(&net);
+            // Packet 4 crosses routers 4..=6: the express group demotes.
+            net.inject_into(at, Packet::new(4, 4, 6, 4096), &mut step, queue.orders());
+            let after = lane_entries(&net);
+            assert!(after.windows(2).all(|w| w[0].0 < w[1].0), "lanes out of key order");
+            let behind_a_tail = after.iter().any(|&(k, e)| {
+                !before.contains(&(k, e))
+                    && before.iter().any(|&(old, o)| o.lane() == e.lane() && k < old)
+            });
+            let (delivered, _) = drain(&mut net, &mut queue, &mut step);
+            assert!(net.is_idle());
+            let mut d: Vec<_> = delivered.iter().map(|d| (d.packet.id, d.at.as_ns())).collect();
+            d.sort_unstable();
+            ((d, net.stats().flit_hops, net.stats().credit_stalls), behind_a_tail)
+        };
+        let mut behind = 0;
+        for at in (1_000..1_000 + net_flit_ns()).map(SimTime::from_ns) {
+            let (express, handed_behind) = run(true, at);
+            behind += usize::from(handed_behind);
+            assert_eq!(express, run(false, at).0, "demotion at {at:?} diverged");
+        }
+        assert!(behind > 0, "no hand-off landed behind its lane's tail");
+    }
+
+    /// Flit events draw their orders from the embedder's counter when
+    /// they are scheduled, so an embedder event pushed earlier at the
+    /// same instant pops first and one pushed later pops after.
+    #[test]
+    fn lane_entries_take_their_orders_from_the_embedders_counter() {
+        let mut net = Network::new(cfg(TopologyKind::Mesh1D, 8).with_express(false));
+        let mut step = Step::default();
+        let mut queue = EventQueue::new();
+        // The injection's first grant frees the output one flit time on.
+        let free_at = SimTime::ZERO + net.flit_ser;
+        for marker in ["before 1", "before 2", "before 3"] {
+            queue.push(free_at, marker);
+        }
+        net.inject_into(SimTime::ZERO, Packet::new(1, 0, 1, 4096), &mut step, queue.orders());
+        queue.push(free_at, "after");
+        let mut at_free = Vec::new();
+        loop {
+            let head = queue.peek_key().unwrap_or(EventKey::MAX);
+            let (ran, t) = net.run(head, 1, &mut step, queue.orders());
+            let (t, what) = match ran {
+                0 => match queue.pop() {
+                    Some(popped) => popped,
+                    None => break,
+                },
+                _ => (t, "flit event"),
+            };
+            if t == free_at {
+                at_free.push(what);
+            }
+            step.clear();
+        }
+        assert_eq!(at_free, ["before 1", "before 2", "before 3", "flit event", "after"]);
+    }
+
+    /// One flit time of the default mesh, in nanoseconds.
+    fn net_flit_ns() -> u64 {
+        Network::new(cfg(TopologyKind::Mesh1D, 8)).flit_ser.as_ns()
+    }
+
+    /// An express group's forward run schedules on private lanes with a
+    /// private counter: resolving the group must leave every live lane
+    /// entry, key and event, exactly as it was.
+    #[test]
+    fn forward_run_leaves_the_live_lanes_untouched() {
+        let mut net = Network::new(cfg(TopologyKind::Mesh1D, 8));
+        let mut step = Step::default();
+        // Packet 3's group resolves one flit time after its 20 ns grant.
+        let resolve = SimTime::from_ns(20) + net.flit_ser;
+        let mut queue = live_flow_beside_an_express_group(&mut net, &mut step, resolve);
+        loop {
+            let before = lane_entries(&net);
+            assert!(!before.is_empty(), "the live flow drained before the resolve");
+            let forward_pops = net.express_diag().forward_pops;
+            assert_eq!(net.run(EventKey::MAX, 1, &mut step, queue.orders()).0, 1);
+            if net.express_diag().forward_pops > forward_pops {
+                assert!(matches!(before[0].1, NocEvent::ExpressResolve { .. }));
+                assert_eq!(lane_entries(&net), before[1..], "the forward run touched live lanes");
+                break;
+            }
+            assert!(step.is_empty(), "the live flow delivered before the resolve");
+        }
+        assert_eq!(step.schedule.len(), 1, "one ExpressDone for the one member");
+        drain(&mut net, &mut queue, &mut step);
+        assert!(net.is_idle());
     }
 
     #[test]

@@ -136,6 +136,30 @@ impl EnduranceConfig {
         }
     }
 
+    /// Checks that an [`EnduranceSim`] can be built from this
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message naming the first degenerate knob:
+    /// an empty geometry, fewer than two superblocks, a reservation
+    /// outside `[0, 1)`, or an SRT without entries.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.channels == 0 || self.subs_per_channel == 0 {
+            return Err("geometry has an empty dimension".into());
+        }
+        if self.superblocks < 2 {
+            return Err(format!("{} superblocks is too few (need at least 2)", self.superblocks));
+        }
+        if !(0.0..1.0).contains(&self.reserved_fraction) {
+            return Err(format!("reserved fraction {} must be in [0, 1)", self.reserved_fraction));
+        }
+        if self.srt_entries == 0 {
+            return Err("SRT needs at least one entry".into());
+        }
+        Ok(())
+    }
+
     fn blocks_per_channel(&self) -> usize {
         self.subs_per_channel * self.superblocks
     }
@@ -343,15 +367,12 @@ impl EnduranceSim {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero channels/superblocks or
-    /// a reservation that leaves no visible superblocks).
+    /// Panics if [`EnduranceConfig::validate`] rejects the configuration.
     #[must_use]
     pub fn new(config: EnduranceConfig) -> Self {
-        assert!(config.channels > 0 && config.superblocks > 1, "degenerate geometry");
-        assert!(
-            (0.0..1.0).contains(&config.reserved_fraction),
-            "reservation must be in [0, 1)"
-        );
+        if let Err(e) = config.validate() {
+            panic!("invalid endurance config: {e}");
+        }
         let mut rng = Rng::new(config.seed);
         let blocks = config.channels * config.blocks_per_channel();
         let wear = WearModel::with_block_count(blocks, config.pe_mean, config.pe_sigma, &mut rng);
@@ -839,5 +860,21 @@ mod tests {
         let res = run(SuperblockPolicy::Reserved);
         assert!(res.initial_visible < 64);
         assert_eq!(res.initial_visible, 64 - (64.0f64 * 0.07).round() as u32);
+    }
+
+    #[test]
+    fn validate_rejects_degenerate_configs() {
+        assert_eq!(cfg().validate(), Ok(()));
+        let bad = [
+            (EnduranceConfig { superblocks: 1, ..cfg() }, "too few"),
+            (EnduranceConfig { channels: 0, ..cfg() }, "empty dimension"),
+            (EnduranceConfig { reserved_fraction: 1.0, ..cfg() }, "[0, 1)"),
+            (EnduranceConfig { reserved_fraction: f64::NAN, ..cfg() }, "[0, 1)"),
+            (EnduranceConfig { srt_entries: 0, ..cfg() }, "SRT"),
+        ];
+        for (c, why) in bad {
+            let e = c.validate().unwrap_err();
+            assert!(e.contains(why), "{e}");
+        }
     }
 }

@@ -414,6 +414,9 @@ impl SsdConfig {
         {
             return Err("bus/DRAM bandwidth must be non-zero".into());
         }
+        if !self.onchip_bw_factor.is_finite() {
+            return Err(format!("on-chip bandwidth factor {} is not finite", self.onchip_bw_factor));
+        }
         if self.onchip_bw_factor < 1.0 {
             return Err(format!(
                 "on-chip bandwidth factor {} is below the baseline",
@@ -578,6 +581,12 @@ mod tests {
         let mut c = SsdConfig::test_tiny(Architecture::Baseline);
         c.dbuf_pages = 0;
         assert!(c.validate().unwrap_err().contains("dBUF"));
+
+        for factor in [f64::NAN, f64::INFINITY] {
+            let mut c = SsdConfig::test_tiny(Architecture::Dssd);
+            c.onchip_bw_factor = factor;
+            assert!(c.validate().unwrap_err().contains("not finite"), "{factor}");
+        }
 
         let mut c = SsdConfig::test_tiny(Architecture::Baseline);
         c.faults.read_hard_prob = 2.0;

@@ -10,7 +10,9 @@ use std::collections::{BTreeMap, VecDeque};
 use dssd_ctrl::{CommandId, CommandKind, CommandQueue, DecoupledController, EccVerdict};
 use dssd_flash::{DieGrid, EraseOutcome, FlashOp, FlashOpKind, PageAddr, WearModel};
 use dssd_ftl::{AllocGroup, CopyGroup, Ftl, GcRound, Lpn, MetaStats, META_NO_TICKET};
-use dssd_kernel::{BandwidthServer, EventQueue, Rng, SimSpan, SimTime, Slab, SlabKey, ARRIVAL_RANK};
+use dssd_kernel::{
+    BandwidthServer, EventKey, EventQueue, Rng, SimSpan, SimTime, Slab, SlabKey, ARRIVAL_RANK,
+};
 use dssd_noc::{Network, NocEvent, Packet};
 use dssd_telemetry::{Class, EpochSeries, Stage, TraceConfig, Tracer, Track};
 use dssd_workload::{Op, Request, SyntheticWorkload};
@@ -203,7 +205,9 @@ enum Ev {
     CopyDone { job: JobId },
     /// One die's (multi-plane) erase for the active round finished.
     EraseDone,
-    /// fNoC internal event.
+    /// fNoC express delivery ([`NocEvent::ExpressDone`]): its delay
+    /// varies, so it rides the queue. Flit events wait on the network's
+    /// own lanes.
     Noc(NocEvent),
     /// Re-injection of a packet delayed by an injected link degradation.
     NocRetry { pkt: Box<Packet> },
@@ -293,9 +297,13 @@ pub struct SsdSim {
     /// In-flight fNoC packets: the slab key's bits are the packet id, so
     /// delivery resolves back to its copy job without a hash probe.
     packet_jobs: Slab<JobId>,
-    /// Reused scratch for NoC steps: the event loop handles one NoC event
-    /// at a time, so one buffer (with retained capacity) serves them all.
+    /// Reused buffers for NoC steps: the event loop books one NoC step
+    /// at a time, so one `Step` (with retained capacity) serves them all.
     noc_step: dssd_noc::Step,
+    /// fNoC flit events handled off the network's lanes; folded into
+    /// `events_delivered`, the state digest and progress ticks wherever
+    /// queue pops are, so every event counts once wherever it waited.
+    noc_lane_pops: u64,
     /// Flash-leg events executed by the chain walk without touching the
     /// queue; folded into `events_delivered` and the state digest so
     /// express and event-at-a-time runs report identical totals.
@@ -615,6 +623,7 @@ impl SsdSim {
             jobs: Slab::new(),
             packet_jobs: Slab::new(),
             noc_step: dssd_noc::Step::default(),
+            noc_lane_pops: 0,
             lane_events: 0,
             chain_armed: false,
             chain_next: None,
@@ -812,10 +821,10 @@ impl SsdSim {
 
     /// Flash-side express diagnostics: `(coalesced, demoted)` — leg
     /// events the chain walk executed without a queue round-trip (only
-    /// chain-walk legs: a NoC burst pops every event it handles from the
-    /// queue), and continuations demoted to a normal push because a
-    /// competing event was due first. Strictly observational; both are 0
-    /// with `--no-flash-express`.
+    /// chain-walk legs: a NoC burst's flit events pop from the network's
+    /// lanes and count as pops), and continuations demoted to a normal
+    /// push because a competing event was due first. Strictly
+    /// observational; both are 0 with `--no-flash-express`.
     #[must_use]
     pub fn flash_express_diag(&self) -> (u64, u64) {
         (self.lane_events, self.chain_demoted)
@@ -920,17 +929,23 @@ impl SsdSim {
     /// most `limit` events, and with a `stop` only events strictly
     /// earlier than it.
     ///
+    /// Pending events wait in two places: the queue, and the fNoC's
+    /// flit-event lanes, stamped from the queue's counter. The next event
+    /// is whichever head has the least key, so the merged order is the
+    /// order of one queue holding both. A lane head goes to the NoC
+    /// burst, anything else to the chain walk or a single handler.
+    ///
     /// The express paths take one observation bound instead of a gate
     /// per feature: the earliest of `stop`, the next epoch boundary, the
     /// armed power-loss instant, and the end of the horizon. The chain
     /// walk runs a continuation in place only if it is strictly earlier
-    /// than both the queue minimum and the bound, and the NoC burst pops
-    /// a next event only if it is strictly earlier than the bound, so
-    /// every event at or past the bound comes back through this loop,
-    /// where the pause, epoch sample or power loss it triggers runs
-    /// exactly as in the one-event-at-a-time engine. Their event budget
-    /// ends at `limit` and at `power_at_event`, which are therefore hit
-    /// exactly too. Progress ticks at chain boundaries.
+    /// than both the next pending event and the bound, and the NoC burst
+    /// handles a flit event only if it precedes both the queue head and
+    /// the bound, so every event at or past the bound comes back through
+    /// this loop, where the pause, epoch sample or power loss it triggers
+    /// runs exactly as in the one-event-at-a-time engine. Their event
+    /// budget ends at `limit` and at `power_at_event`, which are
+    /// therefore hit exactly too. Progress ticks at chain boundaries.
     fn run_bounded(&mut self, limit: u64, stop: Option<SimTime>) -> RunState {
         let express = self.config.flash_express;
         let mut progress = self.progress.then(ProgressMeter::new);
@@ -940,7 +955,7 @@ impl SsdSim {
             // `limit` and `stop` never combine, and the stop check comes
             // before the halt check so a stepping call on a halted run
             // still pauses when nothing is due before its stop.
-            if stop.is_some_and(|s| self.queue.peek_time().is_none_or(|next| next >= s)) {
+            if stop.is_some_and(|s| self.next_time().is_none_or(|next| next >= s)) {
                 return RunState::Paused;
             }
             if self.halted {
@@ -950,19 +965,28 @@ impl SsdSim {
                 return RunState::Paused;
             }
             if let Some(pa) = self.power_at {
-                let due = pa <= self.horizon
-                    && match self.queue.peek_time() {
-                        Some(next) => next >= pa,
-                        None => true,
-                    };
-                if due {
+                if pa <= self.horizon && self.next_time().is_none_or(|next| next >= pa) {
                     self.now = pa;
                     self.power_loss();
                     return RunState::Halted;
                 }
             }
-            let Some((t, ev)) = self.queue.pop() else { break };
+            // A lane head that precedes the queue head is next; `None`
+            // for the event stands for it.
+            let lane = self.noc.as_ref().and_then(Network::next_key);
+            let (t, ev) = match lane {
+                Some(k) if self.queue.peek_key().is_none_or(|head| k < head) => (k.time(), None),
+                _ => match self.queue.pop() {
+                    Some((t, ev)) => (t, Some(ev)),
+                    None => break,
+                },
+            };
             if t > self.horizon {
+                // Pop-then-break, as the golden event counts expect.
+                if ev.is_none() {
+                    self.noc.as_mut().expect("a lane head has a NoC").discard_next();
+                    self.noc_lane_pops += 1;
+                }
                 break;
             }
             // Epoch sampling piggybacks here rather than scheduling its
@@ -976,9 +1000,7 @@ impl SsdSim {
                 bound = self.observation_bound(stop);
             }
             if let Some(p) = progress.as_mut() {
-                let (queue, noc) = (&self.queue, self.noc.as_ref());
-                let lane = self.lane_events;
-                p.tick(t, || queue.delivered() + lane + noc.map_or(0, |n| n.express_events()));
+                p.tick(t, || self.events_popped());
             }
             self.now = t;
             let budget = match self.power_at_event {
@@ -986,15 +1008,14 @@ impl SsdSim {
                 None => limit - handled,
             };
             let n = match ev {
-                // Express burst: drain consecutive NoC events in one
-                // tight loop. The queue stays the ordering authority
-                // (`pop_if`), so the event sequence is identical to the
-                // one-at-a-time path.
-                Ev::Noc(nev) if express => self.noc_burst(nev, budget, bound),
+                // NoC burst: the network runs its flit events while they
+                // precede the queue head and the bound, one at a time
+                // through this loop without the express paths.
+                None => self.noc_burst(if express { budget } else { 1 }, bound),
                 // Express chain walk: flash leg chains coalesce while
-                // each continuation provably beats the queue minimum.
-                ev if express => self.chain_walk(ev, budget, bound),
-                ev => {
+                // each continuation provably beats every pending event.
+                Some(ev) if express => self.chain_walk(ev, budget, bound),
+                Some(ev) => {
                     self.handle(ev);
                     1
                 }
@@ -1007,6 +1028,24 @@ impl SsdSim {
             }
         }
         RunState::Done
+    }
+
+    /// The time of the next pending event, in the queue or on the fNoC's
+    /// lanes.
+    fn next_time(&self) -> Option<SimTime> {
+        let lane = self.noc.as_ref().and_then(Network::next_key);
+        [self.queue.peek_key(), lane].into_iter().flatten().min().map(EventKey::time)
+    }
+
+    /// Events popped so far: queue pops, chain-walk legs that bypassed
+    /// the queue, the fNoC's lane pops, and the flit-level events the
+    /// NoC express path simulated privately — the same logical work
+    /// with the fast paths on or off.
+    fn events_popped(&self) -> u64 {
+        self.queue.delivered()
+            + self.lane_events
+            + self.noc_lane_pops
+            + self.noc.as_ref().map_or(0, Network::express_events)
     }
 
     /// The instant the express paths must not reach: the earliest of the
@@ -1028,13 +1067,7 @@ impl SsdSim {
         if self.epoch.is_some() {
             self.sample_epochs_until(upto);
         }
-        // Queue pops, plus chain-walk legs that bypassed the queue, plus
-        // the flit-level events the NoC express path simulated privately —
-        // so "events processed" measures the same logical work with the
-        // fast paths on or off.
-        self.report.events_delivered = self.queue.delivered()
-            + self.lane_events
-            + self.noc.as_ref().map_or(0, |n| n.express_events());
+        self.report.events_delivered = self.events_popped();
         self.report.elapsed = upto - SimTime::ZERO;
         &self.report
     }
@@ -1169,7 +1202,7 @@ impl SsdSim {
             self.rng.state_digest(),
             self.now.as_ns(),
             self.events_handled,
-            self.queue.delivered() + self.lane_events,
+            self.queue.delivered() + self.lane_events + self.noc_lane_pops,
             self.outstanding as u64,
             u64::from(self.prefilled),
             self.report.requests_completed,
@@ -1308,6 +1341,7 @@ impl SsdSim {
                     self.now,
                     *pkt,
                     &mut step,
+                    self.queue.orders(),
                 );
                 self.absorb_noc(&mut step);
                 self.noc_step = step;
@@ -1839,6 +1873,7 @@ impl SsdSim {
                             src_ch as usize,
                             dst_ch as usize,
                             &mut step,
+                            self.queue.orders(),
                         );
                         self.absorb_noc(&mut step);
                         self.noc_step = step;
@@ -1851,6 +1886,7 @@ impl SsdSim {
                         self.now,
                         pkt,
                         &mut step,
+                        self.queue.orders(),
                     );
                     self.absorb_noc(&mut step);
                     self.noc_step = step;
@@ -1892,48 +1928,44 @@ impl SsdSim {
         }
     }
 
+    /// Handles an express delivery the queue popped.
     fn noc_event(&mut self, ev: NocEvent) {
         let mut step = std::mem::take(&mut self.noc_step);
-        self.noc.as_mut().expect("NoC event without NoC").handle_into(self.now, ev, &mut step);
+        let noc = self.noc.as_mut().expect("NoC event without NoC");
+        noc.handle_into(self.now, ev, &mut step, self.queue.orders());
         self.absorb_noc(&mut step);
         self.noc_step = step;
     }
 
-    /// Drains a run of consecutive NoC events in one burst.
+    /// Handles the fNoC's flit events while they precede both the queue
+    /// head and `bound` (see [`SsdSim::run_bounded`]), at most `max` of
+    /// them. The loop calls it only when the next lane head does.
     ///
-    /// The execution order is bit-identical to the event-at-a-time loop
-    /// by construction: each event's successors go to the queue exactly
-    /// as [`SsdSim::absorb_noc`] pushes them there, and the queue stays
-    /// the ordering authority (`pop_if` only accepts the true minimum
-    /// when it is a NoC event strictly earlier than `bound`, see
-    /// [`SsdSim::run_bounded`]). The burst merely keeps the NoC step
-    /// buffer hot across the run instead of paying the full outer-loop
-    /// dispatch per event.
+    /// The order is the one-queue order by construction: flit events
+    /// carry orders from the queue's counter, and [`Network::run`] stops
+    /// after every step it hands back, which is booked here — pushing
+    /// what it schedules — before the next flit event draws an order.
+    /// The queue head is re-read after each booking, since a delivery
+    /// pushes the copy job's next leg at the current instant.
     ///
     /// Returns the number of events handled (at least 1, at most `max`).
-    fn noc_burst(&mut self, first: NocEvent, max: u64, bound: SimTime) -> u64 {
+    fn noc_burst(&mut self, max: u64, bound: SimTime) -> u64 {
         let mut step = std::mem::take(&mut self.noc_step);
-        let mut ev = first;
+        let bound = EventKey::at(bound);
         let mut n = 0u64;
-        loop {
-            self.noc
-                .as_mut()
-                .expect("NoC event without NoC")
-                .handle_into(self.now, ev, &mut step);
-            n += 1;
-            self.absorb_noc(&mut step);
-            if n >= max {
+        while n < max {
+            let limit = self.queue.peek_key().map_or(bound, |head| head.min(bound));
+            let noc = self.noc.as_mut().expect("NoC burst without NoC");
+            let (ran, t) = noc.run(limit, max - n, &mut step, self.queue.orders());
+            if ran == 0 {
                 break;
             }
-            match self.queue.pop_if(|t, e| t < bound && matches!(e, Ev::Noc(_))) {
-                Some((t, Ev::Noc(next))) => {
-                    self.now = t;
-                    ev = next;
-                }
-                Some(_) => unreachable!("pop_if accepted a non-NoC event"),
-                None => break,
-            }
+            n += ran;
+            self.now = t;
+            self.absorb_noc(&mut step);
         }
+        debug_assert!(n > 0, "a NoC burst must handle the lane head it was given");
+        self.noc_lane_pops += n;
         self.noc_step = step;
         n
     }
@@ -1994,10 +2026,7 @@ impl SsdSim {
             self.chain_armed = false;
             n += 1;
             let Some((t, next)) = self.chain_next.take() else { break };
-            let beaten = match self.queue.peek_time() {
-                Some(q) => q <= t,
-                None => false,
-            };
+            let beaten = self.next_time().is_some_and(|q| q <= t);
             if beaten || t >= bound || n >= max {
                 if beaten {
                     self.chain_demoted += 1;
@@ -2012,10 +2041,9 @@ impl SsdSim {
         n
     }
 
-    /// Drains a NoC [`Step`](dssd_noc::Step) into the event queue,
-    /// leaving its buffers empty (capacity retained) for reuse. Flit
-    /// events ride the queue's constant-delay lanes
-    /// ([`NocEvent::fifo`]).
+    /// Books a NoC [`Step`](dssd_noc::Step): traces its hops, queues
+    /// its express deliveries and books its delivered packets, leaving
+    /// its buffers empty (capacity retained) for reuse.
     fn absorb_noc(&mut self, step: &mut dssd_noc::Step) {
         // Per-hop link slices first: `packet_jobs` entries are removed on
         // delivery, and the delivered packet's final hops ride in the same
@@ -2024,7 +2052,7 @@ impl SsdSim {
             self.trace_noc_hops(step);
         }
         for (t, e) in step.schedule.drain(..) {
-            e.schedule(&mut self.queue, t, Ev::Noc);
+            self.queue.push(t, Ev::Noc(e));
         }
         if !step.delivered.is_empty() {
             self.absorb_noc_delivered(step);

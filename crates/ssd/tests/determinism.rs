@@ -12,9 +12,9 @@
 //!   below were captured from the heap-only / hash-map simulator
 //!   immediately before the slab/calendar/flat-Vec migration.
 
-use dssd_kernel::SimSpan;
+use dssd_kernel::{SimSpan, SimTime};
 use dssd_noc::TopologyKind;
-use dssd_ssd::{Architecture, FaultConfig, SsdConfig, SsdSim};
+use dssd_ssd::{Architecture, DurabilityConfig, FaultConfig, RunState, SsdConfig, SsdSim};
 use dssd_workload::{msr, AccessPattern, SyntheticWorkload};
 
 /// Compact, order-sensitive digest of one closed-loop run.
@@ -267,4 +267,127 @@ fn bit_identical_open_loop_trace_replay() {
         "req=7098 gc_pages=11466 gc_rounds=7 io_bytes=97505280 gc_bytes=46964736 mean_ns=220187 p99_ns=624253 first_gc=Some(14635) remaps=0 bad_sb=0 events=73868 gc_digest=0x338c83479e6d7c4a",
         "Baseline prn_0 trace replay drifted from the golden run"
     );
+}
+
+/// A 3 ms continuous-GC dSSD_f run of 8-page random writes, begun but
+/// not yet stepped: the base of the stepping and power-loss goldens
+/// below. About nine in ten of its events are fNoC flit events, handled
+/// in bursts of hundreds, so a stop at an arbitrary instant or event
+/// count almost always cuts a burst. `loss_at_event` above zero enables
+/// the durability model and cuts power after that many events.
+fn fnoc_gc_sim(flash_express: bool, loss_at_event: u64) -> SsdSim {
+    let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+    cfg.gc_continuous = true;
+    cfg.flash_express = flash_express;
+    if loss_at_event > 0 {
+        cfg.durability = Some(DurabilityConfig::default());
+        cfg.power_loss.at_event = loss_at_event;
+    }
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    sim.begin_closed_loop(SyntheticWorkload::writes(AccessPattern::Random, 8), SimSpan::from_ms(3));
+    sim
+}
+
+/// Where a stepped run stands: the replay cursor and the state digest.
+fn stop_line(sim: &SsdSim) -> String {
+    format!("events={} digest={:#018x}", sim.events_handled(), sim.state_digest())
+}
+
+/// Power cut after an exact event count, at three ordinals that land
+/// inside NoC bursts: the burst must stop on the count, and the mount
+/// must see exactly the reference engine's media state. Pinned with the
+/// flash express paths on and off, before the fNoC's flit events moved
+/// out of the simulator's event queue into the network.
+#[test]
+fn golden_power_loss_cuts_inside_noc_bursts() {
+    let golden = [
+        (150_001, "events=150001 digest=0xbe1c2434088d7ada RecoveryReport { power_loss_at: SimTime(245806), recovery_time: SimSpan(1018752), checkpoint_pages: 768, journal_pages_replayed: 0, journal_entries_replayed: 0, oob_pages_scanned: 125, torn_pages: 80, lost_acked_writes: 0, resurrected_trims: 0, requests_torn: 64 }"),
+        (404_040, "events=404040 digest=0xf9664f379707ad2a RecoveryReport { power_loss_at: SimTime(591170), recovery_time: SimSpan(1591800), checkpoint_pages: 768, journal_pages_replayed: 0, journal_entries_replayed: 0, oob_pages_scanned: 627, torn_pages: 104, lost_acked_writes: 0, resurrected_trims: 0, requests_torn: 64 }"),
+        (777_773, "events=777773 digest=0x2f48db87c57639b4 RecoveryReport { power_loss_at: SimTime(1538398), recovery_time: SimSpan(1600896), checkpoint_pages: 768, journal_pages_replayed: 6, journal_entries_replayed: 1536, oob_pages_scanned: 630, torn_pages: 88, lost_acked_writes: 0, resurrected_trims: 0, requests_torn: 64 }"),
+    ];
+    for express in [true, false] {
+        for (at_event, want) in golden {
+            let mut sim = fnoc_gc_sim(express, at_event);
+            assert_eq!(sim.run_events(u64::MAX), RunState::Halted);
+            let rec = sim.report().recovery.expect("an armed loss reports recovery");
+            let got = format!("{} {rec:?}", stop_line(&sim));
+            assert_eq!(got, want, "express={express}: loss at event {at_event} drifted");
+        }
+    }
+}
+
+/// `run_until` every 250 µs: every stop, not only the end, must hold the
+/// pinned state. Pinned like the power-loss cuts above.
+#[test]
+fn golden_run_until_ladder_over_fnoc_gc() {
+    let golden = [
+        "events=151879 digest=0xf0da2f7528f3e738",
+        "events=336222 digest=0x07372d5c1ac932ac",
+        "events=489332 digest=0xcde966747f9df750",
+        "events=567780 digest=0x36a4cb15357a7908",
+        "events=653482 digest=0x1991486ddef1664e",
+        "events=739687 digest=0x9cbf60bf6f937fab",
+        "events=831206 digest=0x7bf0b9bbf84cfedb",
+        "events=921459 digest=0xdb89a43456fc1b83",
+        "events=1046141 digest=0x3807c3d25658d133",
+        "events=1148653 digest=0x2dfab93940663e53",
+        "events=1262190 digest=0x8c623c4a9a1ae721",
+        "events=1347486 digest=0x255ab1eb6c13b53f",
+        "events=1347486 digest=0xd590932b8b3c15a0",
+    ];
+    for express in [true, false] {
+        let mut sim = fnoc_gc_sim(express, 0);
+        let mut got = Vec::new();
+        let mut t = SimTime::ZERO;
+        loop {
+            t += SimSpan::from_us(250);
+            let state = sim.run_until(t);
+            got.push(stop_line(&sim));
+            if state != RunState::Paused {
+                break;
+            }
+        }
+        assert_eq!(got, golden, "express={express}: run_until ladder drifted");
+    }
+}
+
+/// `run_events(70_001)` to the end: an odd budget that stops inside
+/// bursts. Pinned like the power-loss cuts above.
+#[test]
+fn golden_run_events_ladder_over_fnoc_gc() {
+    let golden = [
+        "events=70001 digest=0xc6cef30592269273",
+        "events=140002 digest=0x36aa44cddfc0de07",
+        "events=210003 digest=0x7c53ee215947216b",
+        "events=280004 digest=0xf1b06ee071a12451",
+        "events=350005 digest=0x947aa6c0e1750948",
+        "events=420006 digest=0x6ccf5a7861706435",
+        "events=490007 digest=0x13959284725a6dc2",
+        "events=560008 digest=0x1978bd5fc7e23358",
+        "events=630009 digest=0xb75a235b4479aac7",
+        "events=700010 digest=0x559e4d423aa5c750",
+        "events=770011 digest=0x31dc1e1c0f23ad82",
+        "events=840012 digest=0x95493ec17838dbaa",
+        "events=910013 digest=0x4c86a015de6af0cc",
+        "events=980014 digest=0x37757991f4da6958",
+        "events=1050015 digest=0xa30abd5026518c27",
+        "events=1120016 digest=0x4a25b29474e6782d",
+        "events=1190017 digest=0xc6b43867be566804",
+        "events=1260018 digest=0x689be7f1544aed93",
+        "events=1330019 digest=0x5ac9a28202371bdd",
+        "events=1347486 digest=0xd590932b8b3c15a0",
+    ];
+    for express in [true, false] {
+        let mut sim = fnoc_gc_sim(express, 0);
+        let mut got = Vec::new();
+        loop {
+            let state = sim.run_events(70_001);
+            got.push(stop_line(&sim));
+            if state != RunState::Paused {
+                break;
+            }
+        }
+        assert_eq!(got, golden, "express={express}: run_events ladder drifted");
+    }
 }
