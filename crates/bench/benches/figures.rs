@@ -68,18 +68,8 @@ fn bench<T>(out: &mut Vec<BenchRecord>, filter: &[String], name: &str, mut f: im
 }
 
 fn synthetic(arch: Architecture, pages: u32, hit: f64) -> f64 {
-    synthetic_fx(arch, pages, hit, true)
-}
-
-/// [`synthetic`] with the flash-side express path set explicitly, for
-/// the A/B rows: `express = false` is the unmodified one-event-at-a-time
-/// reference engine, `true` (the default everywhere else) adds the
-/// flash-leg chain walk and the NoC event burst loop. Reports are
-/// identical either way; only wall time differs.
-fn synthetic_fx(arch: Architecture, pages: u32, hit: f64, express: bool) -> f64 {
     let mut cfg = perf_config(arch);
     cfg.gc_continuous = true;
-    cfg.flash_express = express;
     let s = run_synthetic(cfg, AccessPattern::Random, pages, 0.0, hit, SimSpan::from_ms(MS));
     note_events(s.events);
     s.io_gbps
@@ -111,15 +101,6 @@ fn main() {
             synthetic(arch, 8, 0.0)
         });
     }
-
-    // Flash-side express A/B partner for the dSSD_f row above (which
-    // runs with the default `flash_express = true`): the same point on
-    // the unmodified event-at-a-time engine. perf_guard gates both rows,
-    // and their events/sec ratio in `results/bench.json` is the measured
-    // express speedup on a flash-dominated point.
-    bench(&mut records, f, "fig07_architectures/dSSD_f_no_express", || {
-        synthetic_fx(Architecture::DssdFnoc, 8, 0.0, false)
-    });
 
     // A/B pair: the same fNoC-heavy point with the express path on
     // (default) and off, so `results/bench.json` records the express
@@ -160,14 +141,11 @@ fn main() {
         synthetic(Architecture::DssdFnoc, 8, 0.0)
     });
 
-    // Same flash-express A/B pairing as the fig07 dSSD_f rows: the
-    // all-DRAM-hit point is NoC- and DRAM-leg-heavy, so it exercises the
-    // chain walk on a different event mix.
-    for (tag, express) in [("express", true), ("no_express", false)] {
-        bench(&mut records, f, &format!("fig10_dram_hit_tails/{tag}"), || {
-            synthetic_fx(Architecture::DssdFnoc, 8, 1.0, express)
-        });
-    }
+    // The all-DRAM-hit point: host I/O rides sysbus/DRAM while GC rides
+    // the fNoC, a different event mix from the fig07 dSSD_f row.
+    bench(&mut records, f, "fig10_dram_hit_tails", || {
+        synthetic(Architecture::DssdFnoc, 8, 1.0)
+    });
 
     let profile = msr::profile("prn_0").unwrap();
     bench(&mut records, f, "fig11_trace_replay", || {

@@ -12,7 +12,7 @@
 //!                     [--snapshot-at-ms MS] [--snapshot-out FILE] [--resume FILE]
 //!                     [--trace-out FILE] [--trace-window MS] [--trace-summary]
 //!                     [--epoch-out FILE] [--epoch-ms MS]
-//!                     [--progress] [--no-noc-express] [--no-flash-express]
+//!                     [--progress] [--no-noc-express]
 //!                     [--srt-remaps N] [--onchip-factor F]
 //! dssd-cli sweep      [--arch all|dssd_f] [--factors 1.0,1.5,2.0] [--jobs N]
 //!                     [--pages 8] [--ms 5] [--seed N] [--gc-continuous]
@@ -20,11 +20,11 @@
 //! dssd-cli trace      --volume prn_0 --arch baseline [--speedup 10] [--ms 40]
 //!                     [--trace-out FILE] [--trace-window MS] [--trace-summary]
 //!                     [--epoch-out FILE] [--epoch-ms MS]
-//!                     [--progress] [--no-noc-express] [--no-flash-express]
+//!                     [--progress] [--no-noc-express]
 //! dssd-cli trace      --csv FILE --arch dssd_f [--ms 40]
 //! dssd-cli serve      --spec FILE [--arch dssd_f] [--batch] [--report FILE]
 //!                     [--trace-out FILE] [--trace-window MS] [--trace-summary]
-//!                     [--progress] [--no-noc-express] [--no-flash-express]
+//!                     [--progress] [--no-noc-express]
 //! dssd-cli validate   [--trace FILE] [--epochs FILE] [--service FILE]
 //! dssd-cli crashpoints [--arch dssd_f] [--pages 8] [--ms 2] [--stride 500]
 //!                     [--seeds 1,2,3] [--journal-entries N]
@@ -76,10 +76,9 @@
 //! `--no-noc-express` disables the fNoC's contention-free express path
 //! and forces pure flit-level simulation, for debugging a suspected
 //! divergence. Results are meant to be bit-identical either way, but
-//! two figure points differ (see DESIGN.md §10). `--no-flash-express` does the same
-//! for the flash-side express path (analytic leg-chain coalescing and
-//! the NoC event burst loop — DESIGN.md §13): byte-identical output,
-//! one-event-at-a-time execution.
+//! two figure points differ (see DESIGN.md §10). The rest of the event
+//! loop has no switch: every run uses one engine, and the simulator's
+//! tests diff it against one-event-at-a-time stepping (DESIGN.md §13).
 //!
 //! Every subcommand rejects flags it does not read (`unknown flag --x`),
 //! so a typo never silently falls back to a default.
@@ -188,11 +187,6 @@ fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
         // Escape hatch for debugging suspected express-path divergence:
         // force flit-level simulation (bit-identical, just slower).
         cfg.noc = cfg.noc.with_express(false);
-    }
-    if flags.switch("no-flash-express") {
-        // Same escape hatch for the flash-side express path (DESIGN.md
-        // §13): fall back to one-event-at-a-time execution.
-        cfg.flash_express = false;
     }
     if let Err(e) = cfg.validate() {
         return Err(ArgError(e));
@@ -525,7 +519,7 @@ fn cmd_validate(rest: &[String]) -> Result<(), ArgError> {
 fn cmd_crashpoints(rest: &[String]) -> Result<(), ArgError> {
     let flags = Flags::parse(
         rest,
-        &["gc-continuous", "no-flash-express", "no-noc-express"],
+        &["gc-continuous", "no-noc-express"],
         &[CONFIG_FLAGS, &["pages", "ms", "stride", "seeds"]].concat(),
     )?;
     let mut base = build_config(&flags)?;
@@ -604,7 +598,6 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
             "dram-hit",
             "durable",
             "gc-continuous",
-            "no-flash-express",
             "no-noc-express",
             "no-prefill",
             "progress",
@@ -767,7 +760,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
 fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
     let flags = Flags::parse(
         rest,
-        &["gc-continuous", "no-flash-express", "no-noc-express", "progress", "trace-summary"],
+        &["gc-continuous", "no-noc-express", "progress", "trace-summary"],
         &[CONFIG_FLAGS, TRACE_FLAGS, &["ms", "speedup", "csv", "volume"]].concat(),
     )?;
     let mut cfg = build_config(&flags)?;
@@ -831,7 +824,7 @@ fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
 fn cmd_serve(rest: &[String]) -> Result<(), ArgError> {
     let flags = Flags::parse(
         rest,
-        &["batch", "gc-continuous", "no-flash-express", "no-noc-express", "progress", "trace-summary"],
+        &["batch", "gc-continuous", "no-noc-express", "progress", "trace-summary"],
         &[CONFIG_FLAGS, TRACE_FLAGS, &["spec", "report"]].concat(),
     )?;
     let cfg = build_config(&flags)?;
@@ -1084,6 +1077,23 @@ mod tests {
         for factor in ["0.5", "NaN", "inf"] {
             let e = rejected(cmd_run, &["--onchip-factor", factor]);
             assert!(e.0.contains("must be a finite number >= 1.0"), "{factor}: {e}");
+        }
+    }
+
+    /// The flash-side express switch is gone with the chain walk it
+    /// turned off; every subcommand that used to read it now refuses it.
+    #[test]
+    fn retired_engine_switch_is_an_unknown_flag() {
+        type Cmd = fn(&[String]) -> Result<(), ArgError>;
+        let cmds: [(&str, Cmd); 4] = [
+            ("run", cmd_run),
+            ("trace", cmd_trace),
+            ("serve", cmd_serve),
+            ("crashpoints", cmd_crashpoints),
+        ];
+        for (name, cmd) in cmds {
+            let e = rejected(cmd, &["--no-flash-express"]);
+            assert_eq!(e.0, "unknown flag --no-flash-express", "{name}");
         }
     }
 

@@ -174,6 +174,13 @@ impl PowerLossConfig {
 /// we document the same trick here for the performance experiments; all
 /// per-page timing is unchanged, so bandwidth and latency shapes are
 /// preserved while total capacity shrinks).
+///
+/// Every field describes the device or its workload regime. The event
+/// loop has no knob here: each run uses the same engine, whose reference
+/// is [`SsdSim::run_events`]`(1)` stepping (the fNoC's own express path
+/// sits in [`NocConfig`]).
+///
+/// [`SsdSim::run_events`]: crate::SsdSim::run_events
 #[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// Which Table 2 architecture to build.
@@ -249,12 +256,6 @@ pub struct SsdConfig {
     /// is continuous rather than space-triggered. When false, GC runs
     /// only when the free pool is below the trigger threshold.
     pub gc_continuous: bool,
-    /// Flash-side express path (on by default): provably-identical
-    /// fast-forwarding of the event loop — analytic coalescing of
-    /// uncontended flash leg chains and the NoC event burst loop. Purely
-    /// an execution strategy: results are byte-identical with it off
-    /// (`--no-flash-express`), only wall clock changes.
-    pub flash_express: bool,
     /// Random seed.
     pub seed: u64,
 }
@@ -286,7 +287,6 @@ impl SsdConfig {
             durability: None,
             power_loss: PowerLossConfig::none(),
             gc_continuous: false,
-            flash_express: true,
             seed: 0x5D_D5,
         }
     }

@@ -285,7 +285,11 @@ pub struct SsdSim {
     sysbus: BandwidthServer,
     dram: BandwidthServer,
     dedicated_bus: Option<BandwidthServer>,
-    noc: Option<Network>,
+    /// Boxed so the network's hot state (lane heads, counters) sits at a
+    /// heap address that does not move with `SsdSim`'s size or with the
+    /// frame holding the sim: inline, the NoC burst's speed shifted by up
+    /// to 20% with unrelated field changes (DESIGN.md §13).
+    noc: Option<Box<Network>>,
     dbuf_waiters: Vec<VecDeque<JobId>>,
     cache: Option<WriteCache>,
     flush_backlog: VecDeque<Lpn>,
@@ -304,22 +308,6 @@ pub struct SsdSim {
     /// `events_delivered`, the state digest and progress ticks wherever
     /// queue pops are, so every event counts once wherever it waited.
     noc_lane_pops: u64,
-    /// Flash-leg events executed by the chain walk without touching the
-    /// queue; folded into `events_delivered` and the state digest so
-    /// express and event-at-a-time runs report identical totals.
-    lane_events: u64,
-    /// True only while [`SsdSim::chain_walk`] is inside `handle`: lets
-    /// [`SsdSim::push_leg`] hand the handler's final continuation back to
-    /// the walk instead of the queue. Always false on the `--no-flash-express`
-    /// path, where `push_leg` degenerates to `queue.push`.
-    chain_armed: bool,
-    /// The continuation a leg handler deferred, if any. Always `None`
-    /// outside [`SsdSim::chain_walk`]: the walk either executes it or
-    /// demotes it to the queue before returning.
-    chain_next: Option<(SimTime, Ev)>,
-    /// Continuations that lost the race against the queue minimum (a
-    /// competing event was due first) and were demoted to a normal push.
-    chain_demoted: u64,
     blocked_writes: VecDeque<(ReqId, Request)>,
     /// Write groups awaiting re-allocation after a program failure.
     blocked_rewrites: VecDeque<(ReqId, Vec<Lpn>, u32)>,
@@ -494,7 +482,7 @@ impl SsdSim {
                         config.dedicated_budget_bytes_per_sec().max(1),
                     );
                 }
-                Some(Network::new(nc))
+                Some(Box::new(Network::new(nc)))
             }
             _ => None,
         };
@@ -624,10 +612,6 @@ impl SsdSim {
             packet_jobs: Slab::new(),
             noc_step: dssd_noc::Step::default(),
             noc_lane_pops: 0,
-            lane_events: 0,
-            chain_armed: false,
-            chain_next: None,
-            chain_demoted: 0,
             blocked_writes: VecDeque::new(),
             blocked_rewrites: VecDeque::new(),
             pending_retire: VecDeque::new(),
@@ -816,18 +800,17 @@ impl SsdSim {
     /// for stats and diagnostics (e.g. [`Network::express_diag`]).
     #[must_use]
     pub fn noc(&self) -> Option<&Network> {
-        self.noc.as_ref()
+        self.noc.as_deref()
     }
 
-    /// Flash-side express diagnostics: `(coalesced, demoted)` — leg
-    /// events the chain walk executed without a queue round-trip (only
-    /// chain-walk legs: a NoC burst's flit events pop from the network's
-    /// lanes and count as pops), and continuations demoted to a normal
-    /// push because a competing event was due first. Strictly
-    /// observational; both are 0 with `--no-flash-express`.
+    /// Flash-side express diagnostics as `(coalesced, demoted)`: always
+    /// `(0, 0)`. The flash-leg chain walk that counted them coalesced
+    /// too few events to pay for its probes and was removed (DESIGN.md
+    /// §13); every event now pops from the queue or the fNoC's lanes.
+    /// Kept so existing readers of the pair still build and see zero.
     #[must_use]
     pub fn flash_express_diag(&self) -> (u64, u64) {
-        (self.lane_events, self.chain_demoted)
+        (0, 0)
     }
 
     // ------------------------------------------------------------------
@@ -840,7 +823,7 @@ impl SsdSim {
     /// leaves the [`RunReport`] bit-identical to an untraced run.
     pub fn enable_tracing(&mut self, cfg: TraceConfig) {
         self.tracer = Tracer::enabled(cfg);
-        if let Some(n) = self.noc.as_mut() {
+        if let Some(n) = self.noc.as_deref_mut() {
             n.set_record_hops(true);
         }
         self.epoch = cfg.epoch.map(|every| EpochProbe {
@@ -897,9 +880,13 @@ impl SsdSim {
     /// Stepping stops *before* popping (the queue's FIFO tie order would
     /// not survive a pop-and-re-push), while the horizon check keeps the
     /// original pop-then-break — the dropped pop is part of the golden
-    /// `events_delivered` fingerprints. The express paths run under any
-    /// limit: a chain or burst that reaches it pushes its continuation
-    /// and pauses exactly where the reference engine would.
+    /// `events_delivered` fingerprints. A NoC burst that reaches the
+    /// limit stops there, exactly on the count.
+    ///
+    /// `run_events(1)` in a loop is the reference engine: each call
+    /// handles exactly one event, the least pending one, so no NoC burst
+    /// runs past it. Every other way of driving the sim must match it
+    /// step for step (`tests/stepping.rs`).
     pub fn run_events(&mut self, limit: u64) -> RunState {
         self.run_bounded(limit, None)
     }
@@ -907,7 +894,7 @@ impl SsdSim {
     /// Steps until the next pending event would land after `t` (so the
     /// state is exactly the full run's state at instant `t`). Returns
     /// [`RunState::Paused`] on reaching `t` with events still pending.
-    /// Chains and bursts that finish before `t` still coalesce.
+    /// NoC bursts that finish before `t` still run whole.
     pub fn run_until(&mut self, t: SimTime) -> RunState {
         self.run_bounded(u64::MAX, Some(t + SimSpan::from_ns(1)))
     }
@@ -917,9 +904,8 @@ impl SsdSim {
     /// at `t`, because no event at `t` has popped yet — the arrival's
     /// rank then places it exactly where a batch push would have.
     /// Returns [`RunState::Paused`] with events at or after `t` still
-    /// pending. Chains and bursts that finish before `t` still coalesce,
-    /// so a front-end pacing the device through this call keeps the
-    /// express paths.
+    /// pending. NoC bursts that finish before `t` still run whole, so a
+    /// front-end pacing the device through this call keeps them.
     pub fn run_until_before(&mut self, t: SimTime) -> RunState {
         self.run_bounded(u64::MAX, Some(t))
     }
@@ -933,21 +919,18 @@ impl SsdSim {
     /// flit-event lanes, stamped from the queue's counter. The next event
     /// is whichever head has the least key, so the merged order is the
     /// order of one queue holding both. A lane head goes to the NoC
-    /// burst, anything else to the chain walk or a single handler.
+    /// burst, a queue event to its handler.
     ///
-    /// The express paths take one observation bound instead of a gate
-    /// per feature: the earliest of `stop`, the next epoch boundary, the
-    /// armed power-loss instant, and the end of the horizon. The chain
-    /// walk runs a continuation in place only if it is strictly earlier
-    /// than both the next pending event and the bound, and the NoC burst
-    /// handles a flit event only if it precedes both the queue head and
-    /// the bound, so every event at or past the bound comes back through
-    /// this loop, where the pause, epoch sample or power loss it triggers
-    /// runs exactly as in the one-event-at-a-time engine. Their event
-    /// budget ends at `limit` and at `power_at_event`, which are
-    /// therefore hit exactly too. Progress ticks at chain boundaries.
+    /// The burst takes one observation bound instead of a gate per
+    /// feature: the earliest of `stop`, the next epoch boundary, the
+    /// armed power-loss instant, and the end of the horizon. It handles
+    /// a flit event only if it precedes both the queue head and the
+    /// bound, so every event at or past the bound comes back through
+    /// this loop, where the pause, epoch sample or power loss it
+    /// triggers runs exactly as under `run_events(1)` stepping. Its
+    /// event budget ends at `limit` and at `power_at_event`, which are
+    /// therefore hit exactly too. Progress ticks at burst boundaries.
     fn run_bounded(&mut self, limit: u64, stop: Option<SimTime>) -> RunState {
-        let express = self.config.flash_express;
         let mut progress = self.progress.then(ProgressMeter::new);
         let mut bound = self.observation_bound(stop);
         let mut handled = 0u64;
@@ -973,7 +956,7 @@ impl SsdSim {
             }
             // A lane head that precedes the queue head is next; `None`
             // for the event stands for it.
-            let lane = self.noc.as_ref().and_then(Network::next_key);
+            let lane = self.noc.as_deref().and_then(Network::next_key);
             let (t, ev) = match lane {
                 Some(k) if self.queue.peek_key().is_none_or(|head| k < head) => (k.time(), None),
                 _ => match self.queue.pop() {
@@ -984,7 +967,7 @@ impl SsdSim {
             if t > self.horizon {
                 // Pop-then-break, as the golden event counts expect.
                 if ev.is_none() {
-                    self.noc.as_mut().expect("a lane head has a NoC").discard_next();
+                    self.noc.as_deref_mut().expect("a lane head has a NoC").discard_next();
                     self.noc_lane_pops += 1;
                 }
                 break;
@@ -1009,12 +992,8 @@ impl SsdSim {
             };
             let n = match ev {
                 // NoC burst: the network runs its flit events while they
-                // precede the queue head and the bound, one at a time
-                // through this loop without the express paths.
-                None => self.noc_burst(if express { budget } else { 1 }, bound),
-                // Express chain walk: flash leg chains coalesce while
-                // each continuation provably beats every pending event.
-                Some(ev) if express => self.chain_walk(ev, budget, bound),
+                // precede the queue head and the bound.
+                None => self.noc_burst(budget, bound),
                 Some(ev) => {
                     self.handle(ev);
                     1
@@ -1033,22 +1012,20 @@ impl SsdSim {
     /// The time of the next pending event, in the queue or on the fNoC's
     /// lanes.
     fn next_time(&self) -> Option<SimTime> {
-        let lane = self.noc.as_ref().and_then(Network::next_key);
+        let lane = self.noc.as_deref().and_then(Network::next_key);
         [self.queue.peek_key(), lane].into_iter().flatten().min().map(EventKey::time)
     }
 
-    /// Events popped so far: queue pops, chain-walk legs that bypassed
-    /// the queue, the fNoC's lane pops, and the flit-level events the
-    /// NoC express path simulated privately — the same logical work
-    /// with the fast paths on or off.
+    /// Events popped so far: queue pops, the fNoC's lane pops, and the
+    /// flit-level events the NoC express path simulated privately — the
+    /// same logical work with that path on or off.
     fn events_popped(&self) -> u64 {
         self.queue.delivered()
-            + self.lane_events
             + self.noc_lane_pops
-            + self.noc.as_ref().map_or(0, Network::express_events)
+            + self.noc.as_deref().map_or(0, Network::express_events)
     }
 
-    /// The instant the express paths must not reach: the earliest of the
+    /// The instant a NoC burst must not reach: the earliest of the
     /// stepping `stop`, the next epoch boundary, the armed power-loss
     /// instant, and the first instant past the horizon.
     fn observation_bound(&self, stop: Option<SimTime>) -> SimTime {
@@ -1202,7 +1179,7 @@ impl SsdSim {
             self.rng.state_digest(),
             self.now.as_ns(),
             self.events_handled,
-            self.queue.delivered() + self.lane_events + self.noc_lane_pops,
+            self.queue.delivered() + self.noc_lane_pops,
             self.outstanding as u64,
             u64::from(self.prefilled),
             self.report.requests_completed,
@@ -1232,7 +1209,7 @@ impl SsdSim {
                     self.flash_bus[leg.channel as usize].enqueue(self.now, bytes, CLASS_IO);
                 let track = Track::ChannelBus(leg.channel as u16);
                 self.req_span(leg.req, StageKind::FlashBus, track, t.done - self.now);
-                self.push_leg(t.done, Ev::WriteAtDie { leg });
+                self.queue.push(t.done, Ev::WriteAtDie { leg });
             }
             Ev::WriteAtDie { leg } => self.write_at_die(*leg),
             Ev::WriteDone { req, pages } | Ev::ReadDone { req, pages } => {
@@ -1244,20 +1221,20 @@ impl SsdSim {
                     self.flash_bus[leg.channel as usize].enqueue(self.now, bytes, CLASS_IO);
                 let track = Track::ChannelBus(leg.channel as u16);
                 self.req_span(leg.req, StageKind::FlashBus, track, t.done - self.now);
-                self.push_leg(t.done, Ev::ReadAtEcc { leg });
+                self.queue.push(t.done, Ev::ReadAtEcc { leg });
             }
             Ev::ReadAtEcc { leg } => self.read_at_ecc(*leg),
             Ev::ReadAtSysbus { req, pages } => {
                 let bytes = self.page_bytes(pages);
                 let t = self.sysbus_xfer(bytes, CLASS_IO);
                 self.req_span(req, StageKind::SystemBus, Track::SysBus, t.1 - self.now);
-                self.push_leg(t.1, Ev::ReadDone { req, pages });
+                self.queue.push(t.1, Ev::ReadDone { req, pages });
             }
             Ev::DramHitAtDram { req, pages } => {
                 let bytes = self.page_bytes(pages);
                 let t = self.dram.enqueue(self.now, bytes, CLASS_IO);
                 self.req_span(req, StageKind::Dram, Track::Dram, t.done - self.now);
-                self.push_leg(t.done, Ev::DramHitDone { req, pages });
+                self.queue.push(t.done, Ev::DramHitDone { req, pages });
             }
             Ev::DramHitDone { req, pages } => self.finish_pages(req, pages),
             Ev::CopyAtSrcBus { job } => {
@@ -1283,14 +1260,14 @@ impl SsdSim {
                 let t = self.flash_bus[ch].enqueue(self.now, bytes, CLASS_GC);
                 let track = Track::ChannelBus(ch as u16);
                 self.job_span(job, StageKind::FlashBus, track, t.done - self.now);
-                self.push_leg(t.done, Ev::CopyAtEcc { job });
+                self.queue.push(t.done, Ev::CopyAtEcc { job });
             }
             Ev::CopyAtEcc { job } => {
                 let (bytes, ch) = self.job_src(job);
                 let t = self.controllers[ch].ecc_mut().decode_as(self.now, bytes, CLASS_GC);
                 let track = Track::ChannelEcc(ch as u16);
                 self.job_span(job, StageKind::Ecc, track, t.done - self.now);
-                self.push_leg(t.done, Ev::CopyTransport { job });
+                self.queue.push(t.done, Ev::CopyTransport { job });
             }
             Ev::CopyTransport { job } => {
                 self.cmd_advance_to(job, dssd_ctrl::CopybackStage::EccDone);
@@ -1300,20 +1277,20 @@ impl SsdSim {
                 let n = self.jobs[job].pages.len() as u32;
                 let t = self.dram_xfer_pages(n, CLASS_GC);
                 self.job_span(job, StageKind::Dram, Track::Dram, t.1 - self.now);
-                self.push_leg(t.1, Ev::CopyFromDram { job });
+                self.queue.push(t.1, Ev::CopyFromDram { job });
             }
             Ev::CopyFromDram { job } => {
                 let n = self.jobs[job].pages.len() as u32;
                 let t = self.sysbus_xfer_pages(n, CLASS_GC);
                 self.job_span(job, StageKind::SystemBus, Track::SysBus, t.1 - self.now);
-                self.push_leg(t.1, Ev::CopyAtDstBus { job });
+                self.queue.push(t.1, Ev::CopyAtDstBus { job });
             }
             Ev::CopyAtDstBus { job } => {
                 let (bytes, ch) = self.job_dst(job);
                 let t = self.flash_bus[ch].enqueue(self.now, bytes, CLASS_GC);
                 let track = Track::ChannelBus(ch as u16);
                 self.job_span(job, StageKind::FlashBus, track, t.done - self.now);
-                self.push_leg(t.done, Ev::CopyAtDstDie { job });
+                self.queue.push(t.done, Ev::CopyAtDstDie { job });
             }
             Ev::CopyAtDstDie { job } => {
                 self.cmd_advance_to(job, dssd_ctrl::CopybackStage::WriteIssued);
@@ -1330,14 +1307,14 @@ impl SsdSim {
                 let (_, done) = self.dies.occupy(die, self.now, lat);
                 let track = Track::Die(die as u32);
                 self.job_span(job, StageKind::FlashChip, track, done - self.now);
-                self.push_leg(done, Ev::CopyDone { job });
+                self.queue.push(done, Ev::CopyDone { job });
             }
             Ev::CopyDone { job } => self.copy_done(job),
             Ev::EraseDone => self.erase_done(),
             Ev::Noc(ev) => self.noc_event(ev),
             Ev::NocRetry { pkt } => {
                 let mut step = std::mem::take(&mut self.noc_step);
-                self.noc.as_mut().expect("NoC retry without NoC").inject_into(
+                self.noc.as_deref_mut().expect("NoC retry without NoC").inject_into(
                     self.now,
                     *pkt,
                     &mut step,
@@ -1816,23 +1793,23 @@ impl SsdSim {
                 let n = self.jobs[job].pages.len() as u32;
                 let t = self.sysbus_xfer_pages(n, CLASS_GC);
                 self.job_span(job, StageKind::SystemBus, Track::SysBus, t.1 - self.now);
-                self.push_leg(t.1, Ev::CopyAtDram { job });
+                self.queue.push(t.1, Ev::CopyAtDram { job });
             }
             Architecture::Dssd => {
                 if same_channel {
-                    self.push_leg(self.now, Ev::CopyAtDstBus { job });
+                    self.queue.push(self.now, Ev::CopyAtDstBus { job });
                 } else {
                     // Controller-to-controller: the group was gathered in
                     // the source dBUF, so it crosses as one burst.
                     let bytes = self.page_bytes(self.jobs[job].pages.len() as u32);
                     let t = self.sysbus_xfer(bytes, CLASS_GC);
                     self.job_span(job, StageKind::SystemBus, Track::SysBus, t.1 - self.now);
-                    self.push_leg(t.1, Ev::CopyAtDstBus { job });
+                    self.queue.push(t.1, Ev::CopyAtDstBus { job });
                 }
             }
             Architecture::DssdBus => {
                 if same_channel {
-                    self.push_leg(self.now, Ev::CopyAtDstBus { job });
+                    self.queue.push(self.now, Ev::CopyAtDstBus { job });
                 } else {
                     // One burst per gathered group over the dedicated bus.
                     let bytes = self.page_bytes(self.jobs[job].pages.len() as u32);
@@ -1840,14 +1817,14 @@ impl SsdSim {
                     let t = bus.enqueue(self.now, bytes, CLASS_GC);
                     let track = Track::DedicatedBus;
                     self.job_span(job, StageKind::Noc, track, t.done - self.now);
-                    self.push_leg(t.done, Ev::CopyAtDstBus { job });
+                    self.queue.push(t.done, Ev::CopyAtDstBus { job });
                 }
             }
             Architecture::DssdFnoc => {
                 if same_channel {
                     // Stays inside the controller; release the dBUF at
                     // the destination program.
-                    self.push_leg(self.now, Ev::CopyAtDstBus { job });
+                    self.queue.push(self.now, Ev::CopyAtDstBus { job });
                     return;
                 }
                 // Packetize: one packet per page (Fig 4 step 5).
@@ -1868,7 +1845,7 @@ impl SsdSim {
                         // route reverts to flit-level simulation
                         // (observably neutral — timings are unchanged).
                         let mut step = std::mem::take(&mut self.noc_step);
-                        self.noc.as_mut().expect("dSSD_f has a NoC").demote_overlapping(
+                        self.noc.as_deref_mut().expect("dSSD_f has a NoC").demote_overlapping(
                             self.now,
                             src_ch as usize,
                             dst_ch as usize,
@@ -1882,7 +1859,7 @@ impl SsdSim {
                         continue;
                     }
                     let mut step = std::mem::take(&mut self.noc_step);
-                    self.noc.as_mut().expect("dSSD_f has a NoC").inject_into(
+                    self.noc.as_deref_mut().expect("dSSD_f has a NoC").inject_into(
                         self.now,
                         pkt,
                         &mut step,
@@ -1931,7 +1908,7 @@ impl SsdSim {
     /// Handles an express delivery the queue popped.
     fn noc_event(&mut self, ev: NocEvent) {
         let mut step = std::mem::take(&mut self.noc_step);
-        let noc = self.noc.as_mut().expect("NoC event without NoC");
+        let noc = self.noc.as_deref_mut().expect("NoC event without NoC");
         noc.handle_into(self.now, ev, &mut step, self.queue.orders());
         self.absorb_noc(&mut step);
         self.noc_step = step;
@@ -1955,7 +1932,7 @@ impl SsdSim {
         let mut n = 0u64;
         while n < max {
             let limit = self.queue.peek_key().map_or(bound, |head| head.min(bound));
-            let noc = self.noc.as_mut().expect("NoC burst without NoC");
+            let noc = self.noc.as_deref_mut().expect("NoC burst without NoC");
             let (ran, t) = noc.run(limit, max - n, &mut step, self.queue.orders());
             if ran == 0 {
                 break;
@@ -1967,77 +1944,6 @@ impl SsdSim {
         debug_assert!(n > 0, "a NoC burst must handle the lane head it was given");
         self.noc_lane_pops += n;
         self.noc_step = step;
-        n
-    }
-
-    /// Schedules the *final continuation* of a flash-leg handler.
-    ///
-    /// Off the express path this is exactly `queue.push`. On it, when the
-    /// chain walk has armed deferral, the continuation is handed back to
-    /// [`SsdSim::chain_walk`] instead, which executes it immediately iff
-    /// it is provably the next event in the whole simulation — otherwise
-    /// it is demoted to a normal push.
-    ///
-    /// Soundness requires every call site to be the **last** queue
-    /// interaction of its handler: the demoted push then receives exactly
-    /// the sequence number it would have had on the one-event-at-a-time
-    /// path, so same-instant ties keep breaking identically.
-    #[inline]
-    fn push_leg(&mut self, t: SimTime, ev: Ev) {
-        if self.chain_armed && self.chain_next.is_none() {
-            self.chain_next = Some((t, ev));
-        } else {
-            self.queue.push(t, ev);
-        }
-    }
-
-    /// Express chain walk: analytic fast-forward of an uncontended flash
-    /// leg chain (channel bus → ECC → system bus / die, and the GC-copy
-    /// pipeline).
-    ///
-    /// Handles `first`, then — as long as the continuation the handler
-    /// deferred via [`SsdSim::push_leg`] is *strictly earlier* than the
-    /// queue minimum — executes the next leg in place, skipping the
-    /// calendar round-trip and the outer-loop dispatch. Strictness is the
-    /// eligibility predicate: a queued event at the same instant was
-    /// pushed first, so it owns the tie and the continuation is demoted
-    /// to a normal push (rewinding is never needed — the conflict is
-    /// detected *before* the leg runs, and the demoted push restores the
-    /// exact event-at-a-time order). Uncontended resources are precisely
-    /// the case where each leg's completion beats everything queued, so
-    /// a whole read/write/copy chain collapses into one walk.
-    ///
-    /// Legs executed here bypass the queue and are counted in
-    /// `lane_events`, which folds into `events_delivered`, the state
-    /// digest, and progress ticks — express and non-express runs report
-    /// identical totals.
-    ///
-    /// A continuation at or past `bound` (see [`SsdSim::run_bounded`])
-    /// is pushed like any other, so the observation due there runs
-    /// before it.
-    ///
-    /// Returns the number of events handled (at least 1, at most `max`).
-    fn chain_walk(&mut self, first: Ev, max: u64, bound: SimTime) -> u64 {
-        let mut ev = first;
-        let mut n = 0u64;
-        loop {
-            self.chain_armed = true;
-            self.handle(ev);
-            self.chain_armed = false;
-            n += 1;
-            let Some((t, next)) = self.chain_next.take() else { break };
-            let beaten = self.next_time().is_some_and(|q| q <= t);
-            if beaten || t >= bound || n >= max {
-                if beaten {
-                    self.chain_demoted += 1;
-                }
-                self.queue.push(t, next);
-                break;
-            }
-            self.lane_events += 1;
-            self.now = t;
-            ev = next;
-        }
         n
     }
 
@@ -2572,7 +2478,7 @@ impl SsdSim {
         // `done`; a crash before then tears these pages.
         self.ftl.meta_mark_programmed(leg.ticket, done);
         self.pump_meta();
-        self.push_leg(done, Ev::WriteDone { req: leg.req, pages: leg.pages });
+        self.queue.push(done, Ev::WriteDone { req: leg.req, pages: leg.pages });
     }
 
     /// A program reported failure: retire the block, then re-allocate and
@@ -2632,7 +2538,7 @@ impl SsdSim {
         let track = Track::ChannelEcc(leg.channel as u16);
         self.req_span(leg.req, StageKind::Ecc, track, t.done - self.now);
         if self.injector.is_none() {
-            self.push_leg(t.done, Ev::ReadAtSysbus { req: leg.req, pages: leg.pages });
+            self.queue.push(t.done, Ev::ReadAtSysbus { req: leg.req, pages: leg.pages });
             return;
         }
         match self.classify_read(&mut leg) {
@@ -2642,7 +2548,7 @@ impl SsdSim {
                     // threshold.
                     self.report.faults.reads_recovered += 1;
                 }
-                self.push_leg(t.done, Ev::ReadAtSysbus { req: leg.req, pages: leg.pages });
+                self.queue.push(t.done, Ev::ReadAtSysbus { req: leg.req, pages: leg.pages });
             }
             EccVerdict::Uncorrectable => {
                 if leg.attempt < self.config.faults.max_read_retries {
@@ -2977,7 +2883,7 @@ impl SsdSim {
             .iter()
             .map(|c| (c.ecc().class_busy(CLASS_IO) + c.ecc().class_busy(CLASS_GC)).as_ns())
             .sum();
-        let credit_stalls = self.noc.as_ref().map_or(0, |n| n.stats().credit_stalls);
+        let credit_stalls = self.noc.as_deref().map_or(0, |n| n.stats().credit_stalls);
         let faults = self.report.faults.injected_total();
 
         probe.series.push_row(vec![
@@ -2989,7 +2895,7 @@ impl SsdSim {
             f64::from(u8::from(self.gc.is_some())),
             self.gc.as_ref().map_or(0, |g| g.pending.len()) as f64,
             self.jobs.len() as f64,
-            self.noc.as_ref().map_or(0, |n| n.in_flight()) as f64,
+            self.noc.as_deref().map_or(0, |n| n.in_flight()) as f64,
             (io_bytes - prev.io_bytes) as f64 / dt / 1e9,
             (gc_bytes - prev.gc_bytes) as f64 / dt / 1e9,
             (sysbus_io_busy_ns - prev.sysbus_io_busy_ns) as f64 / epoch_ns,

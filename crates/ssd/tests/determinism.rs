@@ -275,10 +275,9 @@ fn bit_identical_open_loop_trace_replay() {
 /// in bursts of hundreds, so a stop at an arbitrary instant or event
 /// count almost always cuts a burst. `loss_at_event` above zero enables
 /// the durability model and cuts power after that many events.
-fn fnoc_gc_sim(flash_express: bool, loss_at_event: u64) -> SsdSim {
+fn fnoc_gc_sim(loss_at_event: u64) -> SsdSim {
     let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
     cfg.gc_continuous = true;
-    cfg.flash_express = flash_express;
     if loss_at_event > 0 {
         cfg.durability = Some(DurabilityConfig::default());
         cfg.power_loss.at_event = loss_at_event;
@@ -296,9 +295,10 @@ fn stop_line(sim: &SsdSim) -> String {
 
 /// Power cut after an exact event count, at three ordinals that land
 /// inside NoC bursts: the burst must stop on the count, and the mount
-/// must see exactly the reference engine's media state. Pinned with the
-/// flash express paths on and off, before the fNoC's flit events moved
-/// out of the simulator's event queue into the network.
+/// must see exactly the reference engine's media state. Pinned before
+/// the fNoC's flit events moved out of the simulator's event queue into
+/// the network; checked both in one call and under `run_events(1)`
+/// stepping, the reference engine.
 #[test]
 fn golden_power_loss_cuts_inside_noc_bursts() {
     let golden = [
@@ -306,13 +306,23 @@ fn golden_power_loss_cuts_inside_noc_bursts() {
         (404_040, "events=404040 digest=0xf9664f379707ad2a RecoveryReport { power_loss_at: SimTime(591170), recovery_time: SimSpan(1591800), checkpoint_pages: 768, journal_pages_replayed: 0, journal_entries_replayed: 0, oob_pages_scanned: 627, torn_pages: 104, lost_acked_writes: 0, resurrected_trims: 0, requests_torn: 64 }"),
         (777_773, "events=777773 digest=0x2f48db87c57639b4 RecoveryReport { power_loss_at: SimTime(1538398), recovery_time: SimSpan(1600896), checkpoint_pages: 768, journal_pages_replayed: 6, journal_entries_replayed: 1536, oob_pages_scanned: 630, torn_pages: 88, lost_acked_writes: 0, resurrected_trims: 0, requests_torn: 64 }"),
     ];
-    for express in [true, false] {
+    for stepped in [false, true] {
         for (at_event, want) in golden {
-            let mut sim = fnoc_gc_sim(express, at_event);
-            assert_eq!(sim.run_events(u64::MAX), RunState::Halted);
+            let mut sim = fnoc_gc_sim(at_event);
+            let state = if stepped {
+                loop {
+                    match sim.run_events(1) {
+                        RunState::Paused => {}
+                        state => break state,
+                    }
+                }
+            } else {
+                sim.run_events(u64::MAX)
+            };
+            assert_eq!(state, RunState::Halted);
             let rec = sim.report().recovery.expect("an armed loss reports recovery");
             let got = format!("{} {rec:?}", stop_line(&sim));
-            assert_eq!(got, want, "express={express}: loss at event {at_event} drifted");
+            assert_eq!(got, want, "stepped={stepped}: loss at event {at_event} drifted");
         }
     }
 }
@@ -336,20 +346,18 @@ fn golden_run_until_ladder_over_fnoc_gc() {
         "events=1347486 digest=0x255ab1eb6c13b53f",
         "events=1347486 digest=0xd590932b8b3c15a0",
     ];
-    for express in [true, false] {
-        let mut sim = fnoc_gc_sim(express, 0);
-        let mut got = Vec::new();
-        let mut t = SimTime::ZERO;
-        loop {
-            t += SimSpan::from_us(250);
-            let state = sim.run_until(t);
-            got.push(stop_line(&sim));
-            if state != RunState::Paused {
-                break;
-            }
+    let mut sim = fnoc_gc_sim(0);
+    let mut got = Vec::new();
+    let mut t = SimTime::ZERO;
+    loop {
+        t += SimSpan::from_us(250);
+        let state = sim.run_until(t);
+        got.push(stop_line(&sim));
+        if state != RunState::Paused {
+            break;
         }
-        assert_eq!(got, golden, "express={express}: run_until ladder drifted");
     }
+    assert_eq!(got, golden, "run_until ladder drifted");
 }
 
 /// `run_events(70_001)` to the end: an odd budget that stops inside
@@ -378,16 +386,14 @@ fn golden_run_events_ladder_over_fnoc_gc() {
         "events=1330019 digest=0x5ac9a28202371bdd",
         "events=1347486 digest=0xd590932b8b3c15a0",
     ];
-    for express in [true, false] {
-        let mut sim = fnoc_gc_sim(express, 0);
-        let mut got = Vec::new();
-        loop {
-            let state = sim.run_events(70_001);
-            got.push(stop_line(&sim));
-            if state != RunState::Paused {
-                break;
-            }
+    let mut sim = fnoc_gc_sim(0);
+    let mut got = Vec::new();
+    loop {
+        let state = sim.run_events(70_001);
+        got.push(stop_line(&sim));
+        if state != RunState::Paused {
+            break;
         }
-        assert_eq!(got, golden, "express={express}: run_events ladder drifted");
     }
+    assert_eq!(got, golden, "run_events ladder drifted");
 }

@@ -8,6 +8,13 @@ use dssd_kernel::{SimSpan, SimTime};
 
 use crate::{Op, Request};
 
+/// The largest `bytes` a parsed trace record may carry: 4 GiB − 1.
+///
+/// A span of `n ≥ 1` bytes touches at most `n` pages of any page size,
+/// so under this bound every record's page count fits a [`Request`]'s
+/// `u32` page field, whatever page size [`Trace::to_requests`] is given.
+const MAX_RECORD_BYTES: u64 = u32::MAX as u64;
+
 /// One trace record: a timestamped block I/O.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -167,6 +174,10 @@ impl fmt::Display for TraceParseError {
 
 impl Error for TraceParseError {}
 
+/// Parses the CSV format of [`Trace::to_csv`]; blank lines and `#`
+/// comments are skipped. A record's size may be at most 4 GiB − 1 bytes,
+/// so its page count fits a [`Request`], and its byte range must end
+/// within `u64`; any other record is an error naming its line.
 impl FromStr for Trace {
     type Err = TraceParseError;
 
@@ -200,6 +211,17 @@ impl FromStr for Trace {
             let bytes: u64 = field("bytes")?
                 .parse()
                 .map_err(|e| err(format!("bad size: {e}")))?;
+            if bytes > MAX_RECORD_BYTES {
+                return Err(err(format!(
+                    "size {bytes} exceeds the {MAX_RECORD_BYTES}-byte limit of one record"
+                )));
+            }
+            // `to_requests` reads the span's last byte as offset + max(bytes, 1) - 1.
+            if offset.checked_add(bytes.max(1)).is_none() {
+                return Err(err(format!(
+                    "byte range at offset {offset} of {bytes} bytes overflows u64"
+                )));
+            }
             records.push(TraceRecord { at: SimTime::from_ns(ts), op, offset, bytes });
         }
         Ok(Trace::new(records))
@@ -249,6 +271,58 @@ mod tests {
         let err = src.parse::<Trace>().unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("bad op"));
+    }
+
+    #[test]
+    fn parser_rejects_records_larger_than_a_request() {
+        // 16 TiB: 2^32 pages of 4 KiB, one more than a request can hold.
+        let err = "0,W,0,17592186044416".parse::<Trace>().unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("exceeds the 4294967295-byte limit"), "{err}");
+        let t: Trace = format!("# hdr\n0,W,0,{MAX_RECORD_BYTES}\n").parse().unwrap();
+        assert_eq!(t.to_requests(1, 1 << 40)[0].1.pages, u32::MAX);
+    }
+
+    #[test]
+    fn parser_rejects_byte_ranges_past_u64() {
+        let err = "5,R,0,4096\n0,W,18446744073709551615,4096\n".parse::<Trace>().unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("overflows u64"), "{err}");
+        let err = "0,W,18446744073709551615,0".parse::<Trace>().unwrap_err();
+        assert!(err.message.contains("overflows u64"), "{err}");
+        let last = format!("0,W,{},4096", u64::MAX - 8191);
+        let t: Trace = last.parse().unwrap();
+        assert_eq!(t.to_requests(4096, 1000)[0].1.pages, 1);
+    }
+
+    /// Any record the parser accepts converts, without a panic (overflow
+    /// checks are on in debug), to a request of exactly the pages its
+    /// byte range touches, at least one.
+    #[test]
+    fn parsed_records_always_convert_to_requests() {
+        dssd_kernel::check(2000, 0x7ACE_0000, |rng| {
+            // Half the draws span the full u64 range, half sit near the
+            // two limits the parser enforces.
+            let draw = |rng: &mut dssd_kernel::Rng| match rng.range_u64(0..4) {
+                0 | 1 => rng.next_u64(),
+                2 => u64::MAX - rng.range_u64(0..1 << 20),
+                _ => MAX_RECORD_BYTES - (1 << 10) + rng.range_u64(0..1 << 11),
+            };
+            let (offset, bytes) = (draw(rng), draw(rng));
+            let page_bytes = [1, 512, 4096, 16384, u32::MAX][rng.index(5)];
+            let lpn_count = rng.range_u64(1..u64::MAX);
+            let line = format!("{},W,{offset},{bytes}", rng.next_u64());
+            let Ok(trace) = line.parse::<Trace>() else { return Ok(()) };
+            let (first, last) = (u128::from(offset), u128::from(offset) + u128::from(bytes.max(1)) - 1);
+            let pb = u128::from(page_bytes);
+            let want = last / pb - first / pb + 1;
+            let got = trace.to_requests(page_bytes, lpn_count)[0].1.pages;
+            if u128::from(got) == want {
+                Ok(())
+            } else {
+                Err(format!("`{line}` at {page_bytes} B pages gave {got} pages, want {want}"))
+            }
+        });
     }
 
     #[test]

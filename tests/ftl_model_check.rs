@@ -1,8 +1,5 @@
-// Gated: requires the `proptest` dev-dependency, which is not
-// vendored for offline builds. Enable with `--features proptest`.
-#![cfg(feature = "proptest")]
-
-//! Property-based model checking of the FTL against a reference map.
+//! Model checking of the FTL against a reference map, on the kernel's
+//! seeded [`check`] harness.
 //!
 //! A plain `HashMap<Lpn, u64>` (LPN → write version) acts as the model;
 //! the FTL runs the same operation sequence with GC interleaved. After
@@ -13,22 +10,22 @@ use std::collections::HashMap;
 
 use dssd::flash::FlashGeometry;
 use dssd::ftl::{Ftl, FtlConfig, GcPolicy};
-use dssd::kernel::Rng;
-use proptest::prelude::*;
+use dssd::kernel::{check, Rng};
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Op {
     Write(u64),
     Trim(u64),
     Gc,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u64..200).prop_map(Op::Write),
-        1 => (0u64..200).prop_map(Op::Trim),
-        1 => Just(Op::Gc),
-    ]
+/// Writes, trims and GC rounds weighted 4 : 1 : 1, over LPNs 0..200.
+fn any_op(rng: &mut Rng) -> Op {
+    match rng.index(6) {
+        0..=3 => Op::Write(rng.range_u64(0..200)),
+        4 => Op::Trim(rng.range_u64(0..200)),
+        _ => Op::Gc,
+    }
 }
 
 fn small_ftl() -> Ftl {
@@ -43,7 +40,9 @@ fn small_ftl() -> Ftl {
 
 /// Runs one full, synchronous GC round.
 fn run_gc(ftl: &mut Ftl) {
-    let Some(round) = ftl.start_gc_round() else { return };
+    let Some(round) = ftl.start_gc_round() else {
+        return;
+    };
     for group in &round.groups {
         let mut pages = group.pages.clone();
         while !pages.is_empty() {
@@ -57,77 +56,83 @@ fn run_gc(ftl: &mut Ftl) {
     ftl.finish_gc_round(&round);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Runs `ops` on a fresh FTL and on the model, then checks that they
+/// agree and that the FTL's maps are a bijection.
+fn agrees_with_model(ops: &[Op]) -> Result<(), String> {
+    let mut ftl = small_ftl();
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut version = 0u64;
+    let lpns = ftl.lpn_count();
 
-    #[test]
-    fn ftl_agrees_with_reference_model(ops in proptest::collection::vec(arb_op(), 1..400)) {
-        let mut ftl = small_ftl();
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        let mut version = 0u64;
-        let lpns = ftl.lpn_count();
-
-        for op in ops {
-            match op {
-                Op::Write(raw) => {
-                    let lpn = raw % lpns;
+    for &op in ops {
+        match op {
+            Op::Write(raw) => {
+                let lpn = raw % lpns;
+                if ftl.write_pages(&[lpn]).is_none() {
+                    // Out of space: reclaim synchronously and retry.
+                    run_gc(&mut ftl);
                     if ftl.write_pages(&[lpn]).is_none() {
-                        // Out of space: reclaim synchronously and retry.
-                        run_gc(&mut ftl);
-                        prop_assert!(
-                            ftl.write_pages(&[lpn]).is_some(),
-                            "write still blocked after GC"
-                        );
+                        return Err(format!("write of LPN {lpn} still blocked after GC"));
                     }
-                    version += 1;
-                    model.insert(lpn, version);
                 }
-                Op::Trim(raw) => {
-                    let lpn = raw % lpns;
-                    let ftl_had = ftl.trim(lpn).is_some();
-                    let model_had = model.remove(&lpn).is_some();
-                    prop_assert_eq!(ftl_had, model_had, "trim disagreement on {}", lpn);
+                version += 1;
+                model.insert(lpn, version);
+            }
+            Op::Trim(raw) => {
+                let lpn = raw % lpns;
+                let ftl_had = ftl.trim(lpn).is_some();
+                let model_had = model.remove(&lpn).is_some();
+                if ftl_had != model_had {
+                    return Err(format!("trim disagreement on LPN {lpn}"));
                 }
-                Op::Gc => run_gc(&mut ftl),
             }
-        }
-
-        // Agreement: exactly the model's pages are mapped.
-        for lpn in 0..lpns {
-            prop_assert_eq!(
-                ftl.translate(lpn).is_some(),
-                model.contains_key(&lpn),
-                "existence disagreement on LPN {}",
-                lpn
-            );
-        }
-
-        // Internal consistency: forward and reverse map are a bijection.
-        let geo = *ftl.layout().geometry();
-        for lpn in 0..lpns {
-            if let Some(addr) = ftl.translate(lpn) {
-                prop_assert_eq!(ftl.mapping().lpn_of(geo.page_index(addr)), Some(lpn));
-            }
+            Op::Gc => run_gc(&mut ftl),
         }
     }
 
-    #[test]
-    fn gc_preserves_every_mapping_under_pressure(seed in 0u64..500) {
+    // Agreement: exactly the model's pages are mapped.
+    for lpn in 0..lpns {
+        if ftl.translate(lpn).is_some() != model.contains_key(&lpn) {
+            return Err(format!("existence disagreement on LPN {lpn}"));
+        }
+    }
+
+    // Internal consistency: forward and reverse map are a bijection.
+    let geo = *ftl.layout().geometry();
+    for lpn in 0..lpns {
+        if let Some(addr) = ftl.translate(lpn) {
+            if ftl.mapping().lpn_of(geo.page_index(addr)) != Some(lpn) {
+                return Err(format!("reverse map of LPN {lpn} disagrees"));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn ftl_agrees_with_reference_model() {
+    check(256, 0xF71_0000, |rng| {
+        let ops: Vec<Op> = (0..1 + rng.index(399)).map(|_| any_op(rng)).collect();
+        agrees_with_model(&ops).map_err(|why| format!("{why} after {} ops", ops.len()))
+    });
+}
+
+#[test]
+fn gc_preserves_every_mapping_under_pressure() {
+    check(500, 0x6C_0000, |rng| {
         let mut ftl = small_ftl();
-        let mut rng = Rng::new(seed);
-        ftl.prefill_with(&mut rng, 1, 0.4);
-        let before: Vec<bool> =
-            (0..ftl.lpn_count()).map(|l| ftl.translate(l).is_some()).collect();
+        ftl.prefill_with(rng, 1, 0.4);
+        let before: Vec<bool> = (0..ftl.lpn_count())
+            .map(|l| ftl.translate(l).is_some())
+            .collect();
         for _ in 0..4 {
             run_gc(&mut ftl);
         }
         for (lpn, had) in before.iter().enumerate() {
-            prop_assert_eq!(
-                ftl.translate(lpn as u64).is_some(),
-                *had,
-                "GC changed existence of LPN {}",
-                lpn
-            );
+            if ftl.translate(lpn as u64).is_some() != *had {
+                return Err(format!("GC changed existence of LPN {lpn}"));
+            }
         }
-    }
+        Ok(())
+    });
 }
