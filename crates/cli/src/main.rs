@@ -57,9 +57,10 @@
 //! snapshot (`--snapshot-out`, default `dssd.snap`), and continues;
 //! `--resume FILE` rebuilds that paused state (pass the *same* run flags)
 //! and finishes the run — stdout is byte-identical to the uninterrupted
-//! run. `crashpoints` forks a running sim at every k-th event, forces
-//! power loss on each fork, and verifies both crash-consistency
-//! invariants (no acknowledged write lost, no trimmed data resurrected).
+//! run. `crashpoints` pauses a running sim at every k-th event, computes
+//! the mount a power loss there would run, and verifies both
+//! crash-consistency invariants (no acknowledged write lost, no trimmed
+//! data resurrected).
 //!
 //! `serve` drives the live block-device front-end (`dssd-service`): the
 //! `--spec` file declares tenants, their offered load, and their QoS
@@ -222,17 +223,30 @@ fn build_durability(flags: &Flags, cfg: &mut SsdConfig) -> Result<(), ArgError> 
         flags.get_or("ckpt-interval-pages", d.checkpoint_interval_pages)?;
     cfg.durability = Some(d);
     let mut pl = PowerLossConfig::none();
-    let at_ms = flags.get_or("power-loss-ms", 0.0f64)?;
-    if at_ms > 0.0 {
-        pl.at = SimTime::ZERO + SimSpan::from_ns((at_ms * 1e6) as u64);
+    if let Some(at) = ms_flag(flags, "power-loss-ms")? {
+        pl.at = SimTime::ZERO + at;
     }
     pl.at_event = flags.get_or("power-loss-event", 0u64)?;
-    let mttf_ms = flags.get_or("power-loss-mttf-ms", 0.0f64)?;
-    if mttf_ms > 0.0 {
-        pl.mean_time_to_loss = SimSpan::from_ns((mttf_ms * 1e6) as u64);
+    if let Some(mttf) = ms_flag(flags, "power-loss-mttf-ms")? {
+        pl.mean_time_to_loss = mttf;
     }
     cfg.power_loss = pl;
     Ok(())
+}
+
+/// The span of `--key MS`, or `None` when the flag is absent or 0 (off).
+/// NaN, negative, infinite and past-the-clock values are errors: cast to
+/// nanoseconds they would silently turn the feature off or saturate to
+/// an instant the run never reaches.
+fn ms_flag(flags: &Flags, key: &str) -> Result<Option<SimSpan>, ArgError> {
+    let ms: f64 = flags.get_or(key, 0.0)?;
+    let ns = ms * 1e6;
+    if !(ns >= 0.0 && ns < u64::MAX as f64) {
+        return Err(ArgError(format!(
+            "--{key}: `{ms}` must be a finite number >= 0 that fits the nanosecond clock"
+        )));
+    }
+    Ok((ms > 0.0).then(|| SimSpan::from_ns(ns as u64)))
 }
 
 fn build_faults(flags: &Flags) -> Result<FaultConfig, ArgError> {
@@ -513,9 +527,9 @@ fn cmd_validate(rest: &[String]) -> Result<(), ArgError> {
 }
 
 /// `crashpoints` — the dhara-style crash-consistency sweep: step a mother
-/// run, fork it every `--stride` events, force power loss on the fork,
-/// and verify the mount recovers with both invariants intact. Exits
-/// non-zero on any violation.
+/// run, pause it every `--stride` events, audit the mount a power loss
+/// there would run, and verify it recovers with both invariants intact.
+/// Exits non-zero on any violation.
 fn cmd_crashpoints(rest: &[String]) -> Result<(), ArgError> {
     let flags = Flags::parse(
         rest,
@@ -616,6 +630,7 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
     let pages = flags.get_at_least("pages", 8u32, 1)?;
     let ms = flags.get_or("ms", 30u64)?;
     let qd = flags.get_at_least("qd", 64usize, 1)?;
+    let snapshot_at = ms_flag(&flags, "snapshot-at-ms")?.map(|span| SimTime::ZERO + span);
     let pattern = match flags.get("pattern").unwrap_or("random") {
         "random" | "rand" => AccessPattern::Random,
         "sequential" | "seq" => AccessPattern::Sequential,
@@ -658,12 +673,10 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
             sim.prefill();
         }
         sim.begin_closed_loop(wl, duration);
-        let snap_ms = flags.get_or("snapshot-at-ms", 0.0f64)?;
-        if snap_ms > 0.0 {
-            let at = SimTime::ZERO + SimSpan::from_ns((snap_ms * 1e6) as u64);
+        if let Some(at) = snapshot_at {
             sim.run_until(at);
             if sim.halted() {
-                eprintln!("snapshot skipped: power loss struck before {snap_ms} ms");
+                eprintln!("snapshot skipped: power loss struck before {} ms", at.as_ms_f64());
             } else {
                 let snap = SimSnapshot::capture(&sim, &plan);
                 let path = flags.get("snapshot-out").unwrap_or("dssd.snap");
@@ -1077,6 +1090,12 @@ mod tests {
         for factor in ["0.5", "NaN", "inf"] {
             let e = rejected(cmd_run, &["--onchip-factor", factor]);
             assert!(e.0.contains("must be a finite number >= 1.0"), "{factor}: {e}");
+        }
+        for flag in ["--snapshot-at-ms", "--power-loss-ms", "--power-loss-mttf-ms"] {
+            for ms in ["nan", "-1", "-3", "inf", "1e300"] {
+                let e = rejected(cmd_run, &[flag, ms]);
+                assert!(e.0.contains("fits the nanosecond clock"), "{flag} {ms}: {e}");
+            }
         }
     }
 

@@ -311,6 +311,7 @@ impl fmt::Display for PageAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dssd_kernel::{check, Rng};
 
     #[test]
     fn table1_ull_counts() {
@@ -387,46 +388,59 @@ mod tests {
         assert_eq!(format!("{p}"), "ch1/w2/d0/pl3/blk4/pg5");
     }
 
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn arb_geometry() -> impl Strategy<Value = FlashGeometry> {
-            (1u32..5, 1u32..5, 1u32..3, 1u32..5, 1u32..10, 1u32..10).prop_map(
-                |(channels, ways, dies, planes, blocks, pages)| FlashGeometry {
-                    channels,
-                    ways,
-                    dies,
-                    planes,
-                    blocks,
-                    pages,
-                    page_bytes: 4096,
-                },
-            )
+    /// A random small geometry: 1–4 channels, ways and planes, 1–2 dies,
+    /// 1–9 blocks and pages.
+    fn any_geometry(rng: &mut Rng) -> FlashGeometry {
+        FlashGeometry {
+            channels: 1 + rng.index(4) as u32,
+            ways: 1 + rng.index(4) as u32,
+            dies: 1 + rng.index(2) as u32,
+            planes: 1 + rng.index(4) as u32,
+            blocks: 1 + rng.index(9) as u32,
+            pages: 1 + rng.index(9) as u32,
+            page_bytes: 4096,
         }
+    }
 
-        proptest! {
-            #[test]
-            fn page_round_trip_all_geometries(g in arb_geometry(), idx in 0u64..10_000) {
-                let idx = idx % g.total_pages();
-                prop_assert_eq!(g.page_index(g.page_at(idx)), idx);
+    #[test]
+    fn page_round_trip_all_geometries() {
+        check(8192, 0x9A6E_0000, |rng| {
+            let g = any_geometry(rng);
+            let idx = rng.range_u64(0..10_000) % g.total_pages();
+            let back = g.page_index(g.page_at(idx));
+            if back == idx {
+                Ok(())
+            } else {
+                Err(format!("{g:?}: page {idx} came back as {back}"))
             }
+        });
+    }
 
-            #[test]
-            fn block_round_trip_all_geometries(g in arb_geometry(), idx in 0usize..10_000) {
-                let idx = idx % g.total_blocks() as usize;
-                prop_assert_eq!(g.block_index(g.block_at(idx)), idx);
+    #[test]
+    fn block_round_trip_all_geometries() {
+        check(8192, 0xB10C_0000, |rng| {
+            let g = any_geometry(rng);
+            let idx = rng.index(10_000) % g.total_blocks() as usize;
+            let back = g.block_index(g.block_at(idx));
+            if back == idx {
+                Ok(())
+            } else {
+                Err(format!("{g:?}: block {idx} came back as {back}"))
             }
+        });
+    }
 
-            #[test]
-            fn page_indices_are_unique(g in arb_geometry()) {
-                let total = g.total_pages().min(512);
-                let mut seen = std::collections::HashSet::new();
-                for i in 0..total {
-                    prop_assert!(seen.insert(g.page_index(g.page_at(i))));
+    #[test]
+    fn page_indices_are_unique() {
+        check(4096, 0x0417_0000, |rng| {
+            let g = any_geometry(rng);
+            let mut seen = std::collections::HashSet::new();
+            for i in 0..g.total_pages().min(512) {
+                if !seen.insert(g.page_index(g.page_at(i))) {
+                    return Err(format!("{g:?}: page {i} collides"));
                 }
             }
-        }
+            Ok(())
+        });
     }
 }

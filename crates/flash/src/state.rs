@@ -109,6 +109,7 @@ impl DieGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dssd_kernel::check;
 
     #[test]
     fn dies_are_independent() {
@@ -166,35 +167,32 @@ mod tests {
         assert!((u - 0.5).abs() < 1e-9, "u = {u}, dies = {dies}");
         assert_eq!(g.mean_utilization(SimSpan::ZERO), 0.0);
     }
-}
 
-#[cfg(all(test, feature = "proptest"))]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Occupancy intervals of one die never overlap and total busy
-        /// time equals the sum of requested durations.
-        #[test]
-        fn die_occupancy_is_serial(
-            ops in proptest::collection::vec((0u64..5_000, 1u64..500), 1..120),
-        ) {
-            let geo = FlashGeometry::tiny();
-            let mut grid = DieGrid::new(&geo);
+    /// Occupancy intervals of one die never overlap and total busy
+    /// time equals the sum of requested durations.
+    #[test]
+    fn die_occupancy_is_serial() {
+        check(8192, 0xD1E_0000, |rng| {
+            let mut grid = DieGrid::new(&FlashGeometry::tiny());
+            let ops = 1 + rng.index(119) as u64;
             let mut prev_done = SimTime::ZERO;
             let mut total = SimSpan::ZERO;
-            for &(at, dur_us) in &ops {
-                let dur = SimSpan::from_us(dur_us);
-                let (start, done) = grid.occupy(0, SimTime::from_us(at), dur);
-                prop_assert!(start >= prev_done, "overlap on die 0");
-                prop_assert!(start >= SimTime::from_us(at));
-                prop_assert_eq!(done - start, dur);
+            for _ in 0..ops {
+                let at = SimTime::from_us(rng.range_u64(0..5_000));
+                let dur = SimSpan::from_us(rng.range_u64(1..500));
+                let (start, done) = grid.occupy(0, at, dur);
+                if start < prev_done || start < at || done - start != dur {
+                    let ran = format!("{start:?}..{done:?}");
+                    return Err(format!("{dur:?} at {at:?} ran {ran} after {prev_done:?}"));
+                }
                 prev_done = done;
                 total += dur;
             }
-            prop_assert_eq!(grid.busy_total(0), total);
-            prop_assert_eq!(grid.op_count(0), ops.len() as u64);
-        }
+            let (busy, count) = (grid.busy_total(0), grid.op_count(0));
+            if busy != total || count != ops {
+                return Err(format!("busy {busy:?} over {count} ops, asked {total:?} over {ops}"));
+            }
+            Ok(())
+        });
     }
 }

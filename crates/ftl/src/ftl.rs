@@ -6,7 +6,7 @@ use dssd_flash::{FlashGeometry, PageAddr};
 use dssd_kernel::{Rng, SimTime};
 
 use crate::alloc::ActiveSuperblock;
-use crate::meta::{MetaConfig, MetaIo, MetaState, MetaStats, RecoveryOutcome};
+use crate::meta::{MetaConfig, MetaIo, MetaState, MetaStats};
 use crate::{AllocGroup, CopyGroup, GcPolicy, GcRound, Lpn, MappingTable, SuperblockLayout};
 
 /// FTL configuration.
@@ -222,13 +222,6 @@ impl Ftl {
         if let Some(meta) = &mut self.meta {
             meta.checkpoint_durable(at);
         }
-    }
-
-    /// Simulates a post-power-loss mount at `t_loss` (see
-    /// [`MetaState::recover`]). `None` when the model is disabled.
-    #[must_use]
-    pub fn meta_recover(&self, t_loss: SimTime) -> Option<RecoveryOutcome> {
-        self.meta.as_ref().map(|m| m.recover(t_loss))
     }
 
     /// The superblock layout.

@@ -221,6 +221,7 @@ impl MappingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dssd_kernel::check;
 
     fn table() -> (FlashGeometry, MappingTable) {
         let geo = FlashGeometry::tiny();
@@ -324,46 +325,48 @@ mod tests {
         let _ = MappingTable::new(&geo, geo.total_pages() + 1);
     }
 
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// After any sequence of writes/overwrites, the mapping is a
-            /// bijection between mapped LPNs and valid PPNs, and the
-            /// per-block counters agree with the reverse map.
-            #[test]
-            fn mapping_stays_bijective(ops in proptest::collection::vec((0u64..32, 0u64..64), 1..200)) {
-                let geo = FlashGeometry::tiny();
-                let mut m = MappingTable::new(&geo, 32);
-                let mut used = std::collections::HashSet::new();
-                for (lpn, ppn_raw) in ops {
-                    let ppn = ppn_raw % geo.total_pages();
-                    if used.contains(&ppn) {
-                        continue; // a real allocator never reuses before erase
-                    }
-                    used.insert(ppn);
+    /// After any sequence of writes/overwrites, the mapping is a
+    /// bijection between mapped LPNs and valid PPNs, and the per-block
+    /// counters agree with the reverse map.
+    #[test]
+    fn mapping_stays_bijective() {
+        check(8192, 0xB1_0000, |rng| {
+            let geo = FlashGeometry::tiny();
+            let mut m = MappingTable::new(&geo, 32);
+            let mut used = std::collections::HashSet::new();
+            for _ in 0..1 + rng.index(199) {
+                let lpn = rng.range_u64(0..32);
+                let ppn = rng.range_u64(0..64) % geo.total_pages();
+                // A real allocator never reuses a page before erase.
+                if used.insert(ppn) {
                     m.map_write(lpn, ppn);
                 }
-                // forward implies reverse
-                let mut valid_seen = vec![0u32; geo.total_blocks() as usize];
-                for lpn in 0..32u64 {
-                    if let Some(ppn) = m.lookup(lpn) {
-                        prop_assert_eq!(m.lpn_of(ppn), Some(lpn));
-                        valid_seen[(ppn / geo.pages as u64) as usize] += 1;
+            }
+            // Forward implies reverse.
+            let mut valid_seen = vec![0u32; geo.total_blocks() as usize];
+            for lpn in 0..32u64 {
+                if let Some(ppn) = m.lookup(lpn) {
+                    if m.lpn_of(ppn) != Some(lpn) {
+                        return Err(format!("LPN {lpn} -> PPN {ppn} does not map back"));
                     }
+                    valid_seen[(ppn / u64::from(geo.pages)) as usize] += 1;
                 }
-                for b in 0..geo.total_blocks() as usize {
-                    prop_assert_eq!(m.valid_in_block(b), valid_seen[b]);
+            }
+            for (b, &seen) in valid_seen.iter().enumerate() {
+                if m.valid_in_block(b) != seen {
+                    let counted = m.valid_in_block(b);
+                    return Err(format!("block {b} counts {counted} valid pages, maps {seen}"));
                 }
-                // reverse implies forward
-                for ppn in 0..geo.total_pages() {
-                    if let Some(lpn) = m.lpn_of(ppn) {
-                        prop_assert_eq!(m.lookup(lpn), Some(ppn));
+            }
+            // Reverse implies forward.
+            for ppn in 0..geo.total_pages() {
+                if let Some(lpn) = m.lpn_of(ppn) {
+                    if m.lookup(lpn) != Some(ppn) {
+                        return Err(format!("PPN {ppn} -> LPN {lpn} does not map forward"));
                     }
                 }
             }
-        }
+            Ok(())
+        });
     }
 }

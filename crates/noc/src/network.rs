@@ -374,7 +374,7 @@ struct MemberRel {
 ///
 /// See the [crate documentation](crate) for the modeling overview and an
 /// end-to-end example.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Network {
     config: NocConfig,
     topology: Topology,

@@ -2,12 +2,14 @@
 //! at each point.
 //!
 //! The sweep steps one *mother* simulation per seed through its workload
-//! and, every `stride` handled events, forks the entire simulation state
-//! (`SsdSim` is `Clone`), forces power loss on the fork, and mounts. The
-//! fork's recovery must satisfy both crash-consistency invariants — no
-//! acknowledged write lost, no trimmed data resurrected — and the mother
-//! continues unperturbed, so an N-point sweep costs one full run plus N
-//! cheap mounts instead of N runs.
+//! and, every `stride` handled events, pauses it and asks
+//! [`SsdSim::crash_audit`] what a power loss at that event would mount.
+//! The audit only borrows the sim, so nothing is copied and the mother
+//! continues unperturbed; it reports exactly what an armed power loss at
+//! the same event reports. Each mount must satisfy both crash-consistency
+//! invariants — no acknowledged write lost, no trimmed data resurrected —
+//! so an N-point sweep costs one full run plus N mounts instead of N
+//! runs.
 
 use dssd_kernel::{SimSpan, SimTime};
 use dssd_ssd::{PowerLossConfig, SsdConfig, SsdSim};
@@ -46,7 +48,7 @@ pub struct CrashpointViolation {
 }
 
 /// Aggregate outcome of a crashpoint sweep.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrashpointReport {
     /// Crashpoints injected across all seeds.
     pub points: u64,
@@ -108,12 +110,7 @@ pub fn sweep(config: &CrashpointConfig) -> CrashpointReport {
             if mother.run_events(config.stride) != dssd_ssd::RunState::Paused {
                 break;
             }
-            let mut fork = mother.clone();
-            fork.force_power_loss();
-            let rec = fork
-                .report()
-                .recovery
-                .expect("forced power loss produces a recovery report");
+            let rec = mother.crash_audit();
             report.points += 1;
             report.torn_pages += rec.torn_pages;
             report.requests_torn += rec.requests_torn;
@@ -124,7 +121,7 @@ pub fn sweep(config: &CrashpointConfig) -> CrashpointReport {
             if !rec.invariants_hold() {
                 report.violations.push(CrashpointViolation {
                     seed,
-                    events: fork.events_handled(),
+                    events: mother.events_handled(),
                     at: rec.power_loss_at,
                     lost_acked_writes: rec.lost_acked_writes,
                     resurrected_trims: rec.resurrected_trims,
@@ -166,10 +163,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         let a = sweep(&config(vec![7], 700));
-        let b = sweep(&config(vec![7], 700));
-        assert_eq!(a.points, b.points);
-        assert_eq!(a.pages_read, b.pages_read);
-        assert_eq!(a.max_recovery, b.max_recovery);
+        assert!(a.points > 0);
+        assert_eq!(a, sweep(&config(vec![7], 700)));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub enum RunState {
     /// The step limit (or target instant) stopped the run; more events
     /// are pending.
     Paused,
-    /// Injected or forced power loss ended the run.
+    /// An injected power loss ended the run.
     Halted,
     /// The run reached its horizon (or the event queue drained).
     Done,
@@ -270,11 +270,7 @@ impl RemapTable {
 ///
 /// See the [crate documentation](crate) for the architecture table and an
 /// end-to-end example.
-///
-/// `Clone` forks the entire simulation state: both copies continue
-/// independently and deterministically (the crashpoint sweep uses this
-/// to test power loss at every k-th event without re-running the prefix).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SsdSim {
     config: SsdConfig,
     rng: Rng,
@@ -894,9 +890,10 @@ impl SsdSim {
     /// Steps until the next pending event would land after `t` (so the
     /// state is exactly the full run's state at instant `t`). Returns
     /// [`RunState::Paused`] on reaching `t` with events still pending.
-    /// NoC bursts that finish before `t` still run whole.
+    /// NoC bursts that finish before `t` still run whole. `SimTime::MAX`
+    /// runs to the horizon.
     pub fn run_until(&mut self, t: SimTime) -> RunState {
-        self.run_bounded(u64::MAX, Some(t + SimSpan::from_ns(1)))
+        self.run_bounded(u64::MAX, Some(SimTime::from_ns(t.as_ns().saturating_add(1))))
     }
 
     /// Steps until the next pending event would land at or after `t`:
@@ -1049,49 +1046,51 @@ impl SsdSim {
         &self.report
     }
 
-    /// Cuts power *now*, regardless of the configured injection modes.
-    /// The crashpoint sweep forks a clone of the running sim and calls
-    /// this to test recovery at an arbitrary instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the durability model is disabled or power was already
-    /// lost.
-    pub fn force_power_loss(&mut self) {
-        self.power_loss();
-    }
-
     /// Power loss at `self.now`: every in-flight request and all volatile
     /// state (event queue, journal buffer, in-flight checkpoint, DRAM) is
-    /// gone. The durability model mounts from durable media state only;
-    /// the reconstruction audit and analytic recovery time land in
-    /// [`RunReport::recovery`].
+    /// gone, and the run halts. The mount [`SsdSim::crash_audit`]
+    /// computes lands in [`RunReport::recovery`].
     fn power_loss(&mut self) {
         assert!(!self.halted, "power already lost");
         self.halted = true;
         let t = self.now;
         self.tracer.instant(Track::Faults, "power loss", t);
-        let requests_torn = self.outstanding as u64;
-        let outcome = self
-            .ftl
-            .meta_recover(t)
-            .expect("power-loss injection requires the durability model");
+        let recovery = self.crash_audit();
+        self.tracer.instant(Track::Faults, "mount recovery done", t + recovery.recovery_time);
+        self.report.recovery = Some(recovery);
+    }
+
+    /// The mount a power loss *now* would run, from a borrow: recovers
+    /// the mapping from durable media state only (checkpoint, durable
+    /// journal pages, OOB scan of the open region), audits both
+    /// crash-consistency invariants against the ack oracle, and prices
+    /// the scan as an analytic recovery time. The run itself is
+    /// untouched, so the crashpoint sweep audits a paused run at every
+    /// k-th event and then lets it continue; an armed power loss at the
+    /// same event reports exactly this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the durability model is disabled.
+    #[must_use]
+    pub fn crash_audit(&self) -> crate::RecoveryReport {
+        let t = self.now;
+        let meta = self.ftl.meta().expect("a crash audit requires the durability model");
+        let outcome = meta.recover(t);
         let geo = self.config.geometry;
         let bus_ns = SimSpan::for_transfer(
             u64::from(geo.page_bytes),
             self.config.flash_bus_bytes_per_sec,
         )
         .as_ns();
-        let recovery_time = self.ftl.meta().expect("durability enabled").recovery_time(
-            outcome.pages_read,
-            u64::from(geo.channels),
-            self.config.timing.read_latency_mid(),
-            bus_ns,
-        );
-        self.tracer.instant(Track::Faults, "mount recovery done", t + recovery_time);
-        self.report.recovery = Some(crate::RecoveryReport {
+        crate::RecoveryReport {
             power_loss_at: t,
-            recovery_time,
+            recovery_time: meta.recovery_time(
+                outcome.pages_read,
+                u64::from(geo.channels),
+                self.config.timing.read_latency_mid(),
+                bus_ns,
+            ),
             checkpoint_pages: outcome.checkpoint_pages,
             journal_pages_replayed: outcome.journal_pages_replayed,
             journal_entries_replayed: outcome.journal_entries_replayed,
@@ -1099,8 +1098,8 @@ impl SsdSim {
             torn_pages: outcome.torn_pages,
             lost_acked_writes: outcome.lost_acked_writes,
             resurrected_trims: outcome.resurrected_trims,
-            requests_torn,
-        });
+            requests_torn: self.outstanding as u64,
+        }
     }
 
     /// Charges pending metadata I/O (journal flushes, checkpoints) as
@@ -1156,7 +1155,7 @@ impl SsdSim {
         self.events_handled
     }
 
-    /// True after injected (or forced) power loss ended the run.
+    /// True after an injected power loss ended the run.
     #[must_use]
     pub fn halted(&self) -> bool {
         self.halted
@@ -3266,6 +3265,26 @@ mod tests {
         let report = sim.run_trace(reqs, SimSpan::from_ms(50));
         assert_eq!(report.requests_completed, 500);
         assert!(report.mean_latency().as_ns() > 0);
+    }
+
+    /// `run_until(SimTime::MAX)` saturates its stop instant instead of
+    /// overflowing it, so it runs to the horizon exactly as an unbounded
+    /// `run_events` does.
+    #[test]
+    fn run_until_the_end_of_the_clock_runs_to_the_horizon() {
+        let start = || {
+            let mut sim = SsdSim::new(SsdConfig::test_tiny(Architecture::DssdFnoc));
+            let wl = SyntheticWorkload::writes(AccessPattern::Random, 8);
+            sim.begin_closed_loop(wl, SimSpan::from_us(300));
+            sim
+        };
+        let mut until = start();
+        assert_eq!(until.run_until(SimTime::MAX), RunState::Done);
+        let mut events = start();
+        assert_eq!(events.run_events(u64::MAX), RunState::Done);
+        assert!(until.events_handled() > 0);
+        assert_eq!(until.events_handled(), events.events_handled());
+        assert_eq!(until.state_digest(), events.state_digest());
     }
 }
 

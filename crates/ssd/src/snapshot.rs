@@ -1,11 +1,12 @@
 //! Snapshot/restore of a running simulation.
 //!
 //! A snapshot is a *replay cursor*, not a memory image: it records
-//! fingerprints of the config and run plan, whether the drive was
-//! prefilled, the horizon, the number of events handled so far, and an
-//! order-sensitive digest of the live state. Restoring rebuilds the sim
-//! from the same config, replays exactly `cursor` events — deterministic
-//! by construction — and verifies the digest, so a resumed run's
+//! fingerprints of the config and run plan (which binds the horizon),
+//! whether the drive was prefilled, the number of events handled so far,
+//! and an order-sensitive digest of the live state. Restoring rebuilds
+//! the sim from the same config and plan, replays exactly `cursor`
+//! events — deterministic by construction — and verifies the digest, so
+//! every field is checked against the replay and a resumed run's
 //! [`RunReport`](crate::RunReport) is byte-identical to the
 //! uninterrupted run's. This leans on the simulator's core discipline
 //! (every random draw comes from a seeded stream, every tie-break is
@@ -19,7 +20,7 @@ use dssd_workload::SyntheticWorkload;
 use crate::{RunState, SsdConfig, SsdSim};
 
 const MAGIC: &[u8; 8] = b"DSSDSNAP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -58,7 +59,6 @@ pub struct SimSnapshot {
     config_fp: u64,
     plan_fp: u64,
     prefilled: bool,
-    duration: SimSpan,
     cursor: u64,
     now: SimTime,
     state_digest: u64,
@@ -73,7 +73,6 @@ impl SimSnapshot {
             config_fp: config_fingerprint(sim.config()),
             plan_fp: plan.fingerprint(),
             prefilled: sim.is_prefilled(),
-            duration: plan.duration,
             cursor: sim.events_handled(),
             now: sim.now(),
             state_digest: sim.state_digest(),
@@ -101,7 +100,6 @@ impl SimSnapshot {
         w.put_u64(self.config_fp);
         w.put_u64(self.plan_fp);
         w.put_bool(self.prefilled);
-        w.put_u64(self.duration.as_ns());
         w.put_u64(self.cursor);
         w.put_u64(self.now.as_ns());
         w.put_u64(self.state_digest);
@@ -112,8 +110,8 @@ impl SimSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on truncation, a foreign magic, or a
-    /// version mismatch.
+    /// Returns a [`SnapError`] on truncation, trailing bytes, a foreign
+    /// magic, or a version mismatch.
     pub fn from_bytes(bytes: &[u8]) -> Result<SimSnapshot, SnapError> {
         let mut r = SnapReader::new(bytes);
         if r.take_bytes()? != MAGIC {
@@ -126,15 +124,21 @@ impl SimSnapshot {
                 offset: r.offset(),
             });
         }
-        Ok(SimSnapshot {
+        let snap = SimSnapshot {
             config_fp: r.take_u64()?,
             plan_fp: r.take_u64()?,
             prefilled: r.take_bool()?,
-            duration: SimSpan::from_ns(r.take_u64()?),
             cursor: r.take_u64()?,
             now: SimTime::ZERO + SimSpan::from_ns(r.take_u64()?),
             state_digest: r.take_u64()?,
-        })
+        };
+        if !r.is_exhausted() {
+            return Err(SnapError {
+                message: "trailing bytes after the snapshot".into(),
+                offset: r.offset(),
+            });
+        }
+        Ok(snap)
     }
 
     /// Rebuilds a sim in exactly the snapshotted state: constructs it
@@ -157,7 +161,7 @@ impl SimSnapshot {
         if self.prefilled {
             sim.prefill();
         }
-        sim.begin_closed_loop(plan.workload.clone(), self.duration);
+        sim.begin_closed_loop(plan.workload.clone(), plan.duration);
         if sim.run_events(self.cursor) == RunState::Halted {
             return Err("replay hit injected power loss before the cursor".into());
         }
@@ -190,8 +194,12 @@ mod tests {
         }
     }
 
+    fn config() -> SsdConfig {
+        SsdConfig::test_tiny(Architecture::DssdFnoc)
+    }
+
     fn paused_sim() -> SsdSim {
-        let mut sim = SsdSim::new(SsdConfig::test_tiny(Architecture::DssdFnoc));
+        let mut sim = SsdSim::new(config());
         sim.prefill();
         let p = plan();
         sim.begin_closed_loop(p.workload, p.duration);
@@ -203,21 +211,38 @@ mod tests {
     fn snapshot_roundtrips_through_bytes() {
         let sim = paused_sim();
         let snap = SimSnapshot::capture(&sim, &plan());
-        let bytes = snap.to_bytes();
-        assert_eq!(SimSnapshot::from_bytes(&bytes).unwrap(), snap);
-        assert!(SimSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut foreign = bytes.clone();
-        foreign[8] = b'X';
-        assert!(SimSnapshot::from_bytes(&foreign).is_err());
+        assert_eq!(SimSnapshot::from_bytes(&snap.to_bytes()).unwrap(), snap);
+    }
+
+    /// Every byte of a snapshot is checked: one flipped bit anywhere, a
+    /// truncation at any length, or one appended byte must fail to
+    /// decode or to restore, so a damaged file never resumes a run other
+    /// than the one it was taken from.
+    #[test]
+    fn corrupted_snapshots_are_refused() {
+        let bytes = SimSnapshot::capture(&paused_sim(), &plan()).to_bytes();
+        let refused = |b: &[u8]| {
+            SimSnapshot::from_bytes(b).map_or(true, |s| s.restore(config(), &plan()).is_err())
+        };
+        assert!(!refused(&bytes));
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 << (i % 8);
+            assert!(refused(&flipped), "bit {} of byte {i} flipped", i % 8);
+        }
+        for len in 0..bytes.len() {
+            assert!(refused(&bytes[..len]), "truncated to {len} bytes");
+        }
+        let mut longer = bytes;
+        longer.push(0);
+        assert!(refused(&longer), "one byte appended");
     }
 
     #[test]
     fn restore_reproduces_state_and_final_report() {
         let mut sim = paused_sim();
         let snap = SimSnapshot::capture(&sim, &plan());
-        let mut resumed = snap
-            .restore(SsdConfig::test_tiny(Architecture::DssdFnoc), &plan())
-            .expect("restore");
+        let mut resumed = snap.restore(config(), &plan()).expect("restore");
         assert_eq!(resumed.state_digest(), sim.state_digest());
         // Both halves complete; the resumed report must be identical.
         sim.run_events(u64::MAX);
@@ -231,13 +256,11 @@ mod tests {
     fn restore_rejects_mismatched_config() {
         let sim = paused_sim();
         let snap = SimSnapshot::capture(&sim, &plan());
-        let mut other = SsdConfig::test_tiny(Architecture::DssdFnoc);
+        let mut other = config();
         other.seed ^= 1;
         assert!(snap.restore(other, &plan()).is_err());
         let mut p = plan();
         p.duration = SimSpan::from_ms(6);
-        assert!(snap
-            .restore(SsdConfig::test_tiny(Architecture::DssdFnoc), &p)
-            .is_err());
+        assert!(snap.restore(config(), &p).is_err());
     }
 }
