@@ -57,10 +57,11 @@
 //! snapshot (`--snapshot-out`, default `dssd.snap`), and continues;
 //! `--resume FILE` rebuilds that paused state (pass the *same* run flags)
 //! and finishes the run — stdout is byte-identical to the uninterrupted
-//! run. `crashpoints` pauses a running sim at every k-th event, computes
-//! the mount a power loss there would run, and verifies both
-//! crash-consistency invariants (no acknowledged write lost, no trimmed
-//! data resurrected).
+//! run. A resumed run is neither traced nor snapshotted again, so
+//! `--resume` refuses the telemetry and snapshot flags. `crashpoints`
+//! pauses a running sim at every k-th event, computes the mount a power
+//! loss there would run, and verifies both crash-consistency invariants
+//! (no acknowledged write lost, no trimmed data resurrected).
 //!
 //! `serve` drives the live block-device front-end (`dssd-service`): the
 //! `--spec` file declares tenants, their offered load, and their QoS
@@ -625,6 +626,17 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
         ]
         .concat(),
     )?;
+    if flags.get("resume").is_some() {
+        // A resumed run is rebuilt untraced and takes no new snapshot.
+        let dropped = TRACE_FLAGS.iter().chain(&["snapshot-at-ms", "snapshot-out"]);
+        let given = dropped
+            .copied()
+            .find(|&f| flags.get(f).is_some())
+            .or(flags.switch("trace-summary").then_some("trace-summary"));
+        if let Some(flag) = given {
+            return Err(ArgError(format!("--{flag} cannot be combined with --resume")));
+        }
+    }
     let cfg = build_config(&flags)?;
     let tracing = trace_config(&flags)?;
     let pages = flags.get_at_least("pages", 8u32, 1)?;

@@ -5,24 +5,33 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::SimTime;
 
-/// Log2 of the calendar bucket width in nanoseconds (16 ns buckets).
-/// Tuned against the flit-level NoC workloads, where the queue sustains
-/// hundreds of events per microsecond: buckets must stay at a handful of
-/// entries each, because pop min-scans the cursor bucket. Wider buckets
-/// make that scan quadratic-ish in the event density. Moving the cursor
-/// over empty buckets costs nothing per bucket (the occupancy bitmap
-/// finds the next one), so narrower buckets would buy nothing and cost
-/// either a shorter window (more far-heap traffic) or a larger ring.
-const BUCKET_SHIFT: u32 = 4;
+/// Log2 of the calendar bucket width in nanoseconds (256 ns buckets).
+/// Pop min-scans the cursor bucket, so buckets must stay at a handful
+/// of entries. The fNoC's flit events wait on the network's own lanes
+/// ([`FifoLanes`]), not here, so the calendar holds only host,
+/// channel-leg, GC and timer events: a pop scans 1.5 to 2.1 entries on
+/// average on the simulator's benchmark workloads at this width, and
+/// 1.4 to 1.9 at 16 ns. The largest bucket, 65 entries, is a
+/// queue-depth-64 admission burst at one instant, which fills one bucket
+/// at any width. Going from 16 to 256 ns ran the Baseline trace replay
+/// 1.13× faster, on top of the far run and the per-channel GC pick. A
+/// schedule packed far more densely pays for the width in longer scans:
+/// 10,000 events inside 5 µs, about 500 per bucket, pop ~10× slower
+/// than in 16 ns buckets. Moving the cursor over empty buckets costs
+/// nothing per bucket (the occupancy bitmap finds the next one).
+const BUCKET_SHIFT: u32 = 8;
 /// Number of calendar buckets (a power of two and a multiple of 64, one
 /// occupancy bit each). The calendar window spans `NUM_BUCKETS <<
-/// BUCKET_SHIFT` ≈ 66 µs of simulated time — enough that bus/ECC/NoC/
-/// flash-array completions stay in the calendar tier; only erases, GC
-/// round boundaries, admission idle timers and a trace replay's
-/// up-front arrivals overflow into the far heap. The ring's headers are
-/// ~100 KB, small enough to stay cache-resident next to the live
-/// buckets; a 16,384-bucket ring (4× the window) ran the sparse
-/// Baseline trace replay at 0.76×, because its headers no longer do.
+/// BUCKET_SHIFT` ≈ 1.05 ms of simulated time: enough for the Baseline's
+/// host and copyback legs, which GC copies on the shared system bus park
+/// 0.1 to 0.7 ms ahead, and for erases and timers, so that on the
+/// benchmark workloads only a trace replay's up-front arrivals overflow
+/// (into the far run). At 16 ns buckets (a 66 µs window) those legs took
+/// 241,208 of a Baseline trace replay's 560,637 events through the far
+/// heap. The ring's headers are ~100 KB, small enough to stay
+/// cache-resident next to the live buckets; a 16,384-bucket ring (4×
+/// the window, at 16 ns) ran that replay at 0.76×, because its headers
+/// no longer do.
 const NUM_BUCKETS: usize = 4096;
 /// Words of the occupancy bitmap.
 const OCCUPANCY_WORDS: usize = NUM_BUCKETS / 64;
@@ -52,16 +61,20 @@ const SEQ_BITS: u32 = 56;
 /// # Implementation
 ///
 /// Two tiers: a bucketed *calendar* covering a sliding near-future
-/// window, and a binary-heap overflow for events beyond it. The common
+/// window, and an overflow for events beyond it. The common
 /// short-horizon push/pop is O(1) amortized — append to a bucket, scan
 /// the earliest non-empty bucket — instead of the heap's O(log n) sift
 /// per operation. An occupancy bitmap over the buckets lets the cursor
 /// jump straight to the next non-empty one, so a sparse schedule costs
-/// no more per pop than a dense one. Far events migrate into the
-/// calendar as the window slides over their timestamps. Every entry is
-/// ordered by one packed [`EventKey`], so ordering (including FIFO
-/// tie-breaking by insertion sequence) is bit-identical to a pure-heap
-/// implementation; a randomized differential test asserts it.
+/// no more per pop than a dense one. The overflow is a FIFO *run* of
+/// far pushes that arrived in key order (a trace replay's up-front
+/// arrivals), appended in O(1), beside a binary heap for the far pushes
+/// that did not; the earliest far event is the lesser of the run's head
+/// and the heap's top. Far events migrate into the calendar as the
+/// window slides over their timestamps. Every entry is ordered by one
+/// packed [`EventKey`], so ordering (including FIFO tie-breaking by
+/// insertion sequence) is bit-identical to a pure-heap implementation;
+/// a randomized differential test asserts it.
 ///
 /// Events a caller schedules at a few constant delays need no calendar
 /// at all: [`FifoLanes`] stamped from this queue's counter
@@ -96,11 +109,18 @@ pub struct EventQueue<E> {
     window_start_q: u64,
     /// Ring position of the earliest possibly-non-empty bucket.
     cursor: usize,
-    /// Overflow tier: events at or beyond `window_start_q + NUM_BUCKETS`.
-    /// An aligned second-level ring of pages in its place ran 15% faster
-    /// on the sparse Baseline trace replay but 0.91× on the two-tenant
-    /// serve workload, so it stays a heap.
+    /// Overflow tier, with `far_run`: events at or beyond
+    /// `window_start_q + NUM_BUCKETS` whose push came earlier in key
+    /// order than the run's tail. An aligned second-level ring of pages
+    /// in place of a heap ran 15% faster on the sparse Baseline trace
+    /// replay but 0.91× on the two-tenant serve workload.
     far: BinaryHeap<Reverse<Entry<E>>>,
+    /// Overflow events pushed in key order: a far push at or after the
+    /// run's tail appends here, so the run stays sorted and its head is
+    /// its minimum. A trace replay pushes its arrivals up front in time
+    /// order, and they all land here instead of in `far`, which made the
+    /// Baseline replay 1.16× faster at 16 ns buckets and 1.07× at 256 ns.
+    far_run: VecDeque<Entry<E>>,
     orders: Orders,
     popped: u64,
 }
@@ -218,6 +238,7 @@ impl<E> EventQueue<E> {
             window_start_q: 0,
             cursor: 0,
             far: BinaryHeap::new(),
+            far_run: VecDeque::new(),
             orders: Orders::new(),
             popped: 0,
         }
@@ -241,7 +262,10 @@ impl<E> EventQueue<E> {
         let entry = Entry { time, order: self.orders.draw(rank), event };
         let q = quantum(time);
         if q >= self.window_start_q + NUM_BUCKETS as u64 {
-            self.far.push(Reverse(entry));
+            match self.far_run.back() {
+                Some(tail) if entry.key() < tail.key() => self.far.push(Reverse(entry)),
+                _ => self.far_run.push_back(entry),
+            }
             return;
         }
         // Late pushes (before the window) land in the cursor bucket: the
@@ -280,14 +304,29 @@ impl<E> EventQueue<E> {
     /// than a past window end.
     fn drain_far_into_window(&mut self) {
         let window_end = self.window_start_q + NUM_BUCKETS as u64;
-        while let Some(Reverse(top)) = self.far.peek() {
-            if quantum(top.time) >= window_end {
-                break;
-            }
-            let Some(Reverse(entry)) = self.far.pop() else { unreachable!() };
-            let q = quantum(entry.time).max(self.window_start_q);
-            self.insert_near((q % NUM_BUCKETS as u64) as usize, entry);
+        // A bucket min-scans its entries, so the run and the heap can
+        // migrate one after the other rather than merged by key.
+        while self.far_run.front().is_some_and(|e| quantum(e.time) < window_end) {
+            let entry = self.far_run.pop_front().expect("checked non-empty");
+            self.insert_migrated(entry);
         }
+        while self.far.peek().is_some_and(|Reverse(e)| quantum(e.time) < window_end) {
+            let Some(Reverse(entry)) = self.far.pop() else { unreachable!() };
+            self.insert_migrated(entry);
+        }
+    }
+
+    fn insert_migrated(&mut self, entry: Entry<E>) {
+        let q = quantum(entry.time).max(self.window_start_q);
+        self.insert_near((q % NUM_BUCKETS as u64) as usize, entry);
+    }
+
+    /// The key of the earliest far-tier event: the least of the run's
+    /// head and the heap's top.
+    fn far_front_key(&self) -> Option<EventKey> {
+        let run = self.far_run.front().map(Entry::key);
+        let heap = self.far.peek().map(|Reverse(e)| e.key());
+        run.into_iter().chain(heap).min()
     }
 
     /// Moves the cursor to the earliest non-empty bucket and returns the
@@ -317,8 +356,7 @@ impl<E> EventQueue<E> {
     fn advance(&mut self) -> Option<()> {
         if self.near_len == 0 {
             // Calendar empty: jump the window to the earliest far event.
-            let Reverse(top) = self.far.peek()?;
-            self.window_start_q = quantum(top.time);
+            self.window_start_q = quantum(self.far_front_key()?.time());
             self.cursor = (self.window_start_q % NUM_BUCKETS as u64) as usize;
         } else {
             // Jump to the next non-empty bucket. Far events are all
@@ -351,7 +389,7 @@ impl<E> EventQueue<E> {
         let mut bucket = &self.near[self.cursor];
         if bucket.is_empty() {
             if self.near_len == 0 {
-                return self.far.peek().map(|Reverse(e)| e.key());
+                return self.far_front_key();
             }
             bucket = &self.near[self.next_occupied(self.cursor)];
         }
@@ -363,7 +401,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.near_len + self.far.len() + self.far_run.len()
     }
 
     /// True if no events are pending.
@@ -750,13 +788,37 @@ mod tests {
     /// migration, window jumps over an empty calendar, sorted lane
     /// inserts, and same-time ties between lane heads and ranked
     /// calendar entries.
-    fn differential(rng: &mut Rng, lanes: bool) -> Result<(), String> {
+    ///
+    /// With `arrivals`, a trace replay's up-front arrivals come first: a
+    /// sorted run of [`ARRIVAL_RANK`] events spanning dozens of windows,
+    /// some sharing a time, pushed before any pop, so they fill the far
+    /// run and later far pushes land out of order in the heap. A seventh
+    /// horizon class then pushes at a pending arrival's exact time, at
+    /// either rank: a same-time tie with a run entry, decided in the far
+    /// heap while the arrival is beyond the window and in the calendar
+    /// once it has migrated.
+    fn differential(rng: &mut Rng, lanes: bool, arrivals: bool) -> Result<(), String> {
         let window_ns = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
         let mut merged =
             Merged { queue: EventQueue::new(), lanes: FifoLanes::new(), lane_pops: 0 };
         let mut reference = HeapQueue::new();
         let mut now = 0u64;
         let mut id = 0u64;
+        let mut arrival_times = Vec::new();
+        if arrivals {
+            let mut t = 0;
+            for _ in 0..rng.range_u64(100..400) {
+                t += match rng.range_u64(0..8) {
+                    0 => 0,
+                    1 => rng.range_u64(0..1024),
+                    _ => rng.range_u64(0..window_ns / 2),
+                };
+                arrival_times.push(t);
+                merged.queue.push_ranked(SimTime::from_ns(t), ARRIVAL_RANK, id);
+                reference.push_ranked(SimTime::from_ns(t), ARRIVAL_RANK, id);
+                id += 1;
+            }
+        }
         let check_front = |merged: &Merged, reference: &HeapQueue<u64>| {
             same(merged.peek_time(), reference.peek().map(|(t, _)| t), "peek_time")?;
             same(merged.len(), reference.heap.len(), "len")?;
@@ -780,12 +842,16 @@ mod tests {
                 }
                 same(merged.pop(), None, "pop of a drained queue")?;
             } else if op < 300 || !lanes {
-                let horizon = match rng.range_u64(0..6) {
+                let pending = &arrival_times[arrival_times.partition_point(|&t| t < now)..];
+                let horizon = match rng.range_u64(0..7) {
                     0 => rng.range_u64(0..1024),
                     1 => rng.range_u64(0..65536),
                     2 => rng.range_u64(0..window_ns),
                     3 => rng.range_u64(0..3 * window_ns),
                     4 => rng.range_u64(4..64) * window_ns + rng.range_u64(0..window_ns),
+                    6 if !pending.is_empty() => {
+                        pending[rng.range_u64(0..pending.len() as u64) as usize] - now
+                    }
                     _ => LANE_DELAYS[rng.range_u64(0..LANES as u64) as usize],
                 };
                 let t = SimTime::from_ns(now + horizon);
@@ -821,7 +887,16 @@ mod tests {
     /// schedule, including times that straddle the window.
     #[test]
     fn differential_against_heap_reference() {
-        crate::check(20, 0xCA1E_4DA2, |rng| differential(rng, false));
+        crate::check(20, 0xCA1E_4DA2, |rng| differential(rng, false, false));
+    }
+
+    /// Up-front arrivals in the far run, out-of-order far pushes in the
+    /// heap and same-time ties among the run, the heap and the calendar
+    /// must pop exactly as the heap reference, with and without lanes.
+    #[test]
+    fn upfront_arrivals_pop_like_the_heap_reference() {
+        crate::check(20, 0xA22_1BA1, |rng| differential(rng, false, true));
+        crate::check(10, 0xA22_1A7E, |rng| differential(rng, true, true));
     }
 
     /// Lanes stamped from the queue's counter and merged by key must pop
@@ -830,7 +905,7 @@ mod tests {
     /// entries break by rank, then by stamp.
     #[test]
     fn lanes_merged_by_key_pop_like_the_heap_reference() {
-        crate::check(20, 0x1A7E_5EED, |rng| differential(rng, true));
+        crate::check(20, 0x1A7E_5EED, |rng| differential(rng, true, false));
     }
 
     /// A lower-rank event pushed *after* a same-time default-rank event

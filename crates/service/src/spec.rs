@@ -178,7 +178,7 @@ impl ServiceSpec {
             match key {
                 "duration_ms" => {
                     let v: f64 = parse_word(words.next(), key, lineno + 1)?;
-                    if !(v > 0.0) {
+                    if v.is_nan() || v <= 0.0 {
                         return Err(err(format!("duration_ms must be positive, got {v}")));
                     }
                     spec.duration = ms_span(key, v).map_err(err)?;
@@ -186,7 +186,7 @@ impl ServiceSpec {
                 }
                 "warmup_ms" => {
                     let v: f64 = parse_word(words.next(), key, lineno + 1)?;
-                    if !(v >= 0.0) {
+                    if v.is_nan() || v < 0.0 {
                         return Err(err(format!("warmup_ms must be non-negative, got {v}")));
                     }
                     spec.warmup = ms_span(key, v).map_err(err)?;

@@ -41,6 +41,7 @@ mod cache;
 mod config;
 mod faults;
 mod metrics;
+mod pending;
 mod sim;
 mod snapshot;
 

@@ -20,6 +20,7 @@ use dssd_workload::{Op, Request, SyntheticWorkload};
 use crate::cache::WriteCache;
 use crate::faults::{FaultInjector, ReadFault};
 use crate::metrics::{RunReport, StageKind};
+use crate::pending::PendingCopies;
 use crate::{Architecture, SsdConfig};
 
 /// Traffic class for host I/O on the shared servers.
@@ -32,11 +33,6 @@ const CLASS_SCAN: usize = 2;
 /// L2P checkpoints) when the durability model is enabled.
 const CLASS_META: usize = 3;
 
-/// Maximum GC copy groups in flight per source channel. PaGC executes
-/// GC in parallel across all flash (its copy bursts are what interfere
-/// with I/O), so the cap is high; the real throttle is resource
-/// contention, not the issue rate.
-const GC_PER_CHANNEL_INFLIGHT: usize = 16;
 /// Maximum concurrent WAS scan reads.
 const SCAN_INFLIGHT: usize = 128;
 
@@ -109,7 +105,7 @@ struct CopyJob {
 #[derive(Debug, Clone)]
 struct GcState {
     round: GcRound,
-    pending: VecDeque<CopyGroup>,
+    pending: PendingCopies,
     copies_done: usize,
     copies_expected: usize,
     erases_outstanding: usize,
@@ -1646,24 +1642,23 @@ impl SsdSim {
     /// Installs `round` as the active GC state and starts pumping copies.
     /// A `retiring` round permanently retires its victim on completion
     /// instead of recycling it into the free pool.
-    fn begin_round(&mut self, round: GcRound, retiring: bool) {
+    fn begin_round(&mut self, mut round: GcRound, retiring: bool) {
         self.report.first_gc_at.get_or_insert(self.now);
         let marker = if retiring { "gc round start (retiring)" } else { "gc round start" };
         self.tracer.instant(Track::Sim, marker, self.now);
-        let mut pending: VecDeque<CopyGroup> = round.groups.iter().cloned().collect();
+        let mut groups = std::mem::take(&mut round.groups);
         if matches!(self.config.ftl.policy, dssd_ftl::GcPolicy::TinyTail { .. }) {
             // Partial GC proceeds channel by channel.
-            let mut v: Vec<CopyGroup> = pending.into_iter().collect();
-            v.sort_by_key(|g| g.src_die.channel);
-            pending = v.into();
+            groups.sort_by_key(|g| g.src_die.channel);
         }
+        let channels = self.config.geometry.channels as usize;
         self.gc = Some(GcState {
             copies_expected: round.valid_pages,
             round,
-            pending,
+            pending: PendingCopies::new(groups, channels),
             copies_done: 0,
             erases_outstanding: 0,
-            channel_inflight: vec![0; self.config.geometry.channels as usize],
+            channel_inflight: vec![0; channels],
             retiring,
         });
         self.pump_gc();
@@ -1687,27 +1682,13 @@ impl SsdSim {
             }
             let limit = policy.channel_limit(self.config.geometry.channels as usize);
 
-            // Find the first issuable group. (dBUF back-pressure is
+            // Take the first issuable group. (dBUF back-pressure is
             // applied later, at the flash-bus transfer into the buffer —
             // the page read itself only occupies the die's page register.)
-            let gc = self.gc.as_ref().unwrap();
-            let active = gc.channel_inflight.iter().filter(|&&v| v > 0).count();
-            let mut picked = None;
-            for i in 0..gc.pending.len() {
-                let ch = gc.pending[i].src_die.channel;
-                let inflight = gc.channel_inflight[ch as usize];
-                if inflight >= GC_PER_CHANNEL_INFLIGHT {
-                    continue;
-                }
-                if inflight == 0 && active >= limit {
-                    continue;
-                }
-                picked = Some(i);
-                break;
-            }
-            let Some(i) = picked else { return };
-
-            let group = self.gc.as_mut().unwrap().pending.remove(i).unwrap();
+            let gc = self.gc.as_mut().expect("checked above");
+            let Some(group) = gc.pending.pop_issuable(&gc.channel_inflight, limit) else {
+                return;
+            };
             self.issue_copy(group);
         }
     }

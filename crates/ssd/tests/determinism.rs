@@ -233,6 +233,19 @@ fn bit_identical_fnoc_topologies_and_hand_offs() {
     );
 }
 
+/// Replays MSR `prn_0` (synthesized with `seed`) at 20x for `span` on
+/// the prefilled `sim`, every arrival pushed up front.
+fn replay_prn0(sim: &mut SsdSim, span: SimSpan, seed: u64) {
+    let speedup = 20.0;
+    let original = SimSpan::from_ns((span.as_ns() as f64 * speedup) as u64);
+    let trace = msr::profile("prn_0")
+        .expect("prn_0 is a built-in MSR volume")
+        .synthesize(original, seed)
+        .accelerate(speedup);
+    let reqs = trace.to_requests(sim.config().geometry.page_bytes, sim.ftl().lpn_count());
+    sim.run_trace(reqs, span);
+}
+
 /// Golden open-loop fingerprint: Baseline replaying MSR `prn_0` at 20x
 /// for 100 ms (Fig 11's setup, write cache off, on-demand GC). Every
 /// arrival is pushed up front, so this is the run that exercises the
@@ -244,18 +257,9 @@ fn bit_identical_fnoc_topologies_and_hand_offs() {
 fn bit_identical_open_loop_trace_replay() {
     let mut cfg = SsdConfig::test_tiny(Architecture::Baseline).with_seed(1);
     cfg.write_cache_pages = None;
-    let page_bytes = cfg.geometry.page_bytes;
     let mut sim = SsdSim::new(cfg);
     sim.prefill();
-    let span = SimSpan::from_ms(100);
-    let speedup = 20.0;
-    let original = SimSpan::from_ns((span.as_ns() as f64 * speedup) as u64);
-    let trace = msr::profile("prn_0")
-        .expect("prn_0 is a built-in MSR volume")
-        .synthesize(original, 1)
-        .accelerate(speedup);
-    let reqs = trace.to_requests(page_bytes, sim.ftl().lpn_count());
-    sim.run_trace(reqs, span);
+    replay_prn0(&mut sim, SimSpan::from_ms(100), 1);
     let got = format!(
         "{} events={} gc_digest={:#018x}",
         summary(&mut sim),
@@ -267,6 +271,53 @@ fn bit_identical_open_loop_trace_replay() {
         "req=7098 gc_pages=11466 gc_rounds=7 io_bytes=97505280 gc_bytes=46964736 mean_ns=220187 p99_ns=624253 first_gc=Some(14635) remaps=0 bad_sb=0 events=73868 gc_digest=0x338c83479e6d7c4a",
         "Baseline prn_0 trace replay drifted from the golden run"
     );
+}
+
+/// The two GC policies whose gates hold copies back, on the system-bus
+/// (Baseline) and fNoC (dSSD_f) copyback paths: semi-preemptive GC
+/// issues only while the host idles or the free pool sits at its hard
+/// floor, and TinyTail copies on at most two channels at once. Each run
+/// pins the summary line and the `gc_issue_digest`, which folds the
+/// `(time, channel)` of every issued copy. The preemptive cases run
+/// once closed-loop from the hard floor (the must-GC gate) and once as
+/// a `prn_0` trace replay, whose idle gaps open the host-idle gate.
+/// Captured before the pending copy groups moved into one queue per
+/// source channel.
+#[test]
+fn golden_gc_issue_order_under_gated_policies() {
+    use dssd_ftl::GcPolicy;
+    let golden = [
+        ("Baseline", "preemptive", "req=3070 gc_pages=4573 gc_rounds=2 io_bytes=100597760 gc_bytes=18731008 mean_ns=518420 p99_ns=829108 first_gc=Some(0) remaps=0 bad_sb=0 gc_digest=0x784e0c073aa12478"),
+        ("Baseline", "preemptive_trace", "req=4189 gc_pages=3464 gc_rounds=2 io_bytes=58945536 gc_bytes=14188544 mean_ns=139361 p99_ns=572150 first_gc=Some(30889) remaps=0 bad_sb=0 gc_digest=0xbc680bf2a07b198f"),
+        ("Baseline", "tinytail", "req=3994 gc_pages=2105 gc_rounds=1 io_bytes=130875392 gc_bytes=8622080 mean_ns=397776 p99_ns=748232 first_gc=Some(0) remaps=0 bad_sb=0 gc_digest=0x39484e80c04aa524"),
+        ("dSSD_f", "preemptive", "req=3399 gc_pages=6735 gc_rounds=4 io_bytes=111378432 gc_bytes=27586560 mean_ns=466998 p99_ns=5279506 first_gc=Some(0) remaps=0 bad_sb=0 gc_digest=0xb94e6127ec166d7c"),
+        ("dSSD_f", "preemptive_trace", "req=4189 gc_pages=3489 gc_rounds=2 io_bytes=58945536 gc_bytes=14290944 mean_ns=90384 p99_ns=206105 first_gc=Some(30889) remaps=0 bad_sb=0 gc_digest=0xbcbf206d1d2e44e9"),
+        ("dSSD_f", "tinytail", "req=4089 gc_pages=1966 gc_rounds=1 io_bytes=133988352 gc_bytes=8052736 mean_ns=385456 p99_ns=3074246 first_gc=Some(0) remaps=0 bad_sb=0 gc_digest=0xed13e7875ff8d23a"),
+    ];
+    for (arch_label, case, want) in golden {
+        let arch = Architecture::all()
+            .into_iter()
+            .find(|a| a.label() == arch_label)
+            .expect("known architecture label");
+        let mut cfg = SsdConfig::test_tiny(arch);
+        if case == "tinytail" {
+            cfg.gc_continuous = true;
+            cfg.ftl.policy = GcPolicy::TinyTail { concurrent_channels: 2 };
+        } else {
+            cfg.ftl.policy = GcPolicy::Preemptive { hard_free_superblocks: cfg.ftl.gc_hard_free };
+            cfg.prefill_target_free = cfg.ftl.gc_hard_free + 1;
+        }
+        let mut sim = SsdSim::new(cfg);
+        sim.prefill();
+        if case == "preemptive_trace" {
+            replay_prn0(&mut sim, SimSpan::from_ms(60), 5);
+        } else {
+            let wl = SyntheticWorkload::writes(AccessPattern::Random, 8);
+            sim.run_closed_loop(wl, SimSpan::from_ms(25));
+        }
+        let got = format!("{} gc_digest={:#018x}", summary(&mut sim), sim.report().gc_issue_digest);
+        assert_eq!(got, want, "{arch_label}/{case}: GC issue order drifted");
+    }
 }
 
 /// A 3 ms continuous-GC dSSD_f run of 8-page random writes, begun but

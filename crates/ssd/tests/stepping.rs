@@ -28,7 +28,7 @@ use dssd_ssd::{
     Architecture, DurabilityConfig, FaultConfig, RunPlan, RunState, SimSnapshot, SsdConfig, SsdSim,
     TraceConfig, EPOCH_COLUMNS,
 };
-use dssd_workload::{open_loop_schedule, AccessPattern, Request, SyntheticWorkload};
+use dssd_workload::{msr, open_loop_schedule, AccessPattern, Request, SyntheticWorkload};
 
 /// Order-sensitive digest of a finished run: the live-state digest, both
 /// event counters, the NoC's credit stalls, the numbers the paper's
@@ -239,6 +239,64 @@ fn open_loop(cfg: &SsdConfig, paced: bool, stepped: bool) -> String {
     run_out(&mut sim, stepped);
     sim.finish_run();
     fingerprint(&mut sim)
+}
+
+/// A Baseline replay of MSR `prn_0` at 20× for 60 ms, every arrival
+/// pushed up front, begun but not yet stepped: fig11's open-loop shape.
+/// The arrivals wait in the event queue's far run for most of the
+/// replay, while GC copies crossing the shared system bus park host and
+/// copyback legs up to hundreds of µs ahead.
+fn prn0_replay() -> SsdSim {
+    let mut cfg = SsdConfig::test_tiny(Architecture::Baseline).with_seed(1);
+    cfg.write_cache_pages = None;
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    let span = SimSpan::from_ms(60);
+    let speedup = 20.0;
+    let original = SimSpan::from_ns((span.as_ns() as f64 * speedup) as u64);
+    let trace = msr::profile("prn_0")
+        .expect("prn_0 is a built-in MSR volume")
+        .synthesize(original, 1)
+        .accelerate(speedup);
+    let reqs = trace.to_requests(sim.config().geometry.page_bytes, sim.ftl().lpn_count());
+    sim.begin_open_loop(span);
+    for (t, r) in reqs {
+        sim.inject_arrival(t, r);
+    }
+    sim
+}
+
+/// The Baseline trace replay must end in one call exactly as under
+/// `run_events(1)` stepping, and `run_until` every 997,331 ns (an odd
+/// stride, so stops fall between arrivals and inside GC rounds) must
+/// leave the reference's state at every stop.
+#[test]
+fn baseline_trace_replay_matches_the_reference() {
+    let mut full = prn0_replay();
+    run_out(&mut full, false);
+    full.finish_run();
+    let want = fingerprint(&mut full);
+    assert!(
+        full.report().gc_rounds >= 2 && full.report().requests_completed > 3_000,
+        "the replay must cover GC rounds and host traffic: {want}"
+    );
+
+    let mut sim = prn0_replay();
+    let mut reference = Reference::new(prn0_replay());
+    let stride = SimSpan::from_ns(997_331);
+    let mut t = SimTime::ZERO;
+    let mut state = RunState::Paused;
+    while state == RunState::Paused && t + stride <= sim.horizon() {
+        t += stride;
+        state = sim.run_until(t);
+        assert_eq!(Pause::of(&sim), reference.at(t, true), "pause at {t:?} diverged");
+    }
+    if state == RunState::Paused {
+        sim.run_events(u64::MAX);
+    }
+    sim.finish_run();
+    assert_eq!(fingerprint(&mut sim), want, "the run_until ladder diverged");
+    assert_eq!(reference.finish(), want, "diverged from run_events(1) stepping");
 }
 
 /// Every architecture × workload mix × seed. The mixes cover the write
