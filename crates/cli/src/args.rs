@@ -119,4 +119,41 @@ mod tests {
         assert_eq!(f.get_at_least("qd", 64usize, 1), Err(ArgError("--qd must be >= 1".into())));
         assert_eq!(f.get_at_least("pages", 8u32, 1), Ok(8));
     }
+
+    /// Applies one to eight random edits to `doc`: flip a bit, insert,
+    /// delete or duplicate bytes, truncate, or splice in deep nesting.
+    fn mutate(rng: &mut dssd_kernel::Rng, doc: &[u8]) -> Vec<u8> {
+        let mut b = doc.to_vec();
+        for _ in 0..1 + rng.index(8) {
+            let at = rng.index(b.len() + 1);
+            let end = (at + 1 + rng.index(24)).min(b.len());
+            match rng.index(6) {
+                0 if at < b.len() => b[at] ^= 1 << rng.index(8),
+                0 | 1 => b.insert(at, rng.next_u64() as u8),
+                2 => drop(b.drain(at..end)),
+                3 => drop(b.splice(at..at, b[at..end].to_vec())),
+                4 => b.truncate(at),
+                _ => drop(b.splice(at..at, b"--ms --".repeat(rng.index(200)))),
+            }
+        }
+        b
+    }
+
+    /// `Flags::parse` and its typed getters return `Ok` or `Err` on
+    /// mutated command lines (split on spaces, so empty and partial
+    /// arguments occur), and never panic.
+    #[test]
+    fn mutated_command_lines_never_panic() {
+        let line = "--ms 30 --dram-hit --seed 18446744073709551615 --qd 0 --arch dssd_f";
+        dssd_kernel::check(2000, 0xF1A6_0000, |rng| {
+            let bytes = mutate(rng, line.as_bytes());
+            let argv: Vec<String> =
+                String::from_utf8_lossy(&bytes).split(' ').map(str::to_string).collect();
+            if let Ok(f) = Flags::parse(&argv, &["dram-hit"], &["ms", "seed", "qd", "arch"]) {
+                let _ = (f.switch("dram-hit"), f.get("arch"), f.get_or("seed", 0u64));
+                let _ = (f.get_or("ms", 1.0f64), f.get_at_least("qd", 64usize, 1));
+            }
+            Ok(())
+        });
+    }
 }

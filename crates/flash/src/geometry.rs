@@ -227,7 +227,7 @@ pub struct BlockAddr {
 }
 
 /// Address of one program page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageAddr {
     /// Flash-bus channel.
     pub channel: u32,

@@ -1587,7 +1587,7 @@ impl Network {
 
 impl Drop for Network {
     /// Returns the memoized express timelines to the thread's pool (see
-    /// [`EXPRESS_CACHES`]) so the next network with this configuration
+    /// `EXPRESS_CACHES`) so the next network with this configuration
     /// starts warm. When the pool already holds a cache for the
     /// configuration (two networks alive at once), the larger one wins.
     fn drop(&mut self) {

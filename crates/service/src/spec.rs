@@ -523,4 +523,36 @@ tenant b iops=50000 rate=4000 burst=4 qd=16  # trailing comment
             assert_eq!(ns[sub.tenant as usize].map(sub.sqe), *req);
         }
     }
+
+    /// Applies one to eight random edits to `doc`: flip a bit, insert,
+    /// delete or duplicate bytes, truncate, or splice in deep nesting.
+    fn mutate(rng: &mut dssd_kernel::Rng, doc: &[u8]) -> Vec<u8> {
+        let mut b = doc.to_vec();
+        for _ in 0..1 + rng.index(8) {
+            let at = rng.index(b.len() + 1);
+            let end = (at + 1 + rng.index(24)).min(b.len());
+            match rng.index(6) {
+                0 if at < b.len() => b[at] ^= 1 << rng.index(8),
+                0 | 1 => b.insert(at, rng.next_u64() as u8),
+                2 => drop(b.drain(at..end)),
+                3 => drop(b.splice(at..at, b[at..end].to_vec())),
+                4 => b.truncate(at),
+                _ => drop(b.splice(at..at, b"tenant x iops=1e308 pages=4294967295 ".repeat(rng.index(200)))),
+            }
+        }
+        b
+    }
+
+    /// `ServiceSpec::parse` returns `Ok` or `Err` on mutated specs, and
+    /// never panics.
+    #[test]
+    fn mutated_specs_never_panic() {
+        let seeds = [SPEC, "duration_ms 1\nsq_depth 8\ntenant a iops=1 rate=2 burst=1 qd=1\n"];
+        dssd_kernel::check(2000, 0x5BEC_0000, |rng| {
+            let seed = seeds[rng.index(seeds.len())];
+            let spec = mutate(rng, seed.as_bytes());
+            let _ = ServiceSpec::parse(&String::from_utf8_lossy(&spec));
+            Ok(())
+        });
+    }
 }

@@ -52,8 +52,10 @@ fn config_fingerprint(config: &SsdConfig) -> u64 {
     fnv(format!("{config:?}").as_bytes())
 }
 
-/// A point-in-time capture of a stepped run; see the [module
-/// docs](self) for the replay-based restore contract.
+/// A point-in-time capture of a stepped run: a replay cursor, not a
+/// memory image. [`SimSnapshot::restore`] rebuilds the sim from the same
+/// config and plan, replays the captured number of events and checks
+/// the state digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimSnapshot {
     config_fp: u64,

@@ -14,7 +14,10 @@
 
 use dssd_kernel::{SimSpan, SimTime};
 use dssd_noc::TopologyKind;
-use dssd_ssd::{Architecture, DurabilityConfig, FaultConfig, RunState, SsdConfig, SsdSim};
+use dssd_ssd::{
+    Architecture, DurabilityConfig, DynamicSbConfig, FaultConfig, RunState, SsdConfig, SsdSim,
+    WasScanConfig,
+};
 use dssd_workload::{msr, AccessPattern, SyntheticWorkload};
 
 /// Compact, order-sensitive digest of one closed-loop run.
@@ -447,4 +450,79 @@ fn golden_run_events_ladder_over_fnoc_gc() {
         }
     }
     assert_eq!(got, golden, "run_events ladder drifted");
+}
+
+/// One prefilled closed-loop run of `wl` for `ms` on `cfg`: `summary`
+/// plus the GC issue digest, the state digest, the fault counters that
+/// repair and retirement move, and the RBT occupancy.
+fn aged_line(cfg: SsdConfig, wl: SyntheticWorkload, ms: u64) -> String {
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    sim.run_closed_loop(wl, SimSpan::from_ms(ms));
+    let f = sim.report().faults;
+    let channels = sim.config().geometry.channels as usize;
+    let rbt: usize = (0..channels).map(|c| sim.controller(c).rbt().len()).sum();
+    format!(
+        "{} gc_issue={:#018x} digest={:#018x} blocks_retired={} sb_retired={} failed={} rbt={rbt} retired={}",
+        summary(&mut sim),
+        sim.report().gc_issue_digest,
+        sim.state_digest(),
+        f.blocks_retired,
+        f.superblocks_retired,
+        f.requests_failed,
+        sim.ftl().retired_superblocks().len(),
+    )
+}
+
+/// Golden fingerprints for paths no other golden reaches, captured
+/// before the simulator was split into per-component modules: online
+/// dynamic superblocks under accelerated aging with a reserved pool and
+/// a 24-entry SRT, which fills up, so worn superblocks retire whole and
+/// their healthy sub-blocks feed the recycle bins (dSSD; with injected
+/// read and program faults, online retirements too) or just retire
+/// (Baseline); and the WAS endurance scan contending with 4 KiB writes.
+#[test]
+fn golden_aged_dynamic_superblocks_and_was_scan() {
+    let aged = |arch| {
+        let mut cfg = SsdConfig::test_tiny(arch);
+        cfg.gc_continuous = true;
+        cfg.dynamic_sb = Some(DynamicSbConfig {
+            pe_mean: 8.0,
+            pe_sigma: 4.0,
+            wear_acceleration: 4,
+            reserved_fraction: 0.1,
+            srt_entries: 24,
+        });
+        cfg
+    };
+    let writes = || SyntheticWorkload::writes(AccessPattern::Random, 8);
+    assert_eq!(
+        aged_line(aged(Architecture::Dssd), writes(), 40),
+        "req=3583 gc_pages=12288 gc_rounds=6 io_bytes=117407744 gc_bytes=50331648 mean_ns=395502 p99_ns=610560 first_gc=Some(0) remaps=192 bad_sb=5 gc_issue=0x2baf8d73834a2f4d digest=0x6c0c02f289e4ab2b blocks_retired=0 sb_retired=0 failed=0 rbt=5007 retired=11",
+        "aged dSSD run drifted from the golden run"
+    );
+    assert_eq!(
+        aged_line(aged(Architecture::Baseline), writes(), 40),
+        "req=3071 gc_pages=9385 gc_rounds=5 io_bytes=100630528 gc_bytes=38440960 mean_ns=584743 p99_ns=903884 first_gc=Some(0) remaps=0 bad_sb=5 gc_issue=0xcd17f23ae3686fbc digest=0x998b66bcd4274dde blocks_retired=0 sb_retired=0 failed=0 rbt=3072 retired=11",
+        "aged Baseline run drifted from the golden run"
+    );
+    let mut faulty = aged(Architecture::Dssd);
+    faulty.faults = FaultConfig::none();
+    faulty.faults.read_hard_prob = 0.002;
+    faulty.faults.program_fail_prob = 0.01;
+    assert_eq!(
+        aged_line(faulty, SyntheticWorkload::mixed(AccessPattern::Random, 4, 0.5), 40),
+        "req=10187 gc_pages=20480 gc_rounds=7 io_bytes=166903808 gc_bytes=83886080 mean_ns=233985 p99_ns=664111 first_gc=Some(0) remaps=192 bad_sb=6 gc_issue=0xf3620a804e580430 digest=0xe1c5dc739efe2145 blocks_retired=76 sb_retired=4 failed=23 rbt=5781 retired=12",
+        "aged dSSD run with media faults drifted from the golden run"
+    );
+    let mut was = SsdConfig::test_tiny(Architecture::Baseline);
+    was.was_scan = Some(WasScanConfig {
+        tracked_blocks: 16384,
+        interval: SimSpan::from_ms(3),
+    });
+    assert_eq!(
+        aged_line(was, SyntheticWorkload::writes(AccessPattern::Random, 1), 20),
+        "req=4288 gc_pages=1922 gc_rounds=1 io_bytes=17563648 gc_bytes=7872512 mean_ns=294443 p99_ns=608240 first_gc=Some(0) remaps=0 bad_sb=0 gc_issue=0x94697e177b43ac00 digest=0x46449b23ffb1aa45 blocks_retired=0 sb_retired=0 failed=0 rbt=0 retired=0",
+        "WAS-scan run drifted from the golden run"
+    );
 }

@@ -24,6 +24,7 @@
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use dssd_kernel::{check, Rng, SimSpan, SimTime};
+use dssd_noc::TopologyKind;
 use dssd_ssd::{
     Architecture, DurabilityConfig, FaultConfig, RunPlan, RunState, SimSnapshot, SsdConfig, SsdSim,
     TraceConfig, EPOCH_COLUMNS,
@@ -627,6 +628,27 @@ fn cli_scenarios_match_the_reference() {
     for (what, cfg, wl, ms, epoch, progress) in cases {
         assert_matches_reference(what, &cfg, wl, ms, epoch, progress);
     }
+}
+
+/// The NoC burst runs on every topology, and short mesh-only runs miss
+/// real divergence, so two figure configurations are diffed against
+/// the reference at their figures' own horizons: Fig 13's ring and
+/// crossbar for 25 ms (`test_tiny` dSSD_f, 2 GB/s bisection, 4-flit
+/// buffers, continuous GC under all-DRAM-hit writes), and one Fig 8
+/// point for 200 ms (the bench's `perf_config`, which is `test_tiny`, at
+/// ×4 on-chip bandwidth with sustained 8-page random writes and
+/// on-demand GC).
+#[test]
+fn figure_topologies_match_the_reference() {
+    let hits = writes().with_dram_hit_fraction(1.0);
+    for kind in [TopologyKind::Ring, TopologyKind::Crossbar] {
+        let mut cfg = gc_heavy(Architecture::DssdFnoc);
+        cfg.noc.topology = kind;
+        cfg.noc = cfg.noc.with_bisection_bandwidth(2_000_000_000).with_input_buffer_flits(4);
+        assert_matches_reference(&format!("fig13 {kind:?}"), &cfg, &hits, 25, None, false);
+    }
+    let fig08 = SsdConfig::test_tiny(Architecture::DssdFnoc).with_onchip_factor(4.0);
+    assert_matches_reference("fig08 dSSD_f x4", &fig08, &writes(), 200, None, false);
 }
 
 /// Steps `sim` to completion using a `choices`-driven mix of stepping

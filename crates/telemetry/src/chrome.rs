@@ -14,8 +14,6 @@
 use std::collections::BTreeSet;
 use std::io::{self, Write};
 
-use dssd_kernel::{SimSpan, SimTime};
-
 use crate::span::{TraceEvent, Track};
 use crate::tracer::Tracer;
 
@@ -37,12 +35,10 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn us(t: SimTime) -> String {
-    format!("{:.3}", t.as_ns() as f64 / 1_000.0)
-}
-
-fn us_span(s: SimSpan) -> String {
-    format!("{:.3}", s.as_ns() as f64 / 1_000.0)
+/// Nanoseconds as the microseconds Chrome Trace timestamps and
+/// durations are given in.
+fn us(ns: u64) -> String {
+    format!("{:.3}", ns as f64 / 1_000.0)
 }
 
 /// Write the retained events of `tracer` as a Chrome Trace JSON document.
@@ -124,8 +120,8 @@ pub fn write_chrome_trace(tracer: &Tracer, w: &mut impl Write) -> io::Result<()>
                     track.tid(),
                     escape(name),
                     class.cat(),
-                    us(start),
-                    us_span(dur),
+                    us(start.as_ns()),
+                    us(dur.as_ns()),
                     id
                 )?;
             }
@@ -145,7 +141,7 @@ pub fn write_chrome_trace(tracer: &Tracer, w: &mut impl Write) -> io::Result<()>
                     escape(name),
                     class.cat(),
                     id,
-                    us(t)
+                    us(t.as_ns())
                 )?;
             }
             TraceEvent::End {
@@ -165,7 +161,7 @@ pub fn write_chrome_trace(tracer: &Tracer, w: &mut impl Write) -> io::Result<()>
                     escape(name),
                     class.cat(),
                     id,
-                    us(t),
+                    us(t.as_ns()),
                     failed
                 )?;
             }
@@ -177,7 +173,7 @@ pub fn write_chrome_trace(tracer: &Tracer, w: &mut impl Write) -> io::Result<()>
                     track.pid(),
                     track.tid(),
                     escape(name),
-                    us(t)
+                    us(t.as_ns())
                 )?;
             }
         }
@@ -208,6 +204,7 @@ mod tests {
     use super::*;
     use crate::span::{Class, Stage};
     use crate::tracer::TraceConfig;
+    use dssd_kernel::{SimSpan, SimTime};
 
     #[test]
     fn escape_handles_specials() {

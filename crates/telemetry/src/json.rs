@@ -82,9 +82,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep containers may nest: far beyond any document this crate
+/// writes, and shallow enough that the recursive parser cannot overflow
+/// its stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -96,12 +103,8 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
@@ -142,53 +145,61 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
+    /// Parses a container from its `open` byte through its `close` byte,
+    /// handing each comma-separated member to `member`. Containers nest
+    /// at most [`MAX_DEPTH`] deep, so hostile input cannot exhaust the
+    /// stack.
+    fn container(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("containers nest deeper than {MAX_DEPTH} levels"));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
+        self.expect(open)?;
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                member(self)?;
+                self.skip_ws();
+                if self.peek() != Some(b',') {
+                    break;
                 }
-                _ => return self.err("expected ',' or '}' in object"),
+                self.pos += 1;
             }
         }
+        if self.peek() != Some(close) {
+            let what = if close == b'}' { "object" } else { "array" };
+            return self.err(format!("expected ',' or '{}' in {what}", close as char));
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn object(&mut self) -> Result<Json, JsonError> {
+        let mut map = BTreeMap::new();
+        self.container(b'{', b'}', |p| {
+            p.skip_ws();
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            map.insert(key, p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Obj(map))
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']' in array"),
-            }
-        }
+        self.container(b'[', b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -318,6 +329,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -512,9 +524,10 @@ const SERVICE_TENANT_LATENCIES: [&str; 4] = ["p50_us", "p95_us", "p99_us", "max_
 ///
 /// Checks: top level is an object with `"schema": "dssd-service-report-v1"`,
 /// a finite `duration_ms`, and a non-empty `tenants` array; every tenant
-/// entry has a unique string `name`, non-negative integer counters
-/// ([`SERVICE_TENANT_COUNTERS`]), finite non-decreasing latency
-/// percentiles ([`SERVICE_TENANT_LATENCIES`]); and per-tenant accounting
+/// entry has a unique string `name`, integer counters from 0 to 2^53
+/// (`submitted`, `completed`, `rejected`, `throttled`, `expired`,
+/// `failed`), finite non-decreasing latency percentiles (`p50_us`,
+/// `p95_us`, `p99_us`, `max_us`); and per-tenant accounting
 /// conserves requests (`completed + rejected + expired ≤ submitted` —
 /// the remainder is in flight at the horizon, never lost).
 ///
@@ -558,10 +571,14 @@ pub fn validate_service_report(input: &str) -> Result<ServiceFileStats, JsonErro
         if !names.insert(name.to_string()) {
             return Err(fail(format!("duplicate tenant name '{name}'")));
         }
+        // Counts stay within the integers an f64 holds exactly (2^53),
+        // so the sums below cannot overflow.
         let counter = |key: &str| -> Result<u64, JsonError> {
             match tenant.get(key).and_then(Json::as_f64) {
-                Some(v) if v >= 0.0 && v.fract() == 0.0 => Ok(v as u64),
-                _ => Err(fail(format!("'{key}' must be a non-negative integer"))),
+                Some(v) if (0.0..=9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0 => {
+                    Ok(v as u64)
+                }
+                _ => Err(fail(format!("'{key}' must be an integer from 0 to 2^53"))),
             }
         };
         let mut counts = [0u64; SERVICE_TENANT_COUNTERS.len()];
@@ -595,9 +612,9 @@ pub fn validate_service_report(input: &str) -> Result<ServiceFileStats, JsonErro
             }
         }
         stats.tenants += 1;
-        stats.submitted += submitted;
-        stats.completed += completed;
-        stats.rejected += rejected;
+        stats.submitted = stats.submitted.saturating_add(submitted);
+        stats.completed = stats.completed.saturating_add(completed);
+        stats.rejected = stats.rejected.saturating_add(rejected);
     }
     Ok(stats)
 }
@@ -724,6 +741,9 @@ mod tests {
         // Counters must be integers.
         let doc = report_json(&[tenant_json("a", 2, 2, 0)]).replace("\"rejected\":0", "\"rejected\":0.5");
         assert!(validate_service_report(&doc).unwrap_err().message.contains("integer"));
+        // Counters past 2^53 are not exact, and their sums could overflow.
+        let huge = report_json(&[tenant_json("a", 1 << 63, 1 << 63, 1 << 63)]);
+        assert!(validate_service_report(&huge).unwrap_err().message.contains("2^53"));
         let no_tenants = "{\"schema\":\"dssd-service-report-v1\",\"duration_ms\":1}";
         assert!(validate_service_report(no_tenants).unwrap_err().message.contains("tenants"));
     }
@@ -737,5 +757,64 @@ mod tests {
         assert!(validate_chrome_trace(bad_phase).is_err());
         let no_events = r#"{"foo": []}"#;
         assert!(validate_chrome_trace(no_events).is_err());
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "the first '[' past the bound");
+        assert!(err.message.contains("deeper than 128"), "{err}");
+        let trace = format!("{{\"traceEvents\":{deep}}}");
+        assert!(validate_chrome_trace(&trace).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&deepest).is_ok());
+    }
+
+    /// Applies one to eight random edits to `doc`: flip a bit, insert,
+    /// delete or duplicate bytes, truncate, or splice in deep nesting.
+    fn mutate(rng: &mut dssd_kernel::Rng, doc: &[u8]) -> Vec<u8> {
+        let mut b = doc.to_vec();
+        for _ in 0..1 + rng.index(8) {
+            let at = rng.index(b.len() + 1);
+            let end = (at + 1 + rng.index(24)).min(b.len());
+            match rng.index(6) {
+                0 if at < b.len() => b[at] ^= 1 << rng.index(8),
+                0 | 1 => b.insert(at, rng.next_u64() as u8),
+                2 => drop(b.drain(at..end)),
+                3 => drop(b.splice(at..at, b[at..end].to_vec())),
+                4 => b.truncate(at),
+                _ => drop(b.splice(at..at, b"[{\"k\":".repeat(rng.index(200)))),
+            }
+        }
+        b
+    }
+
+    /// Every decoder of outside input returns `Ok` or `Err` on mutated
+    /// seed documents, and never panics.
+    #[test]
+    fn mutated_documents_never_panic() {
+        let seeds = [
+            r#"{"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"n","args":{"name":"x"}},
+              {"ph":"X","pid":1,"tid":2,"name":"ecc","ts":1.5,"dur":3.0},
+              {"ph":"b","pid":1,"tid":0,"name":"r","id":"0x1","ts":0},
+              {"ph":"i","pid":7,"tid":1,"name":"f","ts":4,"s":"t","u":"\u00e9\ud83d\ude00"}]}"#
+                .to_string(),
+            "{\"t_ms\":1,\"depth\":3}\n{\"t_ms\":2,\"depth\":0.5e-3}\n".to_string(),
+            report_json(&[tenant_json("a", 9, 7, 1), tenant_json("b", 3, 2, 0)]),
+            report_json(&[tenant_json("a", 1 << 53, 1 << 52, 1 << 52)]),
+        ];
+        dssd_kernel::check(2000, 0x0150_0F00, |rng| {
+            let doc = &seeds[rng.index(seeds.len())];
+            let bytes = mutate(rng, doc.as_bytes());
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = parse(&text);
+            let _ = validate_chrome_trace(&text);
+            let _ = validate_epoch_jsonl(&text);
+            let _ = validate_service_report(&text);
+            Ok(())
+        });
     }
 }

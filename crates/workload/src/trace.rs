@@ -374,4 +374,37 @@ mod tests {
         assert_eq!(t.duration(), SimSpan::ZERO);
         assert_eq!("".parse::<Trace>().unwrap(), t);
     }
+
+    /// Applies one to eight random edits to `doc`: flip a bit, insert,
+    /// delete or duplicate bytes, truncate, or splice in deep nesting.
+    fn mutate(rng: &mut dssd_kernel::Rng, doc: &[u8]) -> Vec<u8> {
+        let mut b = doc.to_vec();
+        for _ in 0..1 + rng.index(8) {
+            let at = rng.index(b.len() + 1);
+            let end = (at + 1 + rng.index(24)).min(b.len());
+            match rng.index(6) {
+                0 if at < b.len() => b[at] ^= 1 << rng.index(8),
+                0 | 1 => b.insert(at, rng.next_u64() as u8),
+                2 => drop(b.drain(at..end)),
+                3 => drop(b.splice(at..at, b[at..end].to_vec())),
+                4 => b.truncate(at),
+                _ => drop(b.splice(at..at, b"18446744073709551615,W,".repeat(rng.index(200)))),
+            }
+        }
+        b
+    }
+
+    /// `Trace`'s CSV decoder, then `to_requests`, return without a panic
+    /// on mutated traces.
+    #[test]
+    fn mutated_csv_never_panics() {
+        let csv = "# ts,op,offset,bytes\n0,R,0,4096\n150,w,8192,16384\n\n900,W,4294967295,1\n";
+        dssd_kernel::check(2000, 0xC5F0_0000, |rng| {
+            let bytes = mutate(rng, csv.as_bytes());
+            if let Ok(trace) = String::from_utf8_lossy(&bytes).parse::<Trace>() {
+                let _ = trace.to_requests(4096, 1 + rng.range_u64(0..1 << 20));
+            }
+            Ok(())
+        });
+    }
 }
