@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use dssd_bench::runner::{self, BenchRecord};
 use dssd_bench::{perf_config, run_synthetic, run_trace};
-use dssd_kernel::{Rng, SimSpan, SimTime};
+use dssd_kernel::{Rng, SimSpan};
 use dssd_noc::traffic::{schedule, Pattern};
 use dssd_noc::{drive_counted, Network, NocConfig, TopologyKind};
 use dssd_reliability::{EnduranceConfig, EnduranceSim, SuperblockPolicy};
@@ -250,19 +250,6 @@ fn main() {
         let report = dssd_service::serve(&spec, &mut sim);
         note_events(sim.report().events_delivered);
         report.completed()
-    });
-
-    bench(&mut records, f, "event_queue_push_pop_10k", || {
-        let mut q = dssd_kernel::EventQueue::new();
-        for i in 0..10_000u64 {
-            q.push(SimTime::from_ns(i * 37 % 5000), i);
-        }
-        let mut n = 0u64;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        note_events(n);
-        n
     });
 
     bench(&mut records, f, "workload_generation_10k", || {

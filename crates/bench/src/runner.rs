@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use dssd_kernel::parallel::map_parallel;
 use dssd_kernel::SimSpan;
 use dssd_ssd::{Architecture, SsdConfig};
+use dssd_telemetry::chrome::escape;
 use dssd_workload::AccessPattern;
 
 use crate::{perf_config, run_synthetic, PerfSummary};
@@ -159,31 +160,18 @@ impl BenchRecord {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes records to JSON (no external dependency; two-space indent,
 /// stable key order, one object per scenario).
 #[must_use]
 pub fn bench_json(context: &str, records: &[BenchRecord]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str(&format!("  \"context\": \"{}\",\n", json_escape(context)));
+    s.push_str(&format!("  \"context\": \"{}\",\n", escape(context)));
     s.push_str("  \"benches\": [\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"median_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}}}{}\n",
-            json_escape(&r.name),
+            escape(&r.name),
             r.median_ms,
             r.min_ms,
             r.max_ms,

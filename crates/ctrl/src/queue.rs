@@ -166,15 +166,6 @@ impl CommandQueue {
         self.entries.is_empty()
     }
 
-    /// Number of in-flight copybacks at or past `stage`.
-    #[must_use]
-    pub fn copybacks_at_least(&self, stage: CopybackStage) -> usize {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.stage.is_some_and(|s| s >= stage))
-            .count()
-    }
-
     /// Total commands ever submitted.
     #[must_use]
     pub fn submitted(&self) -> u64 {
@@ -235,21 +226,6 @@ mod tests {
         let id = q.submit(CommandKind::Erase);
         q.retire(id);
         q.retire(id);
-    }
-
-    #[test]
-    fn counts_in_flight_copybacks_by_stage() {
-        let mut q = CommandQueue::new();
-        let a = q.submit(CommandKind::Copyback { dst_node: 0 });
-        let b = q.submit(CommandKind::Copyback { dst_node: 1 });
-        let _c = q.submit(CommandKind::HostRead);
-        q.advance(a); // R
-        q.advance(a); // RE
-        q.advance(b); // R
-        assert_eq!(q.copybacks_at_least(CopybackStage::ReadDone), 2);
-        assert_eq!(q.copybacks_at_least(CopybackStage::EccDone), 1);
-        assert_eq!(q.copybacks_at_least(CopybackStage::InNetwork), 0);
-        assert_eq!(q.len(), 3);
     }
 
     #[test]

@@ -86,12 +86,6 @@ impl FlashOp {
         }
         worst
     }
-
-    /// Bytes this operation moves over the flash channel bus.
-    #[must_use]
-    pub fn bus_bytes(&self, page_bytes: u32) -> u64 {
-        self.pages_moved() as u64 * page_bytes as u64
-    }
 }
 
 #[cfg(test)]
@@ -107,13 +101,6 @@ mod tests {
     fn erase_moves_no_data() {
         let op = FlashOp::single(FlashOpKind::Erase, addr());
         assert_eq!(op.pages_moved(), 0);
-        assert_eq!(op.bus_bytes(4096), 0);
-    }
-
-    #[test]
-    fn multi_plane_scales_bus_bytes() {
-        let op = FlashOp::multi_plane(FlashOpKind::Read, addr(), 8);
-        assert_eq!(op.bus_bytes(4096), 8 * 4096);
     }
 
     #[test]

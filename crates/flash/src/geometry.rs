@@ -107,12 +107,6 @@ impl FlashGeometry {
         self.total_blocks() * self.pages as u64
     }
 
-    /// Raw capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_pages() * self.page_bytes as u64
-    }
-
     /// Linear index of a die address in `[0, total_dies)`.
     ///
     /// # Panics
@@ -320,8 +314,6 @@ mod tests {
         assert_eq!(g.total_planes(), 512);
         assert_eq!(g.total_blocks(), 512 * 1384);
         assert_eq!(g.total_pages(), 512 * 1384 * 384);
-        // 8ch x 8w x 1die x 8pl x 1384blk x 384pg x 4KB ≈ 1.04 TB raw
-        assert!(g.capacity_bytes() > 1_000_000_000_000);
     }
 
     #[test]

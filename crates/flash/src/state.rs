@@ -71,12 +71,6 @@ impl DieGrid {
         (start, done)
     }
 
-    /// When die `die` next becomes idle.
-    #[must_use]
-    pub fn idle_at(&self, die: usize) -> SimTime {
-        self.busy_until[die]
-    }
-
     /// True if die `die` is idle at `now`.
     #[must_use]
     pub fn is_idle(&self, die: usize, now: SimTime) -> bool {
@@ -93,16 +87,6 @@ impl DieGrid {
     #[must_use]
     pub fn op_count(&self, die: usize) -> u64 {
         self.ops[die]
-    }
-
-    /// Mean utilization of all dies over `elapsed`.
-    #[must_use]
-    pub fn mean_utilization(&self, elapsed: SimSpan) -> f64 {
-        if elapsed.is_zero() || self.busy_total.is_empty() {
-            return 0.0;
-        }
-        let total: SimSpan = self.busy_total.iter().copied().sum();
-        total.as_ns() as f64 / (elapsed.as_ns() as f64 * self.busy_total.len() as f64)
     }
 }
 
@@ -154,18 +138,6 @@ mod tests {
         assert_eq!(g.busy_total(2), SimSpan::from_us(40));
         assert_eq!(g.op_count(2), 2);
         assert_eq!(g.op_count(0), 0);
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut g = DieGrid::new(&FlashGeometry::tiny());
-        let dies = g.len() as u64;
-        for d in 0..g.len() {
-            g.occupy(d, SimTime::ZERO, SimSpan::from_us(50));
-        }
-        let u = g.mean_utilization(SimSpan::from_us(100));
-        assert!((u - 0.5).abs() < 1e-9, "u = {u}, dies = {dies}");
-        assert_eq!(g.mean_utilization(SimSpan::ZERO), 0.0);
     }
 
     /// Occupancy intervals of one die never overlap and total busy

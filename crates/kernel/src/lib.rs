@@ -22,8 +22,6 @@
 //!   that cannot use dense ids.
 //! * [`parallel`] — a std-only scoped-thread fan-out for embarrassingly
 //!   parallel sweeps, with results in deterministic input order.
-//! * [`snap`] — a tiny hand-rolled binary codec for simulation snapshots
-//!   (the workspace vendors no external serialization crate).
 //! * [`check`] — a std-only property-test harness over seeded [`Rng`]
 //!   cases that names the failing case's seed.
 //!
@@ -50,7 +48,6 @@ pub mod parallel;
 mod rng;
 mod server;
 mod slab;
-pub mod snap;
 pub mod stats;
 mod time;
 
@@ -60,5 +57,4 @@ pub use hash::{FxHashMap, FxHasher};
 pub use rng::Rng;
 pub use server::{BandwidthServer, ServerStats, Transfer};
 pub use slab::{Slab, SlabKey};
-pub use snap::{SnapError, SnapReader, SnapWriter};
 pub use time::{SimSpan, SimTime};

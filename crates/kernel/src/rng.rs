@@ -45,20 +45,6 @@ impl Rng {
         }
     }
 
-    /// Decomposes the generator into its raw xoshiro256\*\* state and the
-    /// cached Box–Muller pair, for snapshotting. [`Rng::from_parts`]
-    /// reconstructs a generator that continues the exact same stream.
-    #[must_use]
-    pub fn to_parts(&self) -> ([u64; 4], Option<f64>) {
-        (self.state, self.gauss_cache)
-    }
-
-    /// Rebuilds a generator from [`Rng::to_parts`] output.
-    #[must_use]
-    pub fn from_parts(state: [u64; 4], gauss_cache: Option<f64>) -> Self {
-        Rng { state, gauss_cache }
-    }
-
     /// A 64-bit digest of the generator state (for snapshot validation).
     /// Does not advance the stream.
     #[must_use]
@@ -164,14 +150,6 @@ impl Rng {
         };
         -mean * u.ln()
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -251,17 +229,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng::new(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>()); // astronomically unlikely
     }
 
     #[test]

@@ -13,13 +13,6 @@ pub struct Transfer {
 }
 
 impl Transfer {
-    /// Time spent queued before service began (relative to the enqueue
-    /// instant passed to [`BandwidthServer::enqueue`]).
-    #[must_use]
-    pub fn wait_since(&self, enqueued: SimTime) -> SimSpan {
-        self.start.saturating_since(enqueued)
-    }
-
     /// Time spent in service.
     #[must_use]
     pub fn service(&self) -> SimSpan {
@@ -128,12 +121,6 @@ impl BandwidthServer {
         Transfer { start, done }
     }
 
-    /// How long a transfer arriving at `now` would wait before service.
-    #[must_use]
-    pub fn backlog(&self, now: SimTime) -> SimSpan {
-        self.busy_until.saturating_since(now)
-    }
-
     /// The instant the server next becomes idle.
     #[must_use]
     pub fn busy_until(&self) -> SimTime {
@@ -150,19 +137,6 @@ impl BandwidthServer {
     #[must_use]
     pub fn total_busy(&self) -> SimSpan {
         self.classes.iter().map(|c| c.busy).sum()
-    }
-
-    /// Fraction of `elapsed` the server spent busy serving `class`.
-    /// Returns 0 when `elapsed` is zero. Clamped to 1.0: a transfer
-    /// enqueued near the end of the window occupies the server past it
-    /// (`busy_until` can exceed the horizon), so raw busy/elapsed can
-    /// top 100% even though the resource is never oversubscribed.
-    #[must_use]
-    pub fn utilization(&self, class: usize, elapsed: SimSpan) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        (self.class_stats(class).busy.as_ns() as f64 / elapsed.as_ns() as f64).min(1.0)
     }
 }
 
@@ -189,7 +163,7 @@ mod tests {
         let b = s.enqueue(SimTime::ZERO, 4096, 1);
         assert_eq!(b.start, a.done);
         assert_eq!(b.done.as_ns(), 2 * 4096);
-        assert_eq!(b.wait_since(SimTime::ZERO), SimSpan::from_ns(4096));
+        assert_eq!(b.start - SimTime::ZERO, SimSpan::from_ns(4096));
     }
 
     #[test]
@@ -205,23 +179,6 @@ mod tests {
         s.enqueue(SimTime::ZERO, 1000, 0);
         s.enqueue(SimTime::from_us(100), 1000, 0); // long idle gap
         assert_eq!(s.total_busy(), SimSpan::from_ns(2000));
-        let u = s.utilization(0, SimSpan::from_us(101));
-        assert!(u < 0.001 + 2000.0 / 101_000.0);
-    }
-
-    #[test]
-    fn utilization_clamps_when_busy_straddles_window() {
-        // 10 µs of service enqueued at t=0, measured over a 1 µs window:
-        // the busy time straddles the window end, but the server can
-        // never be more than 100% occupied within it.
-        let mut s = BandwidthServer::new(gbps(1), SimSpan::ZERO);
-        s.enqueue(SimTime::ZERO, 10_000, 0);
-        let u = s.utilization(0, SimSpan::from_us(1));
-        assert!((u - 1.0).abs() < f64::EPSILON, "utilization {u} not clamped");
-        // Within-window busy time is still reported proportionally.
-        assert!(s.utilization(0, SimSpan::from_us(20)) < 1.0);
-        // And the zero-elapsed guard still short-circuits.
-        assert_eq!(s.utilization(0, SimSpan::ZERO), 0.0);
     }
 
     #[test]
@@ -233,15 +190,6 @@ mod tests {
         assert_eq!(s.class_stats(1).bytes, 3000);
         assert_eq!(s.class_stats(1).items, 1);
         assert_eq!(s.class_stats(7), ServerStats::default());
-    }
-
-    #[test]
-    fn backlog_reflects_queue() {
-        let mut s = BandwidthServer::new(gbps(1), SimSpan::ZERO);
-        assert!(s.backlog(SimTime::ZERO).is_zero());
-        s.enqueue(SimTime::ZERO, 10_000, 0);
-        assert_eq!(s.backlog(SimTime::ZERO), SimSpan::from_ns(10_000));
-        assert!(s.backlog(SimTime::from_us(20)).is_zero());
     }
 
     #[test]

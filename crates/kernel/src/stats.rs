@@ -122,12 +122,6 @@ impl Histogram {
         }
     }
 
-    /// Whether this histogram uses the bounded log-bucketed representation.
-    #[must_use]
-    pub fn is_log_bucketed(&self) -> bool {
-        matches!(self.repr, HistogramRepr::Log { .. })
-    }
-
     /// Records one sample.
     pub fn record(&mut self, sample: SimSpan) {
         let v = sample.as_ns();
@@ -222,82 +216,6 @@ impl Histogram {
         }
         SimSpan::from_ns(self.min)
     }
-
-    /// Merges another histogram into this one, so `map_parallel` sweep
-    /// shards can combine their statistics without re-running.
-    ///
-    /// Mode is contagious toward the bounded representation: merging any
-    /// log-bucketed histogram (either side) converts the result to
-    /// log-bucketed; exact-into-exact stays exact.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        if other.is_log_bucketed() && !self.is_log_bucketed() {
-            self.convert_to_log();
-        }
-        match (&mut self.repr, &other.repr) {
-            (
-                HistogramRepr::Exact { samples, sorted },
-                HistogramRepr::Exact {
-                    samples: other_samples,
-                    ..
-                },
-            ) => {
-                samples.extend_from_slice(other_samples);
-                *sorted = false;
-            }
-            (
-                HistogramRepr::Log { buckets },
-                HistogramRepr::Log {
-                    buckets: other_buckets,
-                },
-            ) => {
-                if buckets.len() < other_buckets.len() {
-                    buckets.resize(other_buckets.len(), 0);
-                }
-                for (b, o) in buckets.iter_mut().zip(other_buckets) {
-                    *b += o;
-                }
-            }
-            (
-                HistogramRepr::Log { buckets },
-                HistogramRepr::Exact {
-                    samples: other_samples,
-                    ..
-                },
-            ) => {
-                for &v in other_samples {
-                    let i = log_bucket_index(v);
-                    if buckets.len() <= i {
-                        buckets.resize(i + 1, 0);
-                    }
-                    buckets[i] += 1;
-                }
-            }
-            (HistogramRepr::Exact { .. }, HistogramRepr::Log { .. }) => {
-                unreachable!("self was converted to log above")
-            }
-        }
-    }
-
-    fn convert_to_log(&mut self) {
-        if let HistogramRepr::Exact { samples, .. } = &self.repr {
-            let mut buckets: Vec<u64> = Vec::new();
-            for &v in samples {
-                let i = log_bucket_index(v);
-                if buckets.len() <= i {
-                    buckets.resize(i + 1, 0);
-                }
-                buckets[i] += 1;
-            }
-            self.repr = HistogramRepr::Log { buckets };
-        }
-    }
 }
 
 /// A windowed byte-throughput meter.
@@ -382,26 +300,6 @@ impl BandwidthMeter {
             return 0.0;
         }
         self.total as f64 / elapsed.as_secs_f64()
-    }
-
-    /// Merges another meter's bins into this one (for combining
-    /// `map_parallel` sweep shards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two meters have different bin widths.
-    pub fn merge(&mut self, other: &BandwidthMeter) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge BandwidthMeters with different bin widths"
-        );
-        if self.bins.len() < other.bins.len() {
-            self.bins.resize(other.bins.len(), 0);
-        }
-        for (b, o) in self.bins.iter_mut().zip(&other.bins) {
-            *b += o;
-        }
-        self.total += other.total;
     }
 }
 
@@ -493,26 +391,6 @@ impl UtilizationMeter {
         }
         self.total_busy.as_ns() as f64 / elapsed.as_ns() as f64
     }
-
-    /// Merges another meter's busy-time bins into this one (for combining
-    /// `map_parallel` sweep shards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two meters have different bin widths.
-    pub fn merge(&mut self, other: &UtilizationMeter) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge UtilizationMeters with different bin widths"
-        );
-        if self.bins.len() < other.bins.len() {
-            self.bins.resize(other.bins.len(), 0);
-        }
-        for (b, o) in self.bins.iter_mut().zip(&other.bins) {
-            *b += o;
-        }
-        self.total_busy += other.total_busy;
-    }
 }
 
 /// A numerically simple online mean/min/max accumulator for `f64` series.
@@ -571,21 +449,6 @@ impl OnlineMean {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator's observations into this one.
-    pub fn merge(&mut self, other: &OnlineMean) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -622,17 +485,6 @@ mod tests {
         assert_eq!(h.percentile(0.99), SimSpan::ZERO);
         assert_eq!(h.mean(), SimSpan::ZERO);
         assert_eq!(h.max(), SimSpan::ZERO);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(SimSpan::from_us(1));
-        b.record(SimSpan::from_us(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), SimSpan::from_us(2));
     }
 
     #[test]
@@ -766,71 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_equal_single_run() {
-        // Satellite requirement: exact-vs-merged equivalence. Record one
-        // stream into a single histogram, and the same stream split into
-        // shards that are merged — all derived stats must agree.
-        let samples: Vec<u64> = (0..1000).map(|i| (i * 37) % 4093 + 1).collect();
-        let mut whole = Histogram::new();
-        let mut shards = vec![Histogram::new(), Histogram::new(), Histogram::new()];
-        for (i, &s) in samples.iter().enumerate() {
-            whole.record(SimSpan::from_ns(s));
-            shards[i % 3].record(SimSpan::from_ns(s));
-        }
-        let mut merged = Histogram::new();
-        for s in &shards {
-            merged.merge(s);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert_eq!(merged.mean(), whole.mean());
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(merged.percentile(p), whole.percentile(p), "p={p}");
-        }
-    }
-
-    #[test]
-    fn merge_mixes_exact_and_log_modes() {
-        let mut exact = Histogram::new();
-        let mut log = Histogram::log_bucketed();
-        for us in 1..=100 {
-            exact.record(SimSpan::from_us(us));
-            log.record(SimSpan::from_us(100 + us));
-        }
-        // log into exact: result becomes log-bucketed.
-        let mut a = exact.clone();
-        a.merge(&log);
-        assert!(a.is_log_bucketed());
-        assert_eq!(a.count(), 200);
-        assert_eq!(a.min(), SimSpan::from_us(1));
-        assert_eq!(a.max(), SimSpan::from_us(200));
-        // exact into log: stays log-bucketed, same totals.
-        let mut b = log.clone();
-        b.merge(&exact);
-        assert_eq!(b.count(), 200);
-        assert_eq!(b.mean(), a.mean());
-        let p50a = a.percentile(0.5).as_ns() as f64;
-        let p50b = b.percentile(0.5).as_ns() as f64;
-        assert!((p50a - p50b).abs() / p50a <= 0.01);
-    }
-
-    #[test]
-    fn merge_with_empty_histograms() {
-        let mut a = Histogram::new();
-        let b = Histogram::new();
-        a.merge(&b);
-        assert!(a.is_empty());
-        a.record(SimSpan::from_us(5));
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut empty = Histogram::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.percentile(0.5), SimSpan::from_us(5));
-    }
-
-    #[test]
     fn bandwidth_meter_bin_boundary_samples() {
         let mut m = BandwidthMeter::new(SimSpan::from_us(10));
         // A sample exactly on a bin boundary belongs to the later bin.
@@ -845,21 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_meter_merge_requires_same_window() {
-        let mut a = BandwidthMeter::new(SimSpan::from_ms(1));
-        let mut b = BandwidthMeter::new(SimSpan::from_ms(1));
-        a.record(SimTime::from_us(100), 10);
-        b.record(SimTime::from_us(2_500), 30);
-        a.merge(&b);
-        assert_eq!(a.total_bytes(), 40);
-        assert_eq!(a.series().len(), 3);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            a.merge(&BandwidthMeter::new(SimSpan::from_ms(2)));
-        }));
-        assert!(r.is_err(), "mismatched windows must panic");
-    }
-
-    #[test]
     fn utilization_meter_overlapping_busy_intervals() {
         // Two overlapping busy intervals double-count, as documented: the
         // meter integrates busy time, it does not deduplicate sources.
@@ -870,44 +642,5 @@ mod tests {
         let s = m.series();
         assert!((s[0].1 - 1.5).abs() < 1e-12);
         assert!((s[1].1 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_meter_merge_combines_bins() {
-        let mut a = UtilizationMeter::new(SimSpan::from_us(10));
-        let mut b = UtilizationMeter::new(SimSpan::from_us(10));
-        a.record_busy(SimTime::from_us(0), SimTime::from_us(5));
-        b.record_busy(SimTime::from_us(15), SimTime::from_us(20));
-        a.merge(&b);
-        assert_eq!(a.total_busy(), SimSpan::from_us(10));
-        let s = a.series();
-        assert_eq!(s.len(), 2);
-        assert!((s[0].1 - 0.5).abs() < 1e-12);
-        assert!((s[1].1 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_mean_merge() {
-        let mut a = OnlineMean::new();
-        let mut b = OnlineMean::new();
-        for x in [1.0, 2.0] {
-            a.record(x);
-        }
-        for x in [3.0, 10.0] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert!((a.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 10.0);
-        // Merging into an empty accumulator copies the other side.
-        let mut empty = OnlineMean::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 4);
-        assert_eq!(empty.max(), 10.0);
-        // Merging an empty accumulator is a no-op.
-        a.merge(&OnlineMean::new());
-        assert_eq!(a.count(), 4);
     }
 }

@@ -127,13 +127,6 @@ impl SimSpan {
         SimSpan(ms * 1_000_000)
     }
 
-    /// Creates a span from a float number of microseconds, rounding to the
-    /// nearest nanosecond.
-    #[must_use]
-    pub fn from_us_f64(us: f64) -> Self {
-        SimSpan((us * 1_000.0).round() as u64)
-    }
-
     /// The time needed to move `bytes` at `bytes_per_sec`, rounded up to a
     /// whole nanosecond.
     ///

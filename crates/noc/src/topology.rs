@@ -417,20 +417,6 @@ impl NocConfig {
         self
     }
 
-    /// Sets the flit size.
-    #[must_use]
-    pub fn with_flit_bytes(mut self, bytes: u32) -> Self {
-        self.flit_bytes = bytes;
-        self
-    }
-
-    /// Sets the per-hop router latency.
-    #[must_use]
-    pub fn with_router_latency(mut self, latency: SimSpan) -> Self {
-        self.router_latency = latency;
-        self
-    }
-
     /// Enables or disables the contention-free express path.
     #[must_use]
     pub fn with_express(mut self, on: bool) -> Self {

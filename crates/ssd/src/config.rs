@@ -382,13 +382,6 @@ impl SsdConfig {
         self
     }
 
-    /// Simulation-start reference (always zero; exists for readability at
-    /// call sites).
-    #[must_use]
-    pub fn start(&self) -> SimTime {
-        SimTime::ZERO
-    }
-
     /// Validates internal consistency, returning a description of the
     /// first problem found. [`SsdSim::new`](crate::SsdSim::new) calls
     /// this and panics with the message; call it yourself to fail softly.

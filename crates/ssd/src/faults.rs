@@ -165,21 +165,6 @@ impl FaultInjector {
         &self.config
     }
 
-    /// Decomposes the injector into its config and raw RNG state so a
-    /// snapshot can serialize the fault stream position exactly.
-    #[must_use]
-    pub fn to_parts(&self) -> (FaultConfig, [u64; 4], Option<f64>) {
-        let (state, gauss) = self.rng.to_parts();
-        (self.config, state, gauss)
-    }
-
-    /// Rebuilds an injector from [`FaultInjector::to_parts`] output. The
-    /// restored stream continues bit-identically from the capture point.
-    #[must_use]
-    pub fn from_parts(config: FaultConfig, state: [u64; 4], gauss_cache: Option<f64>) -> Self {
-        FaultInjector { config, rng: Rng::from_parts(state, gauss_cache) }
-    }
-
     /// Digest of the fault stream position. Changes iff a draw was
     /// consumed, so zero-rate decision calls leave it untouched.
     #[must_use]

@@ -52,7 +52,7 @@ pub use faults::{FaultConfig, FaultInjector, ReadFault};
 pub use metrics::{FaultCounters, RecoveryReport, RunReport, StageBreakdown, StageKind};
 pub use cache::WriteCache;
 pub use sim::{Completion, RunState, SsdSim, EPOCH_COLUMNS};
-pub use snapshot::{RunPlan, SimSnapshot};
+pub use snapshot::{RunPlan, SimSnapshot, SnapError};
 
 // Re-exported so embedders can read durability-model stats without a
 // separate dependency on the FTL crate.

@@ -100,15 +100,6 @@ impl StageBreakdown {
     pub fn count(&self) -> u64 {
         self.means[0].count()
     }
-
-    /// Merges another breakdown into this one (e.g. per-shard breakdowns
-    /// from a parallel sweep). Stage means combine count-weighted, so the
-    /// result equals a single breakdown over the union of operations.
-    pub fn merge(&mut self, other: &StageBreakdown) {
-        for (m, o) in self.means.iter_mut().zip(&other.means) {
-            m.merge(o);
-        }
-    }
 }
 
 /// Counts of injected faults and the recovery actions they triggered.
@@ -151,21 +142,6 @@ impl FaultCounters {
     pub fn injected_total(&self) -> u64 {
         self.program_failures + self.erase_failures + self.uncorrectable_reads
             + self.noc_faults
-    }
-
-    /// Merges another counter set into this one (element-wise sums, e.g.
-    /// per-shard counters from a parallel sweep).
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.read_retries += other.read_retries;
-        self.retry_latency += other.retry_latency;
-        self.reads_recovered += other.reads_recovered;
-        self.uncorrectable_reads += other.uncorrectable_reads;
-        self.program_failures += other.program_failures;
-        self.erase_failures += other.erase_failures;
-        self.blocks_retired += other.blocks_retired;
-        self.superblocks_retired += other.superblocks_retired;
-        self.noc_faults += other.noc_faults;
-        self.requests_failed += other.requests_failed;
     }
 }
 

@@ -14,13 +14,40 @@
 //! check turns any violation of that discipline into a load-time error
 //! rather than silent divergence.
 
-use dssd_kernel::{SimSpan, SimTime, SnapError, SnapReader, SnapWriter};
+use std::fmt;
+
+use dssd_kernel::{SimSpan, SimTime};
 use dssd_workload::SyntheticWorkload;
 
 use crate::{RunState, SsdConfig, SsdSim};
 
-const MAGIC: &[u8; 8] = b"DSSDSNAP";
+/// The magic's length as a little-endian `u64`, then the magic.
+const MAGIC: &[u8; 16] = b"\x08\0\0\0\0\0\0\0DSSDSNAP";
 const VERSION: u32 = 2;
+/// Bytes in a v2 record: magic, version, the two fingerprints, the
+/// prefilled flag, cursor, instant and digest.
+const LEN: usize = 16 + 4 + 8 + 8 + 1 + 8 + 8 + 8;
+
+/// Error returned when snapshot bytes cannot be decoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapError {
+    /// What went wrong.
+    pub message: String,
+    /// Byte offset at which decoding failed.
+    pub offset: usize,
+}
+
+impl fmt::Display for SnapError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "snapshot decode error at byte {}: {}",
+            self.offset, self.message
+        )
+    }
+}
+
+impl std::error::Error for SnapError {}
 
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -93,54 +120,60 @@ impl SimSnapshot {
         self.now
     }
 
-    /// Serializes to the snapshot byte format.
+    /// Serializes to the fixed 61-byte snapshot record.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_bytes(MAGIC);
-        w.put_u32(VERSION);
-        w.put_u64(self.config_fp);
-        w.put_u64(self.plan_fp);
-        w.put_bool(self.prefilled);
-        w.put_u64(self.cursor);
-        w.put_u64(self.now.as_ns());
-        w.put_u64(self.state_digest);
-        w.into_bytes()
+        let mut b = Vec::with_capacity(LEN);
+        b.extend_from_slice(MAGIC);
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        b.extend_from_slice(&self.config_fp.to_le_bytes());
+        b.extend_from_slice(&self.plan_fp.to_le_bytes());
+        b.push(u8::from(self.prefilled));
+        for v in [self.cursor, self.now.as_ns(), self.state_digest] {
+            b.extend_from_slice(&v.to_le_bytes());
+        }
+        b
     }
 
     /// Decodes a snapshot produced by [`SimSnapshot::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on truncation, trailing bytes, a foreign
-    /// magic, or a version mismatch.
+    /// Returns a [`SnapError`] on a foreign magic, a version mismatch, a
+    /// record of the wrong length, or a prefilled flag other than 0 or 1.
     pub fn from_bytes(bytes: &[u8]) -> Result<SimSnapshot, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        if r.take_bytes()? != MAGIC {
-            return Err(SnapError { message: "not a dSSD snapshot".into(), offset: 0 });
+        let err = |offset: usize, message: String| Err(SnapError { message, offset });
+        if !bytes.starts_with(MAGIC) {
+            return err(0, "not a dSSD snapshot".into());
         }
-        let version = r.take_u32()?;
-        if version != VERSION {
-            return Err(SnapError {
-                message: format!("snapshot format v{version}, this build reads v{VERSION}"),
-                offset: r.offset(),
-            });
+        if let Some(v) = bytes.get(16..20) {
+            let version = u32::from_le_bytes(v.try_into().expect("a 4-byte slice"));
+            if version != VERSION {
+                return err(
+                    16,
+                    format!("snapshot format v{version}, this build reads v{VERSION}"),
+                );
+            }
         }
-        let snap = SimSnapshot {
-            config_fp: r.take_u64()?,
-            plan_fp: r.take_u64()?,
-            prefilled: r.take_bool()?,
-            cursor: r.take_u64()?,
-            now: SimTime::ZERO + SimSpan::from_ns(r.take_u64()?),
-            state_digest: r.take_u64()?,
+        if bytes.len() != LEN {
+            let message = format!("{} bytes, a v{VERSION} snapshot has {LEN}", bytes.len());
+            return err(bytes.len().min(LEN), message);
+        }
+        let u64_at =
+            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte slice"));
+        let prefilled = match bytes[36] {
+            0 => false,
+            1 => true,
+            _ => return err(36, "invalid prefilled flag".into()),
         };
-        if !r.is_exhausted() {
-            return Err(SnapError {
-                message: "trailing bytes after the snapshot".into(),
-                offset: r.offset(),
-            });
-        }
-        Ok(snap)
+        Ok(SimSnapshot {
+            config_fp: u64_at(20),
+            plan_fp: u64_at(28),
+            prefilled,
+            cursor: u64_at(37),
+            now: SimTime::from_ns(u64_at(45)),
+            state_digest: u64_at(53),
+        })
     }
 
     /// Rebuilds a sim in exactly the snapshotted state: constructs it
@@ -214,6 +247,35 @@ mod tests {
         let sim = paused_sim();
         let snap = SimSnapshot::capture(&sim, &plan());
         assert_eq!(SimSnapshot::from_bytes(&snap.to_bytes()).unwrap(), snap);
+    }
+
+    /// The v2 record, written out field by field: files written by any
+    /// earlier build of this format must keep decoding, and new files
+    /// must stay readable by those builds.
+    #[test]
+    fn v2_byte_layout_is_pinned() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&8u64.to_le_bytes());
+        bytes.extend_from_slice(b"DSSDSNAP");
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        bytes.extend_from_slice(&0xFEDC_BA98_7654_3210u64.to_le_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&4_000u64.to_le_bytes());
+        bytes.extend_from_slice(&1_234_567u64.to_le_bytes());
+        bytes.extend_from_slice(&0xD1CE_57A7_E000_0001u64.to_le_bytes());
+        assert_eq!(bytes.len(), 61);
+        let snap = SimSnapshot::from_bytes(&bytes).expect("a well-formed v2 record");
+        let want = SimSnapshot {
+            config_fp: 0x0123_4567_89AB_CDEF,
+            plan_fp: 0xFEDC_BA98_7654_3210,
+            prefilled: true,
+            cursor: 4_000,
+            now: SimTime::from_ns(1_234_567),
+            state_digest: 0xD1CE_57A7_E000_0001,
+        };
+        assert_eq!(snap, want);
+        assert_eq!(snap.to_bytes(), bytes);
     }
 
     /// Every byte of a snapshot is checked: one flipped bit anywhere, a

@@ -136,6 +136,39 @@ struct Inner {
 }
 
 impl Inner {
+    /// Buffers a slice with its open entity, or records it directly when
+    /// the entity is not open; zero-duration slices are dropped.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // the slice's fields, unpacked
+    fn span(
+        &mut self,
+        class: Class,
+        id: u64,
+        track: Track,
+        stage: Stage,
+        name: &'static str,
+        start: SimTime,
+        dur: SimSpan,
+    ) {
+        if dur == SimSpan::ZERO {
+            return;
+        }
+        let ev = TraceEvent::Span {
+            track,
+            stage,
+            name,
+            class,
+            id,
+            start,
+            dur,
+        };
+        if let Some(open) = self.open[TraceSummary::class_index(class)].get_mut(&id) {
+            open.buf.push(ev);
+        } else {
+            self.push(ev);
+        }
+    }
+
     fn push(&mut self, ev: TraceEvent) {
         let ts = ev.ts();
         if ts > self.latest {
@@ -229,25 +262,8 @@ impl Tracer {
         start: SimTime,
         dur: SimSpan,
     ) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        if dur == SimSpan::ZERO {
-            return;
-        }
-        let ev = TraceEvent::Span {
-            track,
-            stage,
-            name: stage.label(),
-            class,
-            id,
-            start,
-            dur,
-        };
-        if let Some(open) = inner.open[TraceSummary::class_index(class)].get_mut(&id) {
-            open.buf.push(ev);
-        } else {
-            inner.push(ev);
+        if let Some(inner) = self.inner.as_deref_mut() {
+            inner.span(class, id, track, stage, stage.label(), start, dur);
         }
     }
 
@@ -267,29 +283,12 @@ impl Tracer {
         start: SimTime,
         dur: SimSpan,
     ) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        if dur == SimSpan::ZERO {
-            return;
-        }
-        debug_assert!(
-            Stage::ALL.iter().all(|s| s.label() != name),
-            "auxiliary span name collides with a stage label"
-        );
-        let ev = TraceEvent::Span {
-            track,
-            stage,
-            name,
-            class,
-            id,
-            start,
-            dur,
-        };
-        if let Some(open) = inner.open[TraceSummary::class_index(class)].get_mut(&id) {
-            open.buf.push(ev);
-        } else {
-            inner.push(ev);
+        if let Some(inner) = self.inner.as_deref_mut() {
+            debug_assert!(
+                Stage::ALL.iter().all(|s| s.label() != name),
+                "auxiliary span name collides with a stage label"
+            );
+            inner.span(class, id, track, stage, name, start, dur);
         }
     }
 

@@ -133,18 +133,6 @@ pub fn profile(name: &str) -> Option<&'static VolumeProfile> {
     PROFILES.iter().find(|p| p.name == name)
 }
 
-/// The read-intensive volumes (Fig 15b's left group).
-#[must_use]
-pub fn read_intensive() -> Vec<&'static VolumeProfile> {
-    PROFILES.iter().filter(|p| p.is_read_intensive()).collect()
-}
-
-/// The write-intensive volumes (Fig 15b's right group).
-#[must_use]
-pub fn write_intensive() -> Vec<&'static VolumeProfile> {
-    PROFILES.iter().filter(|p| !p.is_read_intensive()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,14 +192,6 @@ mod tests {
             assert_eq!(r.bytes % 4096, 0);
             assert!(r.bytes >= 4096 && r.bytes <= 260 * 1024);
         }
-    }
-
-    #[test]
-    fn groups_partition_profiles() {
-        let r = read_intensive().len();
-        let w = write_intensive().len();
-        assert_eq!(r + w, PROFILES.len());
-        assert!(r >= 4 && w >= 8);
     }
 
     #[test]

@@ -9,14 +9,6 @@ pub enum Op {
     Write,
 }
 
-impl Op {
-    /// True for writes.
-    #[must_use]
-    pub fn is_write(self) -> bool {
-        matches!(self, Op::Write)
-    }
-}
-
 /// One host I/O request, already translated to page granularity.
 ///
 /// # Example
@@ -91,11 +83,5 @@ mod tests {
     #[should_panic(expected = "at least one page")]
     fn zero_pages_rejected() {
         let _ = Request::new(Op::Write, 0, 0);
-    }
-
-    #[test]
-    fn op_predicates() {
-        assert!(Op::Write.is_write());
-        assert!(!Op::Read.is_write());
     }
 }
