@@ -65,12 +65,6 @@ impl WearModel {
         }
     }
 
-    /// The paper's default distribution: `N(5578, 826.9²)`.
-    #[must_use]
-    pub fn paper_default(geometry: &FlashGeometry, rng: &mut Rng) -> Self {
-        Self::new(geometry, 5578.0, 826.9, rng)
-    }
-
     /// Number of blocks tracked.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -234,7 +228,7 @@ mod tests {
     #[test]
     fn geometry_constructor_counts_blocks() {
         let geo = FlashGeometry::tiny();
-        let m = WearModel::paper_default(&geo, &mut Rng::new(5));
+        let m = WearModel::new(&geo, 5578.0, 826.9, &mut Rng::new(5));
         assert_eq!(m.len(), geo.total_blocks() as usize);
     }
 }

@@ -1,33 +1,50 @@
 //! Page allocation within an active superblock.
 
-use dssd_flash::{DieAddr, PageAddr};
+use dssd_flash::PageAddr;
 
 use crate::SuperblockLayout;
 
 /// A group of freshly allocated pages on one die — the unit that becomes
 /// a single (multi-plane) program operation.
 ///
-/// All addresses share the die and page row and occupy distinct planes,
-/// so a group of `n` pages is an `n`-plane program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The allocator only hands out plane-consecutive slots of one page row
+/// of one die, so a group is its first page and its length: page `i` is
+/// the first page on plane `first.plane + i`, and a group of `n` pages
+/// is an `n`-plane program. The group is `Copy` and owns no heap memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocGroup {
-    /// The die all pages live on.
-    pub die: DieAddr,
-    /// The allocated pages (1 ≤ len ≤ planes).
-    pub addrs: Vec<PageAddr>,
+    first: PageAddr,
+    len: u32,
 }
 
 impl AllocGroup {
     /// Number of pages in the group.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.len as usize
     }
 
     /// True if the group is empty (never produced by the allocator).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.len == 0
+    }
+
+    /// Page `i` of the group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`AllocGroup::len`].
+    #[must_use]
+    pub fn addr(&self, i: usize) -> PageAddr {
+        assert!(i < self.len(), "page {i} of a {}-page group", self.len);
+        PageAddr { plane: self.first.plane + i as u32, ..self.first }
+    }
+
+    /// The group's pages, in plane order.
+    pub fn addrs(&self) -> impl ExactSizeIterator<Item = PageAddr> {
+        let first = self.first;
+        (0..self.len).map(move |i| PageAddr { plane: first.plane + i, ..first })
     }
 }
 
@@ -89,14 +106,11 @@ impl ActiveSuperblock {
             // Stay within the current plane row so the group is one
             // multi-plane program.
             let row_left = planes - (fill % planes);
-            let g = want.min(row_left).min(slots - fill);
-            let addrs = (fill..fill + g)
-                .map(|s| layout.page_at(self.sb, d, s))
-                .collect();
-            self.die_fill[d as usize] = fill + g;
-            self.allocated += g as u64;
+            let len = want.min(row_left).min(slots - fill);
+            self.die_fill[d as usize] = fill + len;
+            self.allocated += u64::from(len);
             self.rr = (d + 1) % dies;
-            return Some(AllocGroup { die: layout.stripe_die(d), addrs });
+            return Some(AllocGroup { first: layout.page_at(self.sb, d, fill), len });
         }
         None
     }
@@ -118,10 +132,11 @@ mod tests {
         let g1 = a.alloc_group(&l, 1).unwrap();
         let g2 = a.alloc_group(&l, 1).unwrap();
         let g3 = a.alloc_group(&l, 1).unwrap();
-        assert_ne!(g1.die, g2.die);
-        assert_ne!(g2.die, g3.die);
+        let die = |g: AllocGroup| g.addr(0).die_addr();
+        assert_ne!(die(g1), die(g2));
+        assert_ne!(die(g2), die(g3));
         // consecutive dies sit on different channels (channel-major stripe)
-        assert_ne!(g1.die.channel, g2.die.channel);
+        assert_ne!(die(g1).channel, die(g2).channel);
     }
 
     #[test]
@@ -130,9 +145,9 @@ mod tests {
         let mut a = ActiveSuperblock::new(0, &l);
         let g = a.alloc_group(&l, 2).unwrap(); // planes = 2
         assert_eq!(g.len(), 2);
-        assert_eq!(g.addrs[0].page, g.addrs[1].page); // same row
-        assert_ne!(g.addrs[0].plane, g.addrs[1].plane);
-        assert_eq!(g.addrs[0].die_addr(), g.die);
+        assert_eq!(g.addr(0).page, g.addr(1).page); // same row
+        assert_ne!(g.addr(0).plane, g.addr(1).plane);
+        assert_eq!(g.addr(0).die_addr(), g.addr(1).die_addr());
     }
 
     #[test]
@@ -156,8 +171,8 @@ mod tests {
         let mut total = 0u64;
         let mut seen = std::collections::HashSet::new();
         while let Some(g) = a.alloc_group(&l, 2) {
-            for p in &g.addrs {
-                assert!(seen.insert(l.geometry().page_index(*p)));
+            for p in g.addrs() {
+                assert!(seen.insert(l.geometry().page_index(p)));
                 assert_eq!(p.block, 0);
             }
             total += g.len() as u64;
@@ -166,6 +181,45 @@ mod tests {
         assert_eq!(a.allocated(), l.capacity_pages());
         assert!(a.is_full(&l));
         assert_eq!(a.remaining(&l), 0);
+    }
+
+    /// Each group is what the allocator's slots name: page `i` of a group
+    /// taken at die `d`'s fill `f` is `layout.page_at(sb, d, f + i)`.
+    /// Mixed `want` sizes fill whole superblocks, so groups start and end
+    /// mid-row and get clipped at row ends.
+    #[test]
+    fn groups_are_the_allocated_slots() {
+        use dssd_kernel::Rng;
+        for geo in [FlashGeometry::tiny(), FlashGeometry::table1_ull()] {
+            let l = SuperblockLayout::new(geo);
+            let mut rng = Rng::new(u64::from(geo.planes));
+            for sb in [0, 3] {
+                let mut a = ActiveSuperblock::new(sb, &l);
+                let mut fill = vec![0u32; l.stripe_dies() as usize];
+                while !a.is_full(&l) {
+                    let want = 1 + rng.index(2 * geo.planes as usize) as u32;
+                    let g = a.alloc_group(&l, want).unwrap();
+                    let die = g.addr(0).die_addr();
+                    let d = (0..l.stripe_dies()).find(|&d| l.stripe_die(d) == die).unwrap();
+                    assert!(!g.is_empty() && g.len() as u32 <= want.min(geo.planes));
+                    let slots: Vec<PageAddr> = (0..g.len() as u32)
+                        .map(|i| l.page_at(sb, d, fill[d as usize] + i))
+                        .collect();
+                    let addrs: Vec<PageAddr> = (0..g.len()).map(|i| g.addr(i)).collect();
+                    assert_eq!(addrs, slots);
+                    assert!(g.addrs().eq(slots.iter().copied()));
+                    fill[d as usize] += g.len() as u32;
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "page 2 of a 2-page group")]
+    fn addr_past_the_group_panics() {
+        let l = layout();
+        let mut a = ActiveSuperblock::new(0, &l);
+        let _ = a.alloc_group(&l, 2).unwrap().addr(2);
     }
 
     #[test]

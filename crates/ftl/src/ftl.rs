@@ -7,7 +7,9 @@ use dssd_kernel::{Rng, SimTime};
 
 use crate::alloc::ActiveSuperblock;
 use crate::meta::{MetaConfig, MetaIo, MetaState, MetaStats};
-use crate::{AllocGroup, CopyGroup, GcPolicy, GcRound, Lpn, MappingTable, SuperblockLayout};
+use crate::{
+    AllocGroup, CopyGroup, GcPolicy, GcRound, Lpn, MappingTable, SuperblockLayout, MAX_PLANES,
+};
 
 /// FTL configuration.
 #[derive(Debug, Clone, Copy)]
@@ -57,6 +59,12 @@ pub struct FtlStats {
 /// event-driven SSD world turns the returned addresses into timed flash,
 /// bus and network operations.
 ///
+/// Writing a page, picking a victim and allocating a GC destination do
+/// O(1) work per page and allocate nothing: the mapping keeps a valid
+/// count per superblock, [`AllocGroup`]s are `Copy`, and
+/// [`Ftl::write_pages`] fills a buffer the caller reuses. Building a GC
+/// round allocates its group and erase lists once per round.
+///
 /// # Example
 ///
 /// ```
@@ -64,9 +72,13 @@ pub struct FtlStats {
 /// use dssd_flash::FlashGeometry;
 ///
 /// let mut ftl = Ftl::new(FlashGeometry::tiny(), FtlConfig::default());
-/// let groups = ftl.write_pages(&[0, 1, 2]).unwrap();
+/// let mut groups = Vec::new();
+/// assert!(ftl.write_pages(&[0, 1, 2], &mut groups));
 /// assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), 3);
 /// assert!(ftl.translate(1).is_some());
+/// // The same buffer serves the next write.
+/// assert!(ftl.write_pages(&[3], &mut groups));
+/// assert_eq!(groups.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ftl {
@@ -91,8 +103,8 @@ impl Ftl {
     /// # Panics
     ///
     /// Panics if the geometry has fewer than 4 superblocks (two active
-    /// plus a workable free pool) or the config thresholds are
-    /// inconsistent.
+    /// plus a workable free pool) or more than [`MAX_PLANES`] planes per
+    /// die, or the config thresholds are inconsistent.
     #[must_use]
     pub fn new(geometry: FlashGeometry, config: FtlConfig) -> Self {
         let layout = SuperblockLayout::new(geometry);
@@ -100,6 +112,7 @@ impl Ftl {
             layout.superblock_count() >= 4,
             "need at least 4 superblocks"
         );
+        assert!(geometry.planes <= MAX_PLANES, "at most {MAX_PLANES} planes per die");
         assert!(
             config.gc_hard_free <= config.gc_threshold_free,
             "hard threshold above trigger threshold"
@@ -289,16 +302,19 @@ impl Ftl {
         self.active_host.remaining(&self.layout) + free * self.layout.capacity_pages()
     }
 
-    /// Writes `lpns`, committing the mapping immediately and returning
-    /// the allocation groups (one flash program each) for timing.
+    /// Writes `lpns`, committing the mapping immediately, and fills
+    /// `groups` with the allocation groups (one flash program each) for
+    /// timing. `groups` is cleared first; reusing one buffer keeps a
+    /// stream of writes free of heap allocation.
     ///
-    /// Returns `None` — with *no* state change — if the host headroom is
-    /// insufficient; the caller must let GC free space and retry.
-    pub fn write_pages(&mut self, lpns: &[Lpn]) -> Option<Vec<AllocGroup>> {
+    /// Returns `false` — with *no* FTL state change — if the host
+    /// headroom is insufficient; the caller must let GC free space and
+    /// retry.
+    pub fn write_pages(&mut self, lpns: &[Lpn], groups: &mut Vec<AllocGroup>) -> bool {
+        groups.clear();
         if (lpns.len() as u64) > self.host_headroom() {
-            return None;
+            return false;
         }
-        let mut groups = Vec::new();
         let mut rest = lpns;
         while !rest.is_empty() {
             if self.active_host.is_full(&self.layout) {
@@ -315,16 +331,15 @@ impl Ftl {
                 .active_host
                 .alloc_group(&self.layout, rest.len() as u32)
                 .expect("active superblock not full");
-            for (lpn, addr) in rest.iter().zip(&group.addrs) {
-                let ppn = self.layout.geometry().page_index(*addr);
-                self.map.map_write(*lpn, ppn);
+            let geo = self.layout.geometry();
+            for (lpn, addr) in rest.iter().zip(group.addrs()) {
+                self.map.map_write(*lpn, geo.page_index(addr));
             }
             if let Some(meta) = &mut self.meta {
-                let geo = self.layout.geometry();
                 let pairs: Vec<(Lpn, u64)> = rest
                     .iter()
-                    .zip(&group.addrs)
-                    .map(|(lpn, addr)| (*lpn, geo.page_index(*addr)))
+                    .zip(group.addrs())
+                    .map(|(lpn, addr)| (*lpn, geo.page_index(addr)))
                     .collect();
                 meta.note_host_writes(&pairs);
             }
@@ -332,7 +347,7 @@ impl Ftl {
             rest = &rest[group.len()..];
             groups.push(group);
         }
-        Some(groups)
+        true
     }
 
     /// Starts a GC round: greedily selects the sealed superblock with the
@@ -366,7 +381,7 @@ impl Ftl {
         for d in 0..self.layout.stripe_dies() {
             let die = self.layout.stripe_die(d);
             for row in 0..geo.pages {
-                let mut pages = Vec::new();
+                let mut group = CopyGroup::new(die);
                 for plane in 0..geo.planes {
                     let addr = PageAddr {
                         channel: die.channel,
@@ -378,12 +393,12 @@ impl Ftl {
                     };
                     let ppn = geo.page_index(addr);
                     if let Some(lpn) = self.map.lpn_of(ppn) {
-                        pages.push((lpn, addr));
+                        group.push(lpn, addr);
                     }
                 }
-                if !pages.is_empty() {
-                    valid_pages += pages.len();
-                    groups.push(CopyGroup { src_die: die, pages });
+                if !group.is_empty() {
+                    valid_pages += group.len();
+                    groups.push(group);
                 }
             }
         }
@@ -513,14 +528,19 @@ impl Ftl {
         &self.retired
     }
 
-    /// Valid pages currently in superblock `sb`.
+    /// Sealed (full, GC-eligible) superblocks, in the order
+    /// [`Ftl::start_gc_round`] scans them: of equally valid candidates
+    /// the first is the victim.
+    #[must_use]
+    pub fn sealed_superblocks(&self) -> &[u32] {
+        &self.sealed
+    }
+
+    /// Valid pages currently in superblock `sb`: one counter read, kept
+    /// by the mapping table as pages are written, copied and trimmed.
     #[must_use]
     pub fn superblock_valid_pages(&self, sb: u32) -> u64 {
-        let geo = self.layout.geometry();
-        self.layout
-            .sub_blocks(sb)
-            .map(|b| self.map.valid_in_block(geo.block_index(b)) as u64)
-            .sum()
+        self.map.valid_in_superblock(sb)
     }
 
     /// Pre-conditions the SSD for GC experiments: sequentially fills the
@@ -556,6 +576,7 @@ impl Ftl {
         );
         let lpns = self.lpn_count();
         let mut batch = Vec::with_capacity(64);
+        let mut groups = Vec::new();
         let mut next: Lpn = 0;
         while next < lpns {
             batch.clear();
@@ -563,8 +584,8 @@ impl Ftl {
                 batch.push(next);
                 next += 1;
             }
-            self.write_pages(&batch)
-                .expect("sequential fill must fit the logical space");
+            let fits = self.write_pages(&batch, &mut groups);
+            assert!(fits, "sequential fill must fit the logical space");
         }
         if invalid_fraction > 0.0 {
             for lpn in 0..lpns {
@@ -580,17 +601,19 @@ impl Ftl {
         );
         while self.free_sbs.len() > target_free {
             let lpn = rng.range_u64(0..lpns);
-            self.write_pages(&[lpn]).expect("overwrite within headroom");
+            let fits = self.write_pages(&[lpn], &mut groups);
+            assert!(fits, "overwrite within headroom");
         }
     }
 
     /// Unmaps a logical page (TRIM), invalidating its physical page.
-    pub fn trim(&mut self, lpn: Lpn) -> Option<PageAddr> {
+    /// Returns whether `lpn` was mapped.
+    pub fn trim(&mut self, lpn: Lpn) -> bool {
         let old = self.map.trim(lpn);
         if let Some(meta) = &mut self.meta {
             meta.note_trim(lpn);
         }
-        old.map(|ppn| self.layout.geometry().page_at(ppn))
+        old.is_some()
     }
 }
 
@@ -614,10 +637,30 @@ mod tests {
         Ftl::new(FlashGeometry::tiny(), cfg(2, 1))
     }
 
+    fn write(f: &mut Ftl, lpns: &[Lpn]) -> bool {
+        f.write_pages(lpns, &mut Vec::new())
+    }
+
+    /// Copies every page of `round` into GC destinations and finishes it.
+    fn run_round(f: &mut Ftl, round: &GcRound) {
+        for g in &round.groups {
+            let mut pages = g.pages();
+            while !pages.is_empty() {
+                let dst = f.alloc_gc_group(pages.len() as u32);
+                let (now, rest) = pages.split_at(dst.len().min(pages.len()));
+                for (&(lpn, src), d) in now.iter().zip(dst.addrs()) {
+                    f.complete_copy(lpn, src, d);
+                }
+                pages = rest;
+            }
+        }
+        f.finish_gc_round(round);
+    }
+
     #[test]
     fn write_then_translate() {
         let mut f = small_ftl();
-        f.write_pages(&[5]).unwrap();
+        assert!(write(&mut f, &[5]));
         let addr = f.translate(5).unwrap();
         assert_eq!(f.mapping().lookup(5), Some(f.layout().geometry().page_index(addr)));
         assert_eq!(f.translate(6), None);
@@ -626,9 +669,9 @@ mod tests {
     #[test]
     fn overwrite_creates_invalid_page() {
         let mut f = small_ftl();
-        f.write_pages(&[5]).unwrap();
+        assert!(write(&mut f, &[5]));
         let first = f.translate(5).unwrap();
-        f.write_pages(&[5]).unwrap();
+        assert!(write(&mut f, &[5]));
         let second = f.translate(5).unwrap();
         assert_ne!(first, second);
         let geo = *f.layout().geometry();
@@ -642,7 +685,9 @@ mod tests {
         assert!(head > 0);
         // Writing more than headroom in one call is refused atomically.
         let too_many: Vec<Lpn> = (0..head + 1).collect();
-        assert!(f.write_pages(&too_many).is_none());
+        let mut groups = vec![f.alloc_gc_group(1)];
+        assert!(!f.write_pages(&too_many, &mut groups));
+        assert!(groups.is_empty(), "a refused write leaves no groups behind");
         assert_eq!(f.stats().host_pages_written, 0);
     }
 
@@ -654,17 +699,7 @@ mod tests {
         assert!(f.needs_gc());
         let free_before = f.free_superblocks();
         let round = f.start_gc_round().expect("sealed superblocks exist");
-        // complete every copy
-        for g in &round.groups {
-            let mut pages = g.pages.clone();
-            while !pages.is_empty() {
-                let dst = f.alloc_gc_group(pages.len() as u32);
-                for ((lpn, src), d) in pages.drain(..dst.len()).zip(dst.addrs.iter()) {
-                    f.complete_copy(lpn, src, *d);
-                }
-            }
-        }
-        f.finish_gc_round(&round);
+        run_round(&mut f, &round);
         assert_eq!(f.free_superblocks(), free_before + 1);
         assert_eq!(f.stats().gc_rounds, 1);
         assert!(f.stats().erases > 0);
@@ -698,9 +733,9 @@ mod tests {
         for g in &round.groups {
             assert!(!g.is_empty() && g.len() <= planes);
             // same die, same row, distinct planes
-            let row = g.pages[0].1.page;
+            let row = g.pages()[0].1.page;
             let mut seen_planes = std::collections::HashSet::new();
-            for (_, p) in &g.pages {
+            for (_, p) in g.pages() {
                 assert_eq!(p.die_addr(), g.src_die);
                 assert_eq!(p.page, row);
                 assert_eq!(p.block, round.victim);
@@ -715,11 +750,11 @@ mod tests {
         let mut rng = Rng::new(4);
         f.prefill(&mut rng, 1);
         let round = f.start_gc_round().unwrap();
-        let (lpn, src) = round.groups[0].pages[0];
+        let (lpn, src) = round.groups[0].pages()[0];
         // Host overwrites the LPN mid-copy.
-        f.write_pages(&[lpn]).unwrap();
+        assert!(write(&mut f, &[lpn]));
         let dst = f.alloc_gc_group(1);
-        assert!(!f.complete_copy(lpn, src, dst.addrs[0]));
+        assert!(!f.complete_copy(lpn, src, dst.addr(0)));
         assert_eq!(f.stats().stale_copies, 1);
     }
 
@@ -732,24 +767,12 @@ mod tests {
         for i in 0..2000u64 {
             if f.needs_gc() {
                 if let Some(round) = f.start_gc_round() {
-                    for g in &round.groups {
-                        let mut pages = g.pages.clone();
-                        while !pages.is_empty() {
-                            let dst = f.alloc_gc_group(pages.len() as u32);
-                            let take = dst.len().min(pages.len());
-                            for ((lpn, src), d) in
-                                pages.drain(..take).zip(dst.addrs.iter())
-                            {
-                                f.complete_copy(lpn, src, *d);
-                            }
-                        }
-                    }
-                    f.finish_gc_round(&round);
+                    run_round(&mut f, &round);
                 }
             }
             let lpn = rng.range_u64(0..f.lpn_count());
             assert!(
-                f.write_pages(&[lpn]).is_some(),
+                write(&mut f, &[lpn]),
                 "write {i} blocked: free={} needs_gc={}",
                 f.free_superblocks(),
                 f.needs_gc()

@@ -1,5 +1,7 @@
 //! Garbage-collection work units and scheduling policies.
 
+use std::fmt;
+
 use dssd_flash::{BlockAddr, DieAddr, PageAddr};
 
 use crate::Lpn;
@@ -53,27 +55,88 @@ impl GcPolicy {
     }
 }
 
+/// Most planes per die the FTL supports: a [`CopyGroup`] holds one page
+/// row of one die inline, at most one page per plane.
+pub const MAX_PLANES: u32 = 8;
+
 /// One multi-plane read's worth of GC copy work: valid pages from one
-/// page row of one die of the victim superblock.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// page row of one die of the victim superblock, held inline (no heap
+/// memory per group).
+#[derive(Clone)]
 pub struct CopyGroup {
     /// The die the pages are read from.
     pub src_die: DieAddr,
-    /// `(LPN, source page)` pairs — distinct planes, same page row.
-    pub pages: Vec<(Lpn, PageAddr)>,
+    len: usize,
+    pages: [(Lpn, PageAddr); MAX_PLANES as usize],
 }
 
 impl CopyGroup {
+    /// An empty group reading from `src_die`.
+    #[must_use]
+    pub fn new(src_die: DieAddr) -> Self {
+        CopyGroup { src_die, len: 0, pages: [(0, PageAddr::default()); MAX_PLANES as usize] }
+    }
+
+    /// Appends the copy of `lpn` from `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group already holds [`MAX_PLANES`] pages.
+    pub fn push(&mut self, lpn: Lpn, src: PageAddr) {
+        assert!(self.len < self.pages.len(), "copy group holds at most {MAX_PLANES} pages");
+        self.pages[self.len] = (lpn, src);
+        self.len += 1;
+    }
+
+    /// `(LPN, source page)` pairs — distinct planes, same page row.
+    #[must_use]
+    pub fn pages(&self) -> &[(Lpn, PageAddr)] {
+        &self.pages[..self.len]
+    }
+
     /// Pages in the group.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.len
     }
 
     /// True if the group carries no pages.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.len == 0
+    }
+
+    /// Keeps the first `at` pages and returns the rest as a group of
+    /// their own, on the same die.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` exceeds the group's length.
+    #[must_use]
+    pub fn split_off(&mut self, at: usize) -> CopyGroup {
+        let mut rest = CopyGroup::new(self.src_die);
+        for &(lpn, src) in &self.pages()[at..] {
+            rest.push(lpn, src);
+        }
+        self.len = at;
+        rest
+    }
+}
+
+impl PartialEq for CopyGroup {
+    fn eq(&self, other: &Self) -> bool {
+        self.src_die == other.src_die && self.pages() == other.pages()
+    }
+}
+
+impl Eq for CopyGroup {}
+
+impl fmt::Debug for CopyGroup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CopyGroup")
+            .field("src_die", &self.src_die)
+            .field("pages", &self.pages())
+            .finish()
     }
 }
 
@@ -111,6 +174,35 @@ mod tests {
         assert!(p.allows_issue(true, false)); // host idle
         assert!(p.allows_issue(false, true)); // forced
         assert_eq!(p.channel_limit(8), 8);
+    }
+
+    #[test]
+    fn copy_group_pushes_and_splits() {
+        let die = DieAddr { channel: 1, way: 0, die: 0 };
+        let page = |plane| PageAddr { channel: 1, plane, page: 3, ..PageAddr::default() };
+        let mut g = CopyGroup::new(die);
+        assert!(g.is_empty());
+        for plane in 0..5 {
+            g.push(u64::from(plane) + 10, page(plane));
+        }
+        let rest = g.split_off(2);
+        assert_eq!(g.pages(), &[(10, page(0)), (11, page(1))]);
+        assert_eq!(rest.pages(), &[(12, page(2)), (13, page(3)), (14, page(4))]);
+        assert_eq!(rest.src_die, die);
+        // Equality looks at the pages held, not at what a split left behind.
+        let mut same = CopyGroup::new(die);
+        same.push(10, page(0));
+        same.push(11, page(1));
+        assert_eq!(g, same);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 pages")]
+    fn copy_group_is_bounded_by_the_plane_limit() {
+        let mut g = CopyGroup::new(DieAddr { channel: 0, way: 0, die: 0 });
+        for plane in 0..=MAX_PLANES {
+            g.push(0, PageAddr { plane, ..PageAddr::default() });
+        }
     }
 
     #[test]

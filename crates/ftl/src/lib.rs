@@ -35,7 +35,7 @@ pub mod was;
 
 pub use alloc::AllocGroup;
 pub use ftl::{Ftl, FtlConfig, FtlStats};
-pub use gc::{CopyGroup, GcPolicy, GcRound};
+pub use gc::{CopyGroup, GcPolicy, GcRound, MAX_PLANES};
 pub use mapping::{Lpn, MappingTable, Ppn};
 pub use meta::{
     MetaConfig, MetaIo, MetaState, MetaStats, RecoveryOutcome, CHECKPOINT_ENTRY_BYTES,

@@ -12,8 +12,10 @@ const NONE: u32 = u32::MAX;
 /// Page-level mapping table.
 ///
 /// Tracks `LPN → PPN`, the reverse `PPN → LPN` (a physical page is valid
-/// iff it has a reverse entry), and a per-block valid-page counter used
-/// for greedy victim selection.
+/// iff it has a reverse entry), and valid-page counters per block and
+/// per static superblock. Greedy victim selection reads the superblock
+/// counter, so ranking a superblock costs one load, not a sum over its
+/// sub-blocks.
 ///
 /// # Example
 ///
@@ -36,6 +38,9 @@ pub struct MappingTable {
     p2l: Vec<u32>,
     /// Valid pages per physical block.
     valid_per_block: Vec<u32>,
+    /// Valid pages per static superblock: the sum of `valid_per_block`
+    /// over the superblock's sub-blocks, kept in step with it.
+    valid_per_superblock: Vec<u32>,
     pages_per_block: u32,
     mapped: u64,
 }
@@ -58,6 +63,7 @@ impl MappingTable {
             l2p: vec![NONE; lpn_count as usize],
             p2l: vec![NONE; total as usize],
             valid_per_block: vec![0; geometry.total_blocks() as usize],
+            valid_per_superblock: vec![0; geometry.blocks as usize],
             pages_per_block: geometry.pages,
             mapped: 0,
         }
@@ -103,6 +109,13 @@ impl MappingTable {
     #[must_use]
     pub fn valid_in_block(&self, block: usize) -> u32 {
         self.valid_per_block[block]
+    }
+
+    /// Valid pages in static superblock `sb`: block `sb` of every plane
+    /// (see [`SuperblockLayout`](crate::SuperblockLayout)).
+    #[must_use]
+    pub fn valid_in_superblock(&self, sb: u32) -> u64 {
+        u64::from(self.valid_per_superblock[sb as usize])
     }
 
     /// Maps `lpn` to the freshly programmed `ppn`, returning the
@@ -187,34 +200,31 @@ impl MappingTable {
         // p2l entries are already NONE for invalid pages; nothing to clear.
     }
 
-    /// Iterates the valid `(page offset, LPN)` pairs of block `block`.
-    pub fn valid_pages_in_block(
-        &self,
-        block: usize,
-    ) -> impl Iterator<Item = (u32, Lpn)> + '_ {
-        let base = block as u64 * self.pages_per_block as u64;
-        (0..self.pages_per_block).filter_map(move |off| {
-            match self.p2l[(base + off as u64) as usize] {
-                NONE => None,
-                l => Some((off, l as Lpn)),
-            }
-        })
-    }
-
-    fn block_of(&self, ppn: Ppn) -> usize {
-        (ppn / self.pages_per_block as u64) as usize
+    /// The linear block holding `ppn`, and its static superblock: the
+    /// block's `block` field, which is its linear index modulo the
+    /// blocks per plane.
+    fn blocks_of(&self, ppn: Ppn) -> (usize, usize) {
+        let b = (ppn / u64::from(self.pages_per_block)) as usize;
+        (b, b % self.valid_per_superblock.len())
     }
 
     fn inc_valid(&mut self, ppn: Ppn) {
-        let b = self.block_of(ppn);
+        let (b, sb) = self.blocks_of(ppn);
         self.valid_per_block[b] += 1;
+        self.valid_per_superblock[sb] += 1;
         debug_assert!(self.valid_per_block[b] <= self.pages_per_block);
+        debug_assert!(
+            u64::from(self.valid_per_superblock[sb])
+                <= (self.p2l.len() / self.valid_per_superblock.len()) as u64
+        );
     }
 
     fn dec_valid(&mut self, ppn: Ppn) {
-        let b = self.block_of(ppn);
+        let (b, sb) = self.blocks_of(ppn);
         debug_assert!(self.valid_per_block[b] > 0);
+        debug_assert!(self.valid_per_superblock[sb] > 0);
         self.valid_per_block[b] -= 1;
+        self.valid_per_superblock[sb] -= 1;
     }
 }
 
@@ -294,15 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn valid_pages_iterator() {
-        let (_, mut m) = table();
-        m.map_write(0, 0);
-        m.map_write(1, 2);
-        let got: Vec<_> = m.valid_pages_in_block(0).collect();
-        assert_eq!(got, vec![(0, 0), (2, 1)]);
-    }
-
-    #[test]
     fn erase_requires_no_valid_pages() {
         let (_, mut m) = table();
         m.map_write(0, 0);
@@ -356,6 +357,15 @@ mod tests {
                 if m.valid_in_block(b) != seen {
                     let counted = m.valid_in_block(b);
                     return Err(format!("block {b} counts {counted} valid pages, maps {seen}"));
+                }
+            }
+            // Each superblock counts the valid pages of its sub-blocks.
+            for sb in 0..geo.blocks {
+                let sub_blocks = valid_seen.iter().skip(sb as usize).step_by(geo.blocks as usize);
+                let summed: u32 = sub_blocks.sum();
+                let counted = m.valid_in_superblock(sb);
+                if counted != u64::from(summed) {
+                    return Err(format!("superblock {sb} counts {counted} valid pages, maps {summed}"));
                 }
             }
             // Reverse implies forward.

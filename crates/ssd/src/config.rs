@@ -395,6 +395,13 @@ impl SsdConfig {
         if g.channels == 0 || g.ways == 0 || g.dies == 0 || g.planes == 0 {
             return Err("geometry has an empty dimension".into());
         }
+        if g.planes > dssd_ftl::MAX_PLANES {
+            return Err(format!(
+                "{} planes per die is too many (the FTL supports at most {})",
+                g.planes,
+                dssd_ftl::MAX_PLANES
+            ));
+        }
         if g.blocks < 4 {
             return Err(format!(
                 "{} superblocks is too few (need >= 4: two active plus a pool)",
@@ -562,6 +569,10 @@ mod tests {
         let mut c = SsdConfig::test_tiny(Architecture::Baseline);
         c.geometry.channels = 0;
         assert!(c.validate().unwrap_err().contains("empty dimension"));
+
+        let mut c = SsdConfig::test_tiny(Architecture::Baseline);
+        c.geometry.planes = dssd_ftl::MAX_PLANES + 1;
+        assert!(c.validate().unwrap_err().contains("planes per die"));
 
         let mut c = SsdConfig::test_tiny(Architecture::Baseline);
         c.ftl.gc_hard_free = 99;

@@ -65,21 +65,21 @@ impl StageKind {
 
 /// Mean time spent per pipeline stage (wait + service), accumulated over
 /// completed operations.
+///
+/// Each request and copy job sums its own stage time as its stages run
+/// (a fixed per-stage total, no list of spans) and hands the totals to
+/// [`StageBreakdown::record`] when it completes.
 #[derive(Debug, Clone, Default)]
 pub struct StageBreakdown {
     means: [OnlineMean; 6],
 }
 
 impl StageBreakdown {
-    /// Records one operation's per-stage spans (microseconds are derived
-    /// internally; pass raw spans).
-    pub fn record(&mut self, spans: &[(StageKind, SimSpan)]) {
-        let mut totals = [0.0f64; 6];
-        for (kind, span) in spans {
-            totals[kind.index()] += span.as_us_f64();
-        }
-        for (i, t) in totals.iter().enumerate() {
-            self.means[i].record(*t);
+    /// Records one operation's microseconds per stage, indexed by
+    /// [`StageKind::index`].
+    pub fn record(&mut self, us_per_stage: &[f64; 6]) {
+        for (mean, &us) in self.means.iter_mut().zip(us_per_stage) {
+            mean.record(us);
         }
     }
 
@@ -99,6 +99,26 @@ impl StageBreakdown {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.means[0].count()
+    }
+}
+
+/// One request's or copy job's time per stage, summed as its stages run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageTotals {
+    /// Microseconds per stage. Each stage's spans are added in the order
+    /// they ran, so a mean over these is bit-identical to summing the
+    /// operation's list of spans at completion.
+    pub(crate) us: [f64; 6],
+    /// The same time as spans, for the tracer.
+    pub(crate) spans: [SimSpan; 6],
+}
+
+impl StageTotals {
+    /// Adds `span` of `stage` time.
+    #[inline]
+    pub(crate) fn add(&mut self, stage: StageKind, span: SimSpan) {
+        self.us[stage.index()] += span.as_us_f64();
+        self.spans[stage.index()] += span;
     }
 }
 
@@ -300,17 +320,19 @@ impl RunReport {
 mod tests {
     use super::*;
 
+    fn totals(spans: &[(StageKind, u64)]) -> StageTotals {
+        let mut t = StageTotals::default();
+        for &(stage, us) in spans {
+            t.add(stage, SimSpan::from_us(us));
+        }
+        t
+    }
+
     #[test]
     fn breakdown_accumulates_means() {
         let mut b = StageBreakdown::default();
-        b.record(&[
-            (StageKind::FlashChip, SimSpan::from_us(50)),
-            (StageKind::SystemBus, SimSpan::from_us(10)),
-        ]);
-        b.record(&[
-            (StageKind::FlashChip, SimSpan::from_us(100)),
-            (StageKind::SystemBus, SimSpan::from_us(0)),
-        ]);
+        b.record(&totals(&[(StageKind::FlashChip, 50), (StageKind::SystemBus, 10)]).us);
+        b.record(&totals(&[(StageKind::FlashChip, 100), (StageKind::SystemBus, 0)]).us);
         assert_eq!(b.count(), 2);
         assert!((b.mean_us(StageKind::FlashChip) - 75.0).abs() < 1e-9);
         assert!((b.mean_us(StageKind::SystemBus) - 5.0).abs() < 1e-9);
@@ -320,11 +342,10 @@ mod tests {
 
     #[test]
     fn breakdown_merges_duplicate_stage_entries() {
+        let t = totals(&[(StageKind::FlashBus, 3), (StageKind::FlashBus, 4)]);
+        assert_eq!(t.spans[StageKind::FlashBus.index()], SimSpan::from_us(7));
         let mut b = StageBreakdown::default();
-        b.record(&[
-            (StageKind::FlashBus, SimSpan::from_us(3)),
-            (StageKind::FlashBus, SimSpan::from_us(4)),
-        ]);
+        b.record(&t.us);
         assert!((b.mean_us(StageKind::FlashBus) - 7.0).abs() < 1e-9);
     }
 

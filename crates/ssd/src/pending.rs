@@ -128,14 +128,13 @@ mod tests {
             block: 0,
             page: 0,
         };
-        CopyGroup {
-            src_die: DieAddr {
-                channel,
-                way: 0,
-                die: 0,
-            },
-            pages: vec![(id, page)],
-        }
+        let mut group = CopyGroup::new(DieAddr {
+            channel,
+            way: 0,
+            die: 0,
+        });
+        group.push(id, page);
+        group
     }
 
     /// In-flight counts at, near or well below the per-channel cap.

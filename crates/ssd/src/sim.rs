@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 use dssd_ctrl::DecoupledController;
 use dssd_flash::{DieGrid, WearModel};
-use dssd_ftl::{Ftl, Lpn, MetaStats};
+use dssd_ftl::{AllocGroup, Ftl, Lpn, MetaStats};
 use dssd_kernel::{
     BandwidthServer, EventKey, EventQueue, Rng, SimSpan, SimTime, Slab, SlabKey, ARRIVAL_RANK,
 };
@@ -45,7 +45,7 @@ use crate::faults::FaultInjector;
 use crate::metrics::RunReport;
 use crate::{Architecture, SsdConfig};
 use gc::{CopyJob, GcState};
-use host::{ReadLeg, ReqState, WriteLeg};
+use host::{ReadGroups, ReadLeg, ReqState, WriteLeg};
 pub use observe::EPOCH_COLUMNS;
 use observe::{EpochProbe, ProgressMeter};
 use repair::RemapTable;
@@ -63,6 +63,8 @@ const CLASS_META: usize = 3;
 
 type ReqId = SlabKey;
 type JobId = SlabKey;
+/// A host read or write group in flight, in `read_legs` or `write_legs`.
+type LegId = SlabKey;
 
 /// Why [`SsdSim::run_events`] / [`SsdSim::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,13 +101,13 @@ enum Ev {
     /// Open-loop trace arrival.
     Arrive(Request),
     /// Host write group reached the controller (system bus done).
-    WriteAtCtrl { leg: Box<WriteLeg> },
+    WriteAtCtrl { leg: LegId },
     /// Host write group transferred over the flash bus.
-    WriteAtDie { leg: Box<WriteLeg> },
+    WriteAtDie { leg: LegId },
     /// Host read group: die read finished.
-    ReadAtBus { leg: Box<ReadLeg> },
+    ReadAtBus { leg: LegId },
     /// Host read group: flash bus transfer finished.
-    ReadAtEcc { leg: Box<ReadLeg> },
+    ReadAtEcc { leg: LegId },
     /// Host read group: ECC finished.
     ReadAtSysbus { req: ReqId, pages: u32 },
     /// DRAM-hit request: system-bus crossing finished.
@@ -171,6 +173,15 @@ pub struct SsdSim {
     queue: EventQueue<Ev>,
     requests: Slab<ReqState>,
     jobs: Slab<CopyJob>,
+    /// Host read and write groups in flight; their events carry the key.
+    read_legs: Slab<ReadLeg>,
+    write_legs: Slab<WriteLeg>,
+    /// Reused buffers of the write and read paths: the allocation
+    /// groups of one `Ftl::write_pages` call, one host write's LPNs, and
+    /// one host read's pages grouped per die and row.
+    alloc_groups: Vec<AllocGroup>,
+    lpn_buf: Vec<Lpn>,
+    read_groups: ReadGroups,
     /// In-flight fNoC packets: the slab key's bits are the packet id, so
     /// delivery resolves back to its copy job without a hash probe.
     packet_jobs: Slab<JobId>,
@@ -222,7 +233,7 @@ pub struct SsdSim {
     /// Start-order counter backing [`Completion::tag`].
     next_tag: u64,
     /// Completion log for embedding front-ends; `None` (the default)
-    /// keeps the hot path allocation-free.
+    /// records nothing.
     completions: Option<Vec<Completion>>,
 }
 
@@ -304,6 +315,11 @@ impl SsdSim {
             queue: EventQueue::new(),
             requests: Slab::new(),
             jobs: Slab::new(),
+            read_legs: Slab::new(),
+            write_legs: Slab::new(),
+            alloc_groups: Vec::new(),
+            lpn_buf: Vec::new(),
+            read_groups: Vec::new(),
             packet_jobs: Slab::new(),
             noc_step: dssd_noc::Step::default(),
             noc_lane_pops: 0,
@@ -690,9 +706,9 @@ impl SsdSim {
                 self.check_gc();
             }
             Ev::WriteAtCtrl { leg } => self.write_at_ctrl(leg),
-            Ev::WriteAtDie { leg } => self.write_at_die(*leg),
+            Ev::WriteAtDie { leg } => self.write_at_die(leg),
             Ev::ReadAtBus { leg } => self.read_at_bus(leg),
-            Ev::ReadAtEcc { leg } => self.read_at_ecc(*leg),
+            Ev::ReadAtEcc { leg } => self.read_at_ecc(leg),
             Ev::ReadAtSysbus { req, pages } => self.deliver(req, Hop::SysBus, pages),
             Ev::DramHitAtDram { req, pages } => self.deliver(req, Hop::Dram, pages),
             Ev::PagesDone { req, pages } => self.finish_pages(req, pages),
@@ -890,9 +906,10 @@ mod tests {
     fn event_stays_small() {
         // Every event-queue entry copies an `Ev` on push and pop, and the
         // calendar buckets min-scan them, so the enum's size is hot-path
-        // memory traffic. Large payloads (write/read legs, retried
-        // packets) are boxed to keep it lean; this guards against a new
-        // variant silently fattening every queue operation.
+        // memory traffic. Large payloads stay out of it: write and read
+        // legs wait in slabs and their events carry the key, and retried
+        // packets are boxed. This guards against a new variant silently
+        // fattening every queue operation.
         assert!(
             std::mem::size_of::<Ev>() <= 40,
             "Ev grew to {} bytes; box the large payload",

@@ -8,13 +8,13 @@ use std::collections::BTreeMap;
 
 use dssd_ctrl::{CommandId, CommandKind, CommandQueue, CopybackStage, DecoupledController};
 use dssd_flash::{FlashOpKind, PageAddr};
-use dssd_ftl::{CopyGroup, GcPolicy, GcRound, Lpn};
-use dssd_kernel::{SimSpan, SimTime};
+use dssd_ftl::{AllocGroup, CopyGroup, GcPolicy, GcRound};
+use dssd_kernel::SimTime;
 use dssd_telemetry::{Class, Track};
 
 use super::resources::Hop;
 use super::{Ev, JobId, SsdSim, CLASS_SCAN};
-use crate::metrics::StageKind;
+use crate::metrics::StageTotals;
 use crate::pending::PendingCopies;
 use crate::Architecture;
 
@@ -23,12 +23,11 @@ const SCAN_INFLIGHT: usize = 128;
 
 #[derive(Debug, Clone)]
 pub(super) struct CopyJob {
-    /// `(lpn, src, dst)` triples; all sources on one die/row, all
-    /// destinations on one die/row.
-    pages: Vec<(Lpn, PageAddr, PageAddr)>,
-    src: PageAddr,
-    dst: PageAddr,
-    pub(super) spans: Vec<(StageKind, SimSpan)>,
+    /// The `(lpn, source)` pages, all on one die and row.
+    src: CopyGroup,
+    /// Their destinations, page for page, on one die and row.
+    dst: AllocGroup,
+    pub(super) stages: StageTotals,
     /// Outstanding fNoC packets for this job.
     pub(super) packets_in_flight: u32,
     /// Whether a source-side dBUF reservation is held.
@@ -36,6 +35,13 @@ pub(super) struct CopyJob {
     /// The copyback command tracking this job in the source controller's
     /// command queue.
     cmd: CommandId,
+}
+
+impl CopyJob {
+    /// The job's first source page.
+    fn src_addr(&self) -> PageAddr {
+        self.src.pages()[0].1
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -140,8 +146,8 @@ impl SsdSim {
         }
     }
 
-    fn issue_copy(&mut self, group: CopyGroup) {
-        let want = group.pages.len() as u32;
+    fn issue_copy(&mut self, mut group: CopyGroup) {
+        let want = group.len() as u32;
         let Some(dst_group) = self.ftl.try_alloc_gc_group(want) else {
             // No erased superblock left to copy into: the device has
             // reached end of life. GC stops; writes block permanently.
@@ -150,39 +156,29 @@ impl SsdSim {
             self.gc = None;
             return;
         };
-        let take = dst_group.len().min(group.pages.len());
+        let take = dst_group.len().min(group.len());
 
         // If the allocator returned fewer slots (die row boundary), the
         // remainder goes back to the pending queue as its own group.
-        if take < group.pages.len() {
-            let rest = CopyGroup {
-                src_die: group.src_die,
-                pages: group.pages[take..].to_vec(),
-            };
+        if take < group.len() {
+            let rest = group.split_off(take);
             if let Some(gc) = &mut self.gc {
                 gc.pending.push_front(rest);
             }
         }
 
-        let pages: Vec<(Lpn, PageAddr, PageAddr)> = group.pages[..take]
-            .iter()
-            .zip(dst_group.addrs.iter())
-            .map(|(&(lpn, src), &dst)| (lpn, src, dst))
-            .collect();
-        let src = pages[0].1;
-        let dst = pages[0].2;
+        let src = group.pages()[0].1;
         let src_ch = group.src_die.channel;
 
-        let dst_node = self.effective_addr(dst).channel as usize;
+        let dst_node = self.effective_addr(dst_group.addr(0)).channel as usize;
         let src_node = self.effective_addr(src).channel as usize;
         let cmd = self.controllers[src_node]
             .queue_mut()
             .submit(CommandKind::Copyback { dst_node });
         let id = self.jobs.insert(CopyJob {
-            pages,
-            src,
-            dst,
-            spans: Vec::new(),
+            src: group,
+            dst: dst_group,
+            stages: StageTotals::default(),
             packets_in_flight: 0,
             holds_src_dbuf: false,
             cmd,
@@ -209,8 +205,8 @@ impl SsdSim {
     /// or of its destination when `dst`.
     pub(super) fn job_side(&self, job: JobId, dst: bool) -> (u32, usize) {
         let j = &self.jobs[job];
-        let addr = if dst { j.dst } else { j.src };
-        (j.pages.len() as u32, self.effective_addr(addr).channel as usize)
+        let addr = if dst { j.dst.addr(0) } else { j.src_addr() };
+        (j.src.len() as u32, self.effective_addr(addr).channel as usize)
     }
 
     pub(super) fn copy_at_src_bus(&mut self, job: JobId) {
@@ -292,8 +288,8 @@ impl SsdSim {
         // same-channel copies can free their dBUF slots here rather than
         // waiting out the program.
         self.release_src_dbuf(job);
-        let pages = self.jobs[job].pages.len() as u32;
-        let die = self.effective_die_index(self.jobs[job].dst);
+        let pages = self.jobs[job].src.len() as u32;
+        let die = self.effective_die_index(self.jobs[job].dst.addr(0));
         let lat = self.array_latency(FlashOpKind::Program, pages);
         let done = self.stage(Class::Gc, job, Hop::Die(die, lat), pages);
         self.queue.push(done, Ev::CopyDone { job });
@@ -317,7 +313,7 @@ impl SsdSim {
     /// space at `channel`.
     fn wake_dbuf_waiters(&mut self, channel: usize) {
         while let Some(job) = self.dbuf_waiters[channel].pop_front() {
-            let need = self.jobs[job].pages.len();
+            let need = self.jobs[job].src.len();
             if self.controllers[channel].dbuf().available() < need {
                 self.dbuf_waiters[channel].push_front(job);
                 break;
@@ -332,16 +328,16 @@ impl SsdSim {
         let j = self.jobs.remove(job).expect("unknown copy job");
         self.controllers[src_ch].queue_mut().retire(j.cmd);
         debug_assert!(!j.holds_src_dbuf, "dBUF released before program");
-        for &(lpn, src, dst) in &j.pages {
+        for (&(lpn, src), dst) in j.src.pages().iter().zip(j.dst.addrs()) {
             self.ftl.complete_copy_at(lpn, src, dst, self.now);
         }
         self.pump_meta();
         self.report.gc_pages_copied += u64::from(n);
         self.report.gc_bw.record(self.now, self.page_bytes(n));
-        self.close_spans(Class::Gc, job, "copyback", false, &j.spans);
+        self.close_spans(Class::Gc, job, "copyback", false, &j.stages);
         if let Some(gc) = &mut self.gc {
-            gc.copies_done += j.pages.len();
-            gc.channel_inflight[j.src.channel as usize] -= 1;
+            gc.copies_done += j.src.len();
+            gc.channel_inflight[j.src_addr().channel as usize] -= 1;
         }
         self.maybe_finish_round();
         self.pump_gc();
@@ -403,10 +399,10 @@ impl SsdSim {
         // (each keeps its original arrival time), then the write groups
         // parked by a program failure.
         for (id, lpns, attempt) in std::mem::take(&mut self.blocked_writes) {
-            self.write_or_park(id, lpns, attempt, None);
+            self.write_or_park(id, &lpns, attempt, None);
         }
         for (id, lpns, attempt) in std::mem::take(&mut self.blocked_rewrites) {
-            self.write_or_park(id, lpns, attempt, Some(self.now));
+            self.write_or_park(id, &lpns, attempt, Some(self.now));
         }
         self.pump_meta();
         self.check_gc();
@@ -416,7 +412,7 @@ impl SsdSim {
     /// Advances job `job`'s copyback command until it reaches `target`.
     pub(super) fn cmd_advance_to(&mut self, job: JobId, target: CopybackStage) {
         let Some(j) = self.jobs.get(job) else { return };
-        let ch = self.effective_addr(j.src).channel as usize;
+        let ch = self.effective_addr(j.src_addr()).channel as usize;
         let cmd = j.cmd;
         while self.controllers[ch].queue().stage(cmd).is_some_and(|s| s < target) {
             self.controllers[ch].queue_mut().advance(cmd);

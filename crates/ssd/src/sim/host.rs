@@ -3,8 +3,6 @@
 //! and back, the DRAM write cache and its background flush, and
 //! TinyTail's RAIN parity and read reconstruction.
 
-use std::collections::BTreeMap;
-
 use dssd_flash::{DieAddr, FlashOpKind, PageAddr};
 use dssd_ftl::{GcPolicy, Lpn, META_NO_TICKET};
 use dssd_kernel::{SimSpan, SimTime};
@@ -12,9 +10,14 @@ use dssd_telemetry::{Class, Track};
 use dssd_workload::{Op, Request};
 
 use super::resources::Hop;
-use super::{Completion, Ev, ReqId, SsdSim, CLASS_IO};
+use super::{Completion, Ev, LegId, ReqId, SsdSim, CLASS_IO};
 use crate::cache::WriteCache;
-use crate::metrics::StageKind;
+use crate::metrics::{StageKind, StageTotals};
+
+/// A host read's pages grouped for multi-plane reads: the `(effective
+/// die, page row, effective channel)` key of each page with its
+/// (pre-remap) address, sorted by key.
+pub(super) type ReadGroups = Vec<((usize, u32, u32), PageAddr)>;
 
 /// One host request in flight.
 #[derive(Debug, Clone)]
@@ -25,7 +28,7 @@ pub(super) struct ReqState {
     tag: u64,
     pages_left: u32,
     total_pages: u32,
-    pub(super) spans: Vec<(StageKind, SimSpan)>,
+    pub(super) stages: StageTotals,
     /// The request completed but lost data (read retries or program
     /// attempts exhausted) — surfaced to the host as a failure.
     pub(super) failed: bool,
@@ -128,7 +131,7 @@ impl SsdSim {
             tag,
             pages_left: r.pages,
             total_pages: r.pages,
-            spans: Vec::new(),
+            stages: StageTotals::default(),
             failed: false,
             tickets: Vec::new(),
         });
@@ -151,29 +154,32 @@ impl SsdSim {
     }
 
     fn start_write(&mut self, id: ReqId, r: Request) {
-        let lpns: Vec<Lpn> = r.lpns().map(|l| l % self.ftl.lpn_count()).collect();
+        let mut lpns = std::mem::take(&mut self.lpn_buf);
+        lpns.clear();
+        lpns.extend(r.lpns().map(|l| l % self.ftl.lpn_count()));
         if let Some(cache) = self.cache.as_mut() {
             // Write-back buffering: the write is acknowledged from DRAM;
             // dirty pages flush to flash in the background.
-            for lpn in lpns {
+            for &lpn in &lpns {
                 cache.write(lpn);
             }
             self.serve_from_dram(id, r.pages);
             self.pump_flush();
-        } else if self.write_or_park(id, lpns, 1, None) {
+        } else if self.write_or_park(id, &lpns, 1, None) {
             self.charge_parity(r.pages);
         } else {
             // Out of space: the request stalls until GC frees a
             // superblock — this is where baseline tail latency explodes.
             self.check_gc();
         }
+        self.lpn_buf = lpns;
     }
 
     /// Allocates flash pages for `lpns` of request `req` and issues one
-    /// write leg per allocated group, or — out of space — parks them
-    /// until a GC round frees a superblock and returns false. A fresh
-    /// host write (`rewrite_at` of `None`) first crosses the system bus
-    /// (host DMA); after a failed program the data still sits in the
+    /// write leg per allocated group, or — out of space — parks a copy
+    /// of them until a GC round frees a superblock and returns false. A
+    /// fresh host write (`rewrite_at` of `None`) first crosses the system
+    /// bus (host DMA); after a failed program the data still sits in the
     /// controller, so re-allocated groups enter the flash path at
     /// `rewrite_at`. `attempt` seeds each group's program-failure
     /// budget, and the LPNs ride along only when fault injection may
@@ -181,18 +187,20 @@ impl SsdSim {
     pub(super) fn write_or_park(
         &mut self,
         req: ReqId,
-        lpns: Vec<Lpn>,
+        lpns: &[Lpn],
         attempt: u32,
         rewrite_at: Option<SimTime>,
     ) -> bool {
-        let Some(groups) = self.ftl.write_pages(&lpns) else {
+        let mut groups = std::mem::take(&mut self.alloc_groups);
+        if !self.ftl.write_pages(lpns, &mut groups) {
+            self.alloc_groups = groups;
             let parked = match rewrite_at {
                 Some(_) => &mut self.blocked_rewrites,
                 None => &mut self.blocked_writes,
             };
-            parked.push_back((req, lpns, attempt));
+            parked.push_back((req, lpns.to_vec(), attempt));
             return false;
-        };
+        }
         // One durability ticket per group (none with the model off),
         // redeemed when the request completes.
         let tickets = self.ftl.meta_drain_tickets();
@@ -209,18 +217,20 @@ impl SsdSim {
                 Some(at) => at,
                 None => self.stage(Class::Io, req, Hop::SysBus, pages),
             };
-            let leg = WriteLeg {
+            let addr = g.addr(0);
+            let leg = self.write_legs.insert(WriteLeg {
                 req,
-                die: self.effective_die_index(g.addrs[0]),
+                die: self.effective_die_index(addr),
                 pages,
-                channel: self.effective_addr(g.addrs[0]).channel,
-                addr: g.addrs[0],
+                channel: self.effective_addr(addr).channel,
+                addr,
                 lpns,
                 attempt,
                 ticket: tickets.get(i).copied().unwrap_or(META_NO_TICKET),
-            };
-            self.queue.push(at, Ev::WriteAtCtrl { leg: Box::new(leg) });
+            });
+            self.queue.push(at, Ev::WriteAtCtrl { leg });
         }
+        self.alloc_groups = groups;
         true
     }
 
@@ -248,10 +258,12 @@ impl SsdSim {
 
     fn start_read(&mut self, id: ReqId, r: Request) {
         // Group the request's pages by (die, page row) to exploit
-        // multi-plane reads where the FTL laid pages out that way.
-        // Ordered map: the fault injector draws per group, so iteration
-        // order must be deterministic.
-        let mut groups: BTreeMap<(usize, u32, u32), (u32, PageAddr)> = BTreeMap::new();
+        // multi-plane reads where the FTL laid pages out that way. The
+        // fault injector draws per group, so groups issue in key order;
+        // the stable sort keeps each group's first page in front, and
+        // that page's address stands for the group.
+        let mut groups = std::mem::take(&mut self.read_groups);
+        groups.clear();
         let mut unmapped = 0u32;
         let mut cached = 0u32;
         for lpn in r.lpns() {
@@ -264,13 +276,12 @@ impl SsdSim {
                 Some(raw) => {
                     let addr = self.effective_addr(raw);
                     let die = self.effective_die_index_raw(addr);
-                    let e =
-                        groups.entry((die, addr.page, addr.channel)).or_insert((0, raw));
-                    e.0 += 1;
+                    groups.push(((die, addr.page, addr.channel), raw));
                 }
                 None => unmapped += 1,
             }
         }
+        groups.sort_by_key(|&(key, _)| key);
         if cached > 0 {
             // Write-buffer hits are served from DRAM.
             self.serve_from_dram(id, cached);
@@ -281,7 +292,9 @@ impl SsdSim {
             // system-bus crossing only.
             self.deliver(id, Hop::SysBus, unmapped);
         }
-        for ((die, _row, channel), (pages, raw)) in groups {
+        for group in groups.chunk_by(|a, b| a.0 == b.0) {
+            let ((die, _row, channel), raw) = group[0];
+            let pages = group.len() as u32;
             // TinyTail: a read whose chip is busy with (partial) GC is
             // served by RAIN reconstruction — the k-1 stripe peers are
             // read from the other channels and XORed at the front end,
@@ -299,8 +312,10 @@ impl SsdSim {
             let lat = self.array_latency(FlashOpKind::Read, pages);
             let done = self.stage(Class::Io, id, Hop::Die(die, lat), pages);
             let leg = ReadLeg { req: id, pages, channel, die, addr: raw, attempt: 0, hard: false };
-            self.queue.push(done, Ev::ReadAtBus { leg: Box::new(leg) });
+            let leg = self.read_legs.insert(leg);
+            self.queue.push(done, Ev::ReadAtBus { leg });
         }
+        self.read_groups = groups;
     }
 
     /// RAIN read reconstruction: read the stripe fragments from every
@@ -339,14 +354,17 @@ impl SsdSim {
         self.queue.push(done, Ev::PagesDone { req: id, pages });
     }
 
-    pub(super) fn write_at_ctrl(&mut self, leg: Box<WriteLeg>) {
-        let done = self.stage(Class::Io, leg.req, Hop::Bus(leg.channel as usize), leg.pages);
-        self.queue.push(done, Ev::WriteAtDie { leg });
+    pub(super) fn write_at_ctrl(&mut self, id: LegId) {
+        let leg = &self.write_legs[id];
+        let (req, hop, pages) = (leg.req, Hop::Bus(leg.channel as usize), leg.pages);
+        let done = self.stage(Class::Io, req, hop, pages);
+        self.queue.push(done, Ev::WriteAtDie { leg: id });
     }
 
     /// Programs one host write group, with an optional injected failure
     /// surfacing in the status read after the program time was spent.
-    pub(super) fn write_at_die(&mut self, leg: WriteLeg) {
+    pub(super) fn write_at_die(&mut self, id: LegId) {
+        let leg = self.write_legs.remove(id).expect("unknown write leg");
         let lat = self.array_latency(FlashOpKind::Program, leg.pages);
         let done = self.stage(Class::Io, leg.req, Hop::Die(leg.die, lat), leg.pages);
         if self.injector.as_mut().is_some_and(|i| i.program_fails()) {
@@ -363,9 +381,10 @@ impl SsdSim {
         self.queue.push(done, Ev::PagesDone { req: leg.req, pages: leg.pages });
     }
 
-    pub(super) fn read_at_bus(&mut self, leg: Box<ReadLeg>) {
+    pub(super) fn read_at_bus(&mut self, id: LegId) {
+        let leg = self.read_legs[id];
         let done = self.stage(Class::Io, leg.req, Hop::Bus(leg.channel as usize), leg.pages);
-        self.queue.push(done, Ev::ReadAtEcc { leg });
+        self.queue.push(done, Ev::ReadAtEcc { leg: id });
     }
 
     /// The last stage of `pages` of request `req`, on `hop`: a read
@@ -396,7 +415,7 @@ impl SsdSim {
         if state.failed {
             self.report.faults.requests_failed += 1;
         }
-        self.close_spans(Class::Io, req, op_name(state.op), state.failed, &state.spans);
+        self.close_spans(Class::Io, req, op_name(state.op), state.failed, &state.stages);
         let latency = self.now - state.arrived;
         self.report.io_latency.record(latency);
         match state.op {
@@ -435,21 +454,24 @@ impl SsdSim {
                     return;
                 }
             }
-            let Some(groups) = self.ftl.write_pages(&batch) else {
+            let mut groups = std::mem::take(&mut self.alloc_groups);
+            if !self.ftl.write_pages(&batch, &mut groups) {
                 // Out of space: keep the batch and wait for GC.
+                self.alloc_groups = groups;
                 self.flush_backlog = batch.into();
                 self.check_gc();
                 return;
-            };
-            for g in groups {
+            }
+            for g in &groups {
                 let pages = g.len() as u32;
-                let ch = self.effective_addr(g.addrs[0]).channel as usize;
-                let die = self.effective_die_index(g.addrs[0]);
+                let ch = self.effective_addr(g.addr(0)).channel as usize;
+                let die = self.effective_die_index(g.addr(0));
                 let bus_done = self.occupy(Hop::SysBus, self.now, pages, CLASS_IO);
                 let done = self.occupy(Hop::Bus(ch), bus_done, pages, CLASS_IO);
                 let lat = self.array_latency(FlashOpKind::Program, pages);
                 self.dies.occupy(die, done, lat);
             }
+            self.alloc_groups = groups;
             self.check_gc();
         }
     }

@@ -7,7 +7,7 @@ use dssd_kernel::{SimSpan, SimTime, SlabKey};
 use dssd_telemetry::{Class, EpochSeries, Stage, TraceConfig, Tracer, Track};
 
 use super::{SsdSim, CLASS_GC, CLASS_IO};
-use crate::metrics::StageKind;
+use crate::metrics::{StageKind, StageTotals};
 
 /// Stderr heartbeat state for [`SsdSim::set_progress`]: reports sim-time,
 /// events processed and the recent events/sec rate about once per second
@@ -145,8 +145,8 @@ impl SsdSim {
 
     /// The span funnel: attributes `span` of `stage` time, starting at
     /// `start`, to host request (`Class::Io`) or copy job (`Class::Gc`)
-    /// `id` — in its stage list and, when tracing, as a timeline slice on
-    /// `track` — so a slice and its breakdown entry always agree.
+    /// `id` — in its per-stage totals and, when tracing, as a timeline
+    /// slice on `track` — so a slice and its breakdown entry always agree.
     #[inline]
     pub(super) fn span(
         &mut self,
@@ -157,38 +157,32 @@ impl SsdSim {
         start: SimTime,
         span: SimSpan,
     ) {
-        let spans = match class {
-            Class::Io => self.requests.get_mut(id).map(|r| &mut r.spans),
-            Class::Gc => self.jobs.get_mut(id).map(|j| &mut j.spans),
+        let totals = match class {
+            Class::Io => self.requests.get_mut(id).map(|r| &mut r.stages),
+            Class::Gc => self.jobs.get_mut(id).map(|j| &mut j.stages),
         };
-        let Some(spans) = spans else { return };
-        spans.push((stage, span));
+        let Some(totals) = totals else { return };
+        totals.add(stage, span);
         let stage = Stage::ALL[stage.index()];
         self.tracer.span(class, id.to_bits(), track, stage, start, span);
     }
 
-    /// Closes the funnel for a finished request or copy job: its stage
-    /// list enters the report's breakdown and, when tracing, its per-stage
-    /// totals end its trace lane.
+    /// Closes the funnel for a finished request or copy job: its
+    /// per-stage totals enter the report's breakdown and, when tracing,
+    /// end its trace lane.
     pub(super) fn close_spans(
         &mut self,
         class: Class,
         id: SlabKey,
         name: &'static str,
         failed: bool,
-        spans: &[(StageKind, SimSpan)],
+        totals: &StageTotals,
     ) {
         match class {
-            Class::Io => self.report.io_breakdown.record(spans),
-            Class::Gc => self.report.copyback_breakdown.record(spans),
+            Class::Io => self.report.io_breakdown.record(&totals.us),
+            Class::Gc => self.report.copyback_breakdown.record(&totals.us),
         }
-        if self.tracer.is_enabled() {
-            let mut totals = [SimSpan::ZERO; 6];
-            for &(k, s) in spans {
-                totals[k.index()] += s;
-            }
-            self.tracer.end(class, id.to_bits(), name, self.now, failed, &totals);
-        }
+        self.tracer.end(class, id.to_bits(), name, self.now, failed, &totals.spans);
     }
 
     /// Samples every epoch boundary at or before `t` (cold path — only

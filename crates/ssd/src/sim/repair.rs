@@ -10,7 +10,7 @@ use dssd_telemetry::{Class, Track};
 
 use super::host::{ReadLeg, WriteLeg};
 use super::resources::Hop;
-use super::{Ev, SsdSim};
+use super::{Ev, LegId, SsdSim};
 use crate::faults::{FaultInjector, ReadFault};
 use crate::metrics::StageKind;
 use crate::{DynamicSbConfig, SsdConfig};
@@ -146,7 +146,8 @@ impl SsdSim {
     /// The ECC stage of a host read group: decode timing, then — when
     /// fault injection is enabled — an in-band verdict that can trigger a
     /// read-retry or an uncorrectable-read recovery.
-    pub(super) fn read_at_ecc(&mut self, mut leg: ReadLeg) {
+    pub(super) fn read_at_ecc(&mut self, id: LegId) {
+        let mut leg = self.read_legs.remove(id).expect("unknown read leg");
         let done = self.stage(Class::Io, leg.req, Hop::Ecc(leg.channel as usize), leg.pages);
         let verdict = match self.injector {
             Some(_) => self.classify_read(&mut leg),
@@ -229,7 +230,8 @@ impl SsdSim {
         self.tracer.instant(Track::Faults, "read retry", at);
         self.report.faults.read_retries += 1;
         self.report.faults.retry_latency += done - at;
-        self.queue.push(done, Ev::ReadAtBus { leg: Box::new(leg) });
+        let leg = self.read_legs.insert(leg);
+        self.queue.push(done, Ev::ReadAtBus { leg });
     }
 
     /// Retries exhausted: the read is uncorrectable. The failing block is
@@ -269,7 +271,7 @@ impl SsdSim {
             self.queue.push(at, Ev::PagesDone { req: leg.req, pages: leg.pages });
             return;
         };
-        if !self.write_or_park(leg.req, lpns, leg.attempt + 1, Some(at)) {
+        if !self.write_or_park(leg.req, &lpns, leg.attempt + 1, Some(at)) {
             // No space for the re-allocation: it waits for GC.
             self.check_gc();
         }

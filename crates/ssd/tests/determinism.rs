@@ -1,4 +1,4 @@
-//! Determinism gates for the allocation-free hot paths.
+//! Determinism gates for the optimized hot paths.
 //!
 //! Two layers of protection:
 //!
@@ -16,7 +16,7 @@ use dssd_kernel::{SimSpan, SimTime};
 use dssd_noc::TopologyKind;
 use dssd_ssd::{
     Architecture, DurabilityConfig, DynamicSbConfig, FaultConfig, RunState, SsdConfig, SsdSim,
-    WasScanConfig,
+    StageBreakdown, StageKind, WasScanConfig,
 };
 use dssd_workload::{msr, AccessPattern, SyntheticWorkload};
 
@@ -525,4 +525,82 @@ fn golden_aged_dynamic_superblocks_and_was_scan() {
         "req=4288 gc_pages=1922 gc_rounds=1 io_bytes=17563648 gc_bytes=7872512 mean_ns=294443 p99_ns=608240 first_gc=Some(0) remaps=0 bad_sb=0 gc_issue=0x94697e177b43ac00 digest=0x46449b23ffb1aa45 blocks_retired=0 sb_retired=0 failed=0 rbt=0 retired=0",
         "WAS-scan run drifted from the golden run"
     );
+}
+
+/// The Fig 9 stage breakdowns of a finished run, bit for bit: each
+/// stage's mean as `f64::to_bits`, with the number of operations
+/// recorded, for host I/O and for copyback.
+fn breakdown_line(sim: &mut SsdSim) -> String {
+    let r = sim.report();
+    let bits = |b: &StageBreakdown| {
+        let means: Vec<String> =
+            StageKind::all().iter().map(|&s| format!("{:x}", b.mean_us(s).to_bits())).collect();
+        format!("n={} [{}]", b.count(), means.join(","))
+    };
+    let (io, cb) = (bits(&r.io_breakdown), bits(&r.copyback_breakdown));
+    let gc_digest = r.gc_issue_digest;
+    format!("{} gc_digest={gc_digest:#018x} io {io} cb {cb}", summary(sim))
+}
+
+/// Golden stage breakdowns, captured before per-stage time moved from
+/// growing span lists into fixed per-stage totals: a `prn_0` Baseline
+/// replay long enough for several greedy GC rounds (so victim order
+/// shows), dSSD_f continuous GC under 8-page writes, a TinyTail read mix
+/// whose reads on GC-busy channels are served by RAIN reconstruction,
+/// and dSSD_f with read and program faults (read retries, and failed
+/// programs re-allocated with the LPNs they carry).
+#[test]
+fn golden_stage_breakdowns() {
+    use dssd_ftl::GcPolicy;
+    let mut got = Vec::new();
+
+    let mut cfg = SsdConfig::test_tiny(Architecture::Baseline).with_seed(1);
+    cfg.write_cache_pages = None;
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    replay_prn0(&mut sim, SimSpan::from_ms(240), 1);
+    got.push(breakdown_line(&mut sim));
+
+    let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+    cfg.gc_continuous = true;
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    sim.run_closed_loop(SyntheticWorkload::writes(AccessPattern::Random, 8), SimSpan::from_ms(10));
+    got.push(breakdown_line(&mut sim));
+
+    let mut cfg = SsdConfig::test_tiny(Architecture::Baseline);
+    cfg.gc_continuous = true;
+    cfg.ftl.policy = GcPolicy::TinyTail { concurrent_channels: 1 };
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    let wl = SyntheticWorkload::mixed(AccessPattern::Random, 4, 0.7);
+    sim.run_closed_loop(wl, SimSpan::from_ms(10));
+    got.push(breakdown_line(&mut sim));
+
+    let mut cfg = SsdConfig::test_tiny(Architecture::DssdFnoc);
+    cfg.gc_continuous = true;
+    cfg.faults = FaultConfig::none();
+    cfg.faults.read_transient_prob = 0.05;
+    cfg.faults.read_hard_prob = 0.002;
+    cfg.faults.program_fail_prob = 0.02;
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    let wl = SyntheticWorkload::mixed(AccessPattern::Random, 4, 0.5);
+    sim.run_closed_loop(wl, SimSpan::from_ms(10));
+    let f = sim.report().faults;
+    got.push(format!(
+        "{} retries={} program_failures={} failed={}",
+        breakdown_line(&mut sim),
+        f.read_retries,
+        f.program_failures,
+        f.requests_failed
+    ));
+
+    let golden = [
+        "req=16865 gc_pages=26672 gc_rounds=17 io_bytes=233242624 gc_bytes=109248512 mean_ns=215016 p99_ns=604477 first_gc=Some(14635) remaps=0 bad_sb=0 gc_digest=0xec806ed764ef8295 io n=16865 [4057d7178b9e244c,402f2f977a811025,40668de12df884ac,0,3fef27c83e6f1ee4,0] cb n=10539 [405acd06c572db03,404642ef477bd5f1,40876f09761a23de,40104fec3750b4cb,4012bad62c840a18,0]",
+        "req=1725 gc_pages=2710 gc_rounds=1 io_bytes=56524800 gc_bytes=11100160 mean_ns=363617 p99_ns=531464 first_gc=Some(0) remaps=0 bad_sb=0 gc_digest=0xc6edc3e602dbde08 io n=1725 [40556740da740da6,40709999d186285b,40315f0d5888bde4,0,0,0] cb n=1032 [405da6af8e747f77,4081a6cb95e290df,0,0,4013528e170528a7,403d00b7e83fe295]",
+        "req=1685 gc_pages=495 gc_rounds=0 io_bytes=27607040 gc_bytes=2027520 mean_ns=372528 p99_ns=738732 first_gc=Some(0) remaps=0 bad_sb=0 gc_digest=0x672d0ba510fbbc24 io n=1685 [404f4e99258a7e99,40628ad677b0331a,407803599e08acf7,0,400b16c743d27d16,0] cb n=166 [406174d678f4935e,406b020b7f97c628,407c9bcc7aaebf0b,4010d9e6fad7ce16,4014997a0431d7ca,0]",
+        "req=2883 gc_pages=4531 gc_rounds=1 io_bytes=47235072 gc_bytes=18558976 mean_ns=219096 p99_ns=569148 first_gc=Some(0) remaps=0 bad_sb=0 gc_digest=0xd7b4b13f933dc518 io n=2883 [404ebfbece130c47,40657fc36c21c9b4,403a5e090ea6c2b8,0,4008ea7ab3d0f576,0] cb n=1214 [405e93bebf567de8,40752bb779fc63c6,0,0,401826a6f6dc2325,404679c2bc463820] retries=207 program_failures=26 failed=7",
+    ];
+    assert_eq!(got, golden, "stage breakdowns drifted from the golden runs");
 }

@@ -4,7 +4,10 @@
 //! A plain `HashMap<Lpn, u64>` (LPN → write version) acts as the model;
 //! the FTL runs the same operation sequence with GC interleaved. After
 //! every sequence the two must agree on which pages exist, and the FTL's
-//! internal structures must be consistent.
+//! internal structures must be consistent. After every operation each
+//! superblock's valid-page counter must equal the sum over its
+//! sub-blocks, and every GC round must pick the victim that summing
+//! sub-blocks per sealed superblock picks.
 
 use std::collections::HashMap;
 
@@ -38,22 +41,62 @@ fn small_ftl() -> Ftl {
     Ftl::new(FlashGeometry::tiny(), config)
 }
 
-/// Runs one full, synchronous GC round.
-fn run_gc(ftl: &mut Ftl) {
+/// Valid pages in superblock `sb`, summed over its sub-blocks' counters.
+fn summed_valid_pages(ftl: &Ftl, sb: u32) -> u64 {
+    let geo = ftl.layout().geometry();
+    ftl.layout()
+        .sub_blocks(sb)
+        .map(|b| u64::from(ftl.mapping().valid_in_block(geo.block_index(b))))
+        .sum()
+}
+
+/// Every superblock's counter equals the sum over its sub-blocks.
+fn counts_agree(ftl: &Ftl) -> Result<(), String> {
+    for sb in 0..ftl.layout().superblock_count() {
+        let (counted, summed) = (ftl.superblock_valid_pages(sb), summed_valid_pages(ftl, sb));
+        if counted != summed {
+            return Err(format!(
+                "superblock {sb} counts {counted} valid pages, sub-blocks sum {summed}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The greedy pick by the O(blocks) scan: the first sealed superblock
+/// with the fewest valid pages, each counted by summing its sub-blocks.
+fn reference_victim(ftl: &Ftl) -> Option<u32> {
+    ftl.sealed_superblocks().iter().copied().min_by_key(|&sb| summed_valid_pages(ftl, sb))
+}
+
+/// Runs one full, synchronous GC round, checking its victim against the
+/// reference scan and the counters after every copy.
+fn run_gc(ftl: &mut Ftl) -> Result<(), String> {
+    let want = reference_victim(ftl);
     let Some(round) = ftl.start_gc_round() else {
-        return;
+        return match want {
+            None => Ok(()),
+            Some(sb) => Err(format!("no GC round, but superblock {sb} is sealed")),
+        };
     };
+    if Some(round.victim) != want {
+        return Err(format!("victim {} where the sub-block scan picks {want:?}", round.victim));
+    }
+    counts_agree(ftl)?;
     for group in &round.groups {
-        let mut pages = group.pages.clone();
+        let mut pages = group.pages();
         while !pages.is_empty() {
             let dst = ftl.alloc_gc_group(pages.len() as u32);
-            let take = dst.len().min(pages.len());
-            for ((lpn, src), d) in pages.drain(..take).zip(dst.addrs.iter()) {
-                ftl.complete_copy(lpn, src, *d);
+            let (now, rest) = pages.split_at(dst.len().min(pages.len()));
+            for (&(lpn, src), d) in now.iter().zip(dst.addrs()) {
+                ftl.complete_copy(lpn, src, d);
+                counts_agree(ftl)?;
             }
+            pages = rest;
         }
     }
     ftl.finish_gc_round(&round);
+    counts_agree(ftl)
 }
 
 /// Runs `ops` on a fresh FTL and on the model, then checks that they
@@ -63,15 +106,16 @@ fn agrees_with_model(ops: &[Op]) -> Result<(), String> {
     let mut model: HashMap<u64, u64> = HashMap::new();
     let mut version = 0u64;
     let lpns = ftl.lpn_count();
+    let mut groups = Vec::new();
 
     for &op in ops {
         match op {
             Op::Write(raw) => {
                 let lpn = raw % lpns;
-                if ftl.write_pages(&[lpn]).is_none() {
+                if !ftl.write_pages(&[lpn], &mut groups) {
                     // Out of space: reclaim synchronously and retry.
-                    run_gc(&mut ftl);
-                    if ftl.write_pages(&[lpn]).is_none() {
+                    run_gc(&mut ftl)?;
+                    if !ftl.write_pages(&[lpn], &mut groups) {
                         return Err(format!("write of LPN {lpn} still blocked after GC"));
                     }
                 }
@@ -80,14 +124,15 @@ fn agrees_with_model(ops: &[Op]) -> Result<(), String> {
             }
             Op::Trim(raw) => {
                 let lpn = raw % lpns;
-                let ftl_had = ftl.trim(lpn).is_some();
+                let ftl_had = ftl.trim(lpn);
                 let model_had = model.remove(&lpn).is_some();
                 if ftl_had != model_had {
                     return Err(format!("trim disagreement on LPN {lpn}"));
                 }
             }
-            Op::Gc => run_gc(&mut ftl),
+            Op::Gc => run_gc(&mut ftl)?,
         }
+        counts_agree(&ftl)?;
     }
 
     // Agreement: exactly the model's pages are mapped.
@@ -125,8 +170,9 @@ fn gc_preserves_every_mapping_under_pressure() {
         let before: Vec<bool> = (0..ftl.lpn_count())
             .map(|l| ftl.translate(l).is_some())
             .collect();
+        counts_agree(&ftl)?;
         for _ in 0..4 {
-            run_gc(&mut ftl);
+            run_gc(&mut ftl)?;
         }
         for (lpn, had) in before.iter().enumerate() {
             if ftl.translate(lpn as u64).is_some() != *had {
