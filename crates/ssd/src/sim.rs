@@ -1,21 +1,25 @@
 //! The event-driven SSD world, split along the paper's hardware seams.
 //!
-//! [`SsdSim`] owns every component and one flat event enum drives every
-//! pipeline. This module keeps the struct and its construction, the
-//! stepping API and the one event loop, the dispatch of each event to
-//! the component that handles it, power loss with its crash audit and
-//! the durability model's metadata traffic, and the state digest. Each
-//! component is a submodule that declares the state it owns and
-//! handles its own events:
+//! [`SsdSim`] holds the state every seam shares — the config, the RNG,
+//! the FTL, the report, the event queue and the clock — and one struct
+//! per seam, declared in the module that owns it. A seam's fields are
+//! private to its module, so other modules reach it through its methods.
+//! Three fields whose types carry their own API are `pub(super)`:
+//! `Observe::tracer`, `Resources::controllers` and `Repair::injector`.
+//! This module keeps the struct and its construction, the run control
+//! (horizon, replay cursor, power-loss arming), the stepping API and the
+//! one event loop, the dispatch of each event to the seam that handles
+//! it, power loss with its crash audit and the durability model's
+//! metadata traffic, and the state digest:
 //!
-//! | module | seam (Sec 4, Fig 4) |
-//! |---|---|
-//! | `host` | host front-end: admission, the read and write legs, the DRAM write cache and its flush, TinyTail's RAIN parity and reconstruction |
-//! | `resources` | the resources every stage occupies: system bus and DRAM (metered per traffic class), dSSD_b's GC bus, each channel's flash bus and ECC engine, the dies |
-//! | `gc` | GC and global copyback: rounds, copy legs, each architecture's transport, dBUF back-pressure, erase, the WAS scan |
-//! | `fnoc` | the fNoC glue: the NoC burst, step booking, packet injection and retry |
-//! | `repair` | fault and wear repair: ECC verdicts, read retries, program failure, SRT/RBT remaps, retirement |
-//! | `observe` | observation: the span funnel, the epoch probe, the progress meter |
+//! | module | seam (Sec 4, Fig 4) | state it owns |
+//! |---|---|---|
+//! | `host` | host front-end: admission, the read and write legs with their read retries and program-failure re-allocation, the DRAM write cache and its flush, TinyTail's RAIN parity and reconstruction | `Host`: requests, read and write legs, reused buffers, write cache and flush backlog, parked writes and rewrites, `outstanding`, the workload, the completion log, parity pages |
+//! | `resources` | the resources every stage occupies: system bus and DRAM (metered per traffic class), dSSD_b's GC bus, each channel's flash bus and ECC engine, the dies | `Resources`: dies, flash buses, controllers, system bus, DRAM, dedicated bus |
+//! | `gc` | GC and global copyback: rounds, copy legs, each architecture's transport, dBUF back-pressure, erase, the WAS scan | `Gc`: copy jobs, the active round, dBUF waiters, the WAS scan |
+//! | `fnoc` | the fNoC glue: the NoC burst, step booking, packet injection and retry | `Fnoc` (dSSD_f only): the network, the packet → job map, the step buffer, lane pops |
+//! | `repair` | fault and wear repair: ECC verdicts, block failure, SRT/RBT remaps, retirement | `Repair`: remap table, wear model, fault injector, pending retirements |
+//! | `observe` | observation: the span funnel, the epoch probe, the progress meter | `Observe`: tracer, epoch probe, progress switch |
 //!
 //! Resources are passive analytic servers from `dssd-kernel`, so each
 //! pipeline stage computes its own completion time and schedules
@@ -28,28 +32,21 @@ mod observe;
 mod repair;
 mod resources;
 
-use std::collections::VecDeque;
-
-use dssd_ctrl::DecoupledController;
-use dssd_flash::{DieGrid, WearModel};
-use dssd_ftl::{AllocGroup, Ftl, Lpn, MetaStats};
-use dssd_kernel::{
-    BandwidthServer, EventKey, EventQueue, Rng, SimSpan, SimTime, Slab, SlabKey, ARRIVAL_RANK,
-};
+use dssd_ftl::{Ftl, MetaIo, MetaStats};
+use dssd_kernel::{EventKey, EventQueue, Rng, SimSpan, SimTime, SlabKey, ARRIVAL_RANK};
 use dssd_noc::{Network, NocEvent, Packet};
-use dssd_telemetry::{Tracer, Track};
+use dssd_telemetry::Track;
 use dssd_workload::{Request, SyntheticWorkload};
 
-use crate::cache::WriteCache;
-use crate::faults::FaultInjector;
 use crate::metrics::RunReport;
-use crate::{Architecture, SsdConfig};
-use gc::{CopyJob, GcState};
-use host::{ReadGroups, ReadLeg, ReqState, WriteLeg};
+use crate::SsdConfig;
+use fnoc::Fnoc;
+use gc::Gc;
+use host::Host;
 pub use observe::EPOCH_COLUMNS;
-use observe::{EpochProbe, ProgressMeter};
-use repair::RemapTable;
-use resources::Hop;
+use observe::Observe;
+use repair::Repair;
+use resources::{Hop, Resources};
 
 /// Traffic class for host I/O on the shared servers.
 const CLASS_IO: usize = 0;
@@ -154,71 +151,27 @@ pub struct SsdSim {
     config: SsdConfig,
     rng: Rng,
     ftl: Ftl,
-    dies: DieGrid,
-    flash_bus: Vec<BandwidthServer>,
-    controllers: Vec<DecoupledController>,
-    sysbus: BandwidthServer,
-    dram: BandwidthServer,
-    dedicated_bus: Option<BandwidthServer>,
-    /// Boxed so the network's hot state (lane heads, counters) sits at a
-    /// heap address that does not move with `SsdSim`'s size or with the
-    /// frame holding the sim: inline, the NoC burst's speed shifted by up
-    /// to 20% with unrelated field changes (DESIGN.md §13).
-    noc: Option<Box<Network>>,
-    dbuf_waiters: Vec<VecDeque<JobId>>,
-    cache: Option<WriteCache>,
-    flush_backlog: VecDeque<Lpn>,
-    remap: RemapTable,
-    wear: Option<WearModel>,
-    queue: EventQueue<Ev>,
-    requests: Slab<ReqState>,
-    jobs: Slab<CopyJob>,
-    /// Host read and write groups in flight; their events carry the key.
-    read_legs: Slab<ReadLeg>,
-    write_legs: Slab<WriteLeg>,
-    /// Reused buffers of the write and read paths: the allocation
-    /// groups of one `Ftl::write_pages` call, one host write's LPNs, and
-    /// one host read's pages grouped per die and row.
-    alloc_groups: Vec<AllocGroup>,
-    lpn_buf: Vec<Lpn>,
-    read_groups: ReadGroups,
-    /// In-flight fNoC packets: the slab key's bits are the packet id, so
-    /// delivery resolves back to its copy job without a hash probe.
-    packet_jobs: Slab<JobId>,
-    /// Reused buffers for NoC steps: the event loop books one NoC step
-    /// at a time, so one `Step` (with retained capacity) serves them all.
-    noc_step: dssd_noc::Step,
-    /// fNoC flit events handled off the network's lanes; folded into
-    /// `events_delivered`, the state digest and progress ticks wherever
-    /// queue pops are, so every event counts once wherever it waited.
-    noc_lane_pops: u64,
-    /// Host writes waiting for free space: `(request, LPNs, attempt)`.
-    blocked_writes: VecDeque<(ReqId, Vec<Lpn>, u32)>,
-    /// Write groups awaiting re-allocation after a program failure.
-    blocked_rewrites: VecDeque<(ReqId, Vec<Lpn>, u32)>,
-    /// Superblocks holding a failed block, awaiting online retirement.
-    pending_retire: VecDeque<u32>,
-    injector: Option<FaultInjector>,
-    outstanding: usize,
-    workload: Option<SyntheticWorkload>,
-    gc: Option<GcState>,
-    scan_remaining: u64,
-    scan_inflight: usize,
-    parity_pending_pages: u32,
     report: RunReport,
+    queue: EventQueue<Ev>,
     now: SimTime,
+    host: Host,
+    res: Resources,
+    gc: Gc,
+    /// The fNoC seam, on dSSD_f only. Boxed so the network's hot state
+    /// (lane heads, counters) sits at a heap address that does not move
+    /// with `SsdSim`'s size or with the frame holding the sim: inline,
+    /// the NoC burst's speed shifted by up to 20% with unrelated field
+    /// changes (DESIGN.md §13).
+    noc: Option<Box<Fnoc>>,
+    repair: Repair,
+    observe: Observe,
+    run: RunControl,
+}
+
+/// Run control: the horizon, the replay cursor and power loss.
+#[derive(Debug, Default)]
+struct RunControl {
     horizon: SimTime,
-    prefilled: bool,
-    /// Span tracer (disabled unless [`SsdSim::enable_tracing`] is called).
-    /// Strictly observational: it never schedules events or draws random
-    /// numbers, so enabling it cannot perturb the simulation.
-    tracer: Tracer,
-    /// Epoch time-series probe; piggybacks on the event loop (no queue
-    /// events of its own) so `events_delivered` stays bit-identical.
-    epoch: Option<EpochProbe>,
-    /// Emit a wall-clock-throttled heartbeat to stderr while the event
-    /// loop runs (`--progress`). Stdout and the simulation are untouched.
-    progress: bool,
     /// Events handled so far — the snapshot/replay cursor. Unlike
     /// `queue.delivered()` it excludes the final beyond-horizon pop, so
     /// replaying exactly this many events reproduces the state.
@@ -230,11 +183,7 @@ pub struct SsdSim {
     power_at_event: Option<u64>,
     /// True after a power loss: volatile state is gone, the run is over.
     halted: bool,
-    /// Start-order counter backing [`Completion::tag`].
-    next_tag: u64,
-    /// Completion log for embedding front-ends; `None` (the default)
-    /// records nothing.
-    completions: Option<Vec<Completion>>,
+    prefilled: bool,
 }
 
 impl SsdSim {
@@ -249,38 +198,6 @@ impl SsdSim {
         if let Err(e) = config.validate() {
             panic!("invalid SsdConfig: {e}");
         }
-        let geo = config.geometry;
-        let channels = geo.channels as usize;
-        let dedicated_bus = match config.architecture {
-            Architecture::DssdBus => Some(BandwidthServer::new(
-                config.dedicated_budget_bytes_per_sec().max(1),
-                config.bus_overhead,
-            )),
-            _ => None,
-        };
-        let noc = match config.architecture {
-            Architecture::DssdFnoc => {
-                let mut nc = config.noc;
-                if nc.link_bytes_per_sec == 0 {
-                    // Derive the link bandwidth from the dedicated
-                    // on-chip budget (bisection normalization).
-                    nc = nc.with_bisection_bandwidth(
-                        config.dedicated_budget_bytes_per_sec().max(1),
-                    );
-                }
-                Some(Box::new(Network::new(nc)))
-            }
-            _ => None,
-        };
-        // The decoupled controllers (C_D): command queue, integrated ECC,
-        // dBUF, and the dynamic-superblock hardware tables.
-        let srt_entries = config.dynamic_sb.map_or(1024, |d| d.srt_entries);
-        let controllers = (0..channels)
-            .map(|_| {
-                DecoupledController::new(config.ecc, config.dbuf_pages, srt_entries, 1 << 20)
-            })
-            .collect();
-
         // Deterministic power loss. The drawn instant comes from its own
         // stream (`seed ^ 0x504C`) so arming it cannot perturb the
         // workload/prefill/fault randomness of the comparison run.
@@ -297,58 +214,22 @@ impl SsdSim {
 
         let mut sim = SsdSim {
             rng: Rng::new(config.seed),
-            ftl: Ftl::new(geo, config.ftl),
-            dies: DieGrid::new(&geo),
-            flash_bus: (0..channels)
-                .map(|_| BandwidthServer::new(config.flash_bus_bytes_per_sec, SimSpan::ZERO))
-                .collect(),
-            controllers,
-            sysbus: BandwidthServer::new(config.system_bus_bytes_per_sec(), config.bus_overhead),
-            dram: BandwidthServer::new(config.dram_bytes_per_sec, config.bus_overhead),
-            dedicated_bus,
-            noc,
-            dbuf_waiters: (0..channels).map(|_| VecDeque::new()).collect(),
-            cache: config.write_cache_pages.map(WriteCache::new),
-            flush_backlog: VecDeque::new(),
-            remap: RemapTable::injected(&config),
-            wear: repair::wear_model(&config),
-            queue: EventQueue::new(),
-            requests: Slab::new(),
-            jobs: Slab::new(),
-            read_legs: Slab::new(),
-            write_legs: Slab::new(),
-            alloc_groups: Vec::new(),
-            lpn_buf: Vec::new(),
-            read_groups: Vec::new(),
-            packet_jobs: Slab::new(),
-            noc_step: dssd_noc::Step::default(),
-            noc_lane_pops: 0,
-            blocked_writes: VecDeque::new(),
-            blocked_rewrites: VecDeque::new(),
-            pending_retire: VecDeque::new(),
-            injector: config
-                .faults
-                .enabled()
-                .then(|| FaultInjector::new(config.faults, config.seed)),
-            outstanding: 0,
-            workload: None,
-            gc: None,
-            scan_remaining: 0,
-            scan_inflight: 0,
-            parity_pending_pages: 0,
+            ftl: Ftl::new(config.geometry, config.ftl),
             report: RunReport::new(SimSpan::from_ms(1)),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
-            horizon: SimTime::MAX,
-            prefilled: false,
-            tracer: Tracer::disabled(),
-            epoch: None,
-            progress: false,
-            events_handled: 0,
-            power_at,
-            power_at_event: (pl.at_event > 0).then_some(pl.at_event),
-            halted: false,
-            next_tag: 0,
-            completions: None,
+            host: Host::new(&config),
+            res: Resources::new(&config),
+            gc: Gc::new(&config),
+            noc: Fnoc::new(&config),
+            repair: Repair::new(&config),
+            observe: Observe::default(),
+            run: RunControl {
+                horizon: SimTime::MAX,
+                power_at,
+                power_at_event: (pl.at_event > 0).then_some(pl.at_event),
+                ..RunControl::default()
+            },
             config,
         };
         sim.carve_reserved_pool();
@@ -358,7 +239,7 @@ impl SsdSim {
             sim.ftl.enable_meta(dssd_ftl::MetaConfig {
                 journal_entries_per_page: d.journal_entries_per_page,
                 checkpoint_interval_pages: d.checkpoint_interval_pages,
-                page_bytes: geo.page_bytes,
+                page_bytes: sim.config.geometry.page_bytes,
             });
         }
         sim
@@ -379,20 +260,20 @@ impl SsdSim {
     /// Whether [`SsdSim::prefill`] has run.
     #[must_use]
     pub fn is_prefilled(&self) -> bool {
-        self.prefilled
+        self.run.prefilled
     }
 
     /// Pre-conditions the drive per Sec 6.1 (full + fragmented, on the
     /// edge of triggering GC). Idempotent.
     pub fn prefill(&mut self) {
-        if self.prefilled {
+        if self.run.prefilled {
             return;
         }
         let target = self.config.prefill_target_free;
         let frac = self.config.prefill_invalid_fraction;
         let mut rng = self.rng.fork(0xF111);
         self.ftl.prefill_with(&mut rng, target, frac);
-        self.prefilled = true;
+        self.run.prefilled = true;
     }
 
     /// Runs a closed-loop workload for `duration` of simulated time and
@@ -434,8 +315,14 @@ impl SsdSim {
     /// schedule + `run_events(u64::MAX)` + `finish_run` is exactly
     /// [`SsdSim::run_trace`].
     pub fn begin_open_loop(&mut self, duration: SimSpan) {
-        self.begin_run(duration);
-        self.arm_scan();
+        // Mounting takes the baseline checkpoint over the (typically
+        // prefilled) mapping — a no-op when durability is off.
+        self.ftl.meta_mount_baseline();
+        self.run.horizon = SimTime::ZERO + duration;
+        // The WAS endurance scan's first pass.
+        if let Some(was) = self.config.was_scan {
+            self.queue.push(SimTime::ZERO + was.interval, Ev::ScanTick);
+        }
     }
 
     /// Schedules a host request arrival at absolute time `t`. Returns
@@ -449,7 +336,7 @@ impl SsdSim {
     /// reached: advance with [`SsdSim::run_until_before`]`(t)`, inject
     /// at `t`, repeat.
     pub fn inject_arrival(&mut self, t: SimTime, r: Request) -> bool {
-        if t > self.horizon {
+        if t > self.run.horizon {
             return false;
         }
         debug_assert!(t >= self.now, "arrival injected in the past");
@@ -460,26 +347,7 @@ impl SsdSim {
     /// The run horizon set by the active `begin_*` call.
     #[must_use]
     pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
-    /// Arms a closed-loop run without driving it: pair with
-    /// [`SsdSim::run_events`] / [`SsdSim::run_until`] to step the
-    /// simulation (snapshots, crashpoint sweeps), then
-    /// [`SsdSim::finish_run`]. `begin` + `run_events(u64::MAX)` +
-    /// `finish_run` is exactly [`SsdSim::run_closed_loop`].
-    pub fn begin_closed_loop(&mut self, workload: SyntheticWorkload, duration: SimSpan) {
-        self.workload = Some(workload.bind(self.ftl.lpn_count()));
-        self.begin_run(duration);
-        self.queue.push(SimTime::ZERO, Ev::Admit);
-        self.arm_scan();
-    }
-
-    fn begin_run(&mut self, duration: SimSpan) {
-        // Mounting takes the baseline checkpoint over the (typically
-        // prefilled) mapping — a no-op when durability is off.
-        self.ftl.meta_mount_baseline();
-        self.horizon = SimTime::ZERO + duration;
+        self.run.horizon
     }
 
     /// The measurements collected so far.
@@ -567,7 +435,7 @@ impl SsdSim {
     /// event budget ends at `limit` and at `power_at_event`, which are
     /// therefore hit exactly too. Progress ticks at burst boundaries.
     fn run_bounded(&mut self, limit: u64, stop: Option<SimTime>) -> RunState {
-        let mut progress = self.progress.then(ProgressMeter::new);
+        let mut progress = self.observe.progress_meter();
         let mut bound = self.observation_bound(stop);
         let mut handled = 0u64;
         loop {
@@ -577,14 +445,14 @@ impl SsdSim {
             if stop.is_some_and(|s| self.next_time().is_none_or(|next| next >= s)) {
                 return RunState::Paused;
             }
-            if self.halted {
+            if self.run.halted {
                 return RunState::Halted;
             }
             if handled >= limit {
                 return RunState::Paused;
             }
-            if let Some(pa) = self.power_at {
-                if pa <= self.horizon && self.next_time().is_none_or(|next| next >= pa) {
+            if let Some(pa) = self.run.power_at {
+                if pa <= self.run.horizon && self.next_time().is_none_or(|next| next >= pa) {
                     self.now = pa;
                     self.power_loss();
                     return RunState::Halted;
@@ -592,7 +460,7 @@ impl SsdSim {
             }
             // A lane head that precedes the queue head is next; `None`
             // for the event stands for it.
-            let lane = self.noc.as_deref().and_then(Network::next_key);
+            let lane = self.noc().and_then(Network::next_key);
             let (t, ev) = match lane {
                 Some(k) if self.queue.peek_key().is_none_or(|head| k < head) => (k.time(), None),
                 _ => match self.queue.pop() {
@@ -600,11 +468,10 @@ impl SsdSim {
                     None => break,
                 },
             };
-            if t > self.horizon {
+            if t > self.run.horizon {
                 // Pop-then-break, as the golden event counts expect.
                 if ev.is_none() {
-                    self.noc.as_deref_mut().expect("a lane head has a NoC").discard_next();
-                    self.noc_lane_pops += 1;
+                    self.discard_lane_head();
                 }
                 break;
             }
@@ -622,8 +489,8 @@ impl SsdSim {
                 p.tick(t, || self.events_popped());
             }
             self.now = t;
-            let budget = match self.power_at_event {
-                Some(at) => (limit - handled).min(at.saturating_sub(self.events_handled)),
+            let budget = match self.run.power_at_event {
+                Some(at) => (limit - handled).min(at.saturating_sub(self.run.events_handled)),
                 None => limit - handled,
             };
             let n = match ev {
@@ -635,9 +502,9 @@ impl SsdSim {
                     1
                 }
             };
-            self.events_handled += n;
+            self.run.events_handled += n;
             handled += n;
-            if self.power_at_event == Some(self.events_handled) {
+            if self.run.power_at_event == Some(self.run.events_handled) {
                 self.power_loss();
                 return RunState::Halted;
             }
@@ -648,7 +515,7 @@ impl SsdSim {
     /// The time of the next pending event, in the queue or on the fNoC's
     /// lanes.
     fn next_time(&self) -> Option<SimTime> {
-        let lane = self.noc.as_deref().and_then(Network::next_key);
+        let lane = self.noc().and_then(Network::next_key);
         [self.queue.peek_key(), lane].into_iter().flatten().min().map(EventKey::time)
     }
 
@@ -656,17 +523,15 @@ impl SsdSim {
     /// flit-level events the NoC express path simulated privately — the
     /// same logical work with that path on or off.
     fn events_popped(&self) -> u64 {
-        self.queue.delivered()
-            + self.noc_lane_pops
-            + self.noc.as_deref().map_or(0, Network::express_events)
+        self.queue.delivered() + self.lane_pops() + self.noc().map_or(0, Network::express_events)
     }
 
     /// The instant a NoC burst must not reach: the earliest of the
     /// stepping `stop`, the next epoch boundary, the armed power-loss
     /// instant, and the first instant past the horizon.
     fn observation_bound(&self, stop: Option<SimTime>) -> SimTime {
-        let past_horizon = SimTime::from_ns(self.horizon.as_ns().saturating_add(1));
-        [stop, self.epoch.as_ref().map(|e| e.next), self.power_at]
+        let past_horizon = SimTime::from_ns(self.run.horizon.as_ns().saturating_add(1));
+        [stop, self.observe.next_epoch(), self.run.power_at]
             .into_iter()
             .flatten()
             .fold(past_horizon, SimTime::min)
@@ -676,10 +541,8 @@ impl SsdSim {
     /// report's event/elapsed totals. Idempotent; [`SsdSim::run_closed_loop`]
     /// calls it internally.
     pub fn finish_run(&mut self) -> &RunReport {
-        let upto = if self.halted { self.now } else { self.horizon };
-        if self.epoch.is_some() {
-            self.sample_epochs_until(upto);
-        }
+        let upto = if self.run.halted { self.now } else { self.run.horizon };
+        self.sample_epochs_until(upto);
         self.report.events_delivered = self.events_popped();
         self.report.elapsed = upto - SimTime::ZERO;
         &self.report
@@ -694,7 +557,7 @@ impl SsdSim {
     /// Events handled so far — the snapshot/replay cursor.
     #[must_use]
     pub fn events_handled(&self) -> u64 {
-        self.events_handled
+        self.run.events_handled
     }
 
     /// Sends each event to the component that handles it.
@@ -713,11 +576,17 @@ impl SsdSim {
             Ev::DramHitAtDram { req, pages } => self.deliver(req, Hop::Dram, pages),
             Ev::PagesDone { req, pages } => self.finish_pages(req, pages),
             Ev::CopyAtSrcBus { job } => self.copy_at_src_bus(job),
-            Ev::CopyAtEcc { job } => self.copy_at_ecc(job),
+            Ev::CopyAtEcc { job } => self.copy_leg(job, false, Hop::Ecc, Ev::CopyTransport { job }),
             Ev::CopyTransport { job } => self.copy_transport(job),
-            Ev::CopyAtDram { job } => self.copy_at_dram(job),
-            Ev::CopyFromDram { job } => self.copy_from_dram(job),
-            Ev::CopyAtDstBus { job } => self.copy_at_dst_bus(job),
+            Ev::CopyAtDram { job } => {
+                self.copy_leg(job, false, |_| Hop::DramPages, Ev::CopyFromDram { job });
+            }
+            Ev::CopyFromDram { job } => {
+                self.copy_leg(job, false, |_| Hop::SysBusPages, Ev::CopyAtDstBus { job });
+            }
+            Ev::CopyAtDstBus { job } => {
+                self.copy_leg(job, true, Hop::Bus, Ev::CopyAtDstDie { job });
+            }
             Ev::CopyAtDstDie { job } => self.copy_at_dst_die(job),
             Ev::CopyDone { job } => self.copy_done(job),
             Ev::EraseDone => self.erase_done(),
@@ -728,10 +597,7 @@ impl SsdSim {
                 noc.inject_into(*now, *pkt, step, orders);
             }),
             Ev::ScanTick => self.scan_tick(),
-            Ev::ScanReadDone => {
-                self.scan_inflight -= 1;
-                self.pump_scan();
-            }
+            Ev::ScanReadDone => self.pump_scan(1),
         }
     }
 
@@ -744,12 +610,13 @@ impl SsdSim {
     /// gone, and the run halts. The mount [`SsdSim::crash_audit`]
     /// computes lands in [`RunReport::recovery`].
     fn power_loss(&mut self) {
-        assert!(!self.halted, "power already lost");
-        self.halted = true;
+        assert!(!self.run.halted, "power already lost");
+        self.run.halted = true;
         let t = self.now;
-        self.tracer.instant(Track::Faults, "power loss", t);
+        self.observe.tracer.instant(Track::Faults, "power loss", t);
         let recovery = self.crash_audit();
-        self.tracer.instant(Track::Faults, "mount recovery done", t + recovery.recovery_time);
+        let done = t + recovery.recovery_time;
+        self.observe.tracer.instant(Track::Faults, "mount recovery done", done);
         self.report.recovery = Some(recovery);
     }
 
@@ -791,14 +658,14 @@ impl SsdSim {
             torn_pages: outcome.torn_pages,
             lost_acked_writes: outcome.lost_acked_writes,
             resurrected_trims: outcome.resurrected_trims,
-            requests_torn: self.outstanding as u64,
+            requests_torn: self.host.outstanding() as u64,
         }
     }
 
     /// True after an injected power loss ended the run.
     #[must_use]
     pub fn halted(&self) -> bool {
-        self.halted
+        self.run.halted
     }
 
     /// Durability-model activity counters, when the model is enabled.
@@ -819,28 +686,26 @@ impl SsdSim {
             return;
         }
         let channels = u64::from(self.config.geometry.channels);
-        let page = u64::from(self.config.geometry.page_bytes);
         let program = self.config.timing.program_latency_mid();
         for item in io {
             match item {
-                dssd_ftl::MetaIo::JournalFlush { page: seq, bytes } => {
+                MetaIo::JournalFlush { page: seq, bytes } => {
                     // The journal buffer drains from controller DRAM and
                     // rotates round-robin over the channel buses.
-                    let d = self.dram.enqueue(self.now, u64::from(bytes), CLASS_META);
+                    let (bytes, report) = (u64::from(bytes), &mut self.report);
+                    let d = self.res.book(Hop::Dram, self.now, bytes, CLASS_META, report);
                     let ch = (seq % channels) as usize;
-                    let tr =
-                        self.flash_bus[ch].enqueue(d.done, u64::from(bytes), CLASS_META);
-                    self.ftl.meta_journal_durable(seq, tr.done + program);
+                    let done = self.res.book(Hop::Bus(ch), d, bytes, CLASS_META, report);
+                    self.ftl.meta_journal_durable(seq, done + program);
                 }
-                dssd_ftl::MetaIo::Checkpoint { pages, bytes } => {
+                MetaIo::Checkpoint { pages, bytes } => {
                     // Snapshot the mapping before any further mutation.
                     self.ftl.meta_begin_checkpoint();
-                    let d = self.dram.enqueue(self.now, bytes, CLASS_META);
-                    let mut durable = d.done + program;
+                    let d = self.res.book(Hop::Dram, self.now, bytes, CLASS_META, &mut self.report);
+                    let mut durable = d + program;
                     for i in 0..pages {
-                        let ch = (i % channels) as usize;
-                        let tr = self.flash_bus[ch].enqueue(d.done, page, CLASS_META);
-                        durable = durable.max(tr.done + program);
+                        let done = self.occupy(Hop::Bus((i % channels) as usize), d, 1, CLASS_META);
+                        durable = durable.max(done + program);
                     }
                     self.ftl.meta_checkpoint_durable(durable);
                 }
@@ -858,10 +723,10 @@ impl SsdSim {
         let parts = [
             self.rng.state_digest(),
             self.now.as_ns(),
-            self.events_handled,
-            self.queue.delivered() + self.noc_lane_pops,
-            self.outstanding as u64,
-            u64::from(self.prefilled),
+            self.run.events_handled,
+            self.queue.delivered() + self.lane_pops(),
+            self.host.outstanding() as u64,
+            u64::from(self.run.prefilled),
             self.report.requests_completed,
             self.report.gc_pages_copied,
             self.report.gc_rounds,

@@ -5,19 +5,66 @@
 //! delivered packets that end a job's transit.
 
 use dssd_ctrl::CopybackStage;
-use dssd_kernel::{EventKey, Orders, SimTime, SlabKey};
+use dssd_kernel::{EventKey, Orders, SimTime, Slab, SlabKey};
 use dssd_noc::{Network, Packet, Step};
 use dssd_telemetry::{Class, Stage, Track};
 
 use super::{Ev, JobId, SsdSim};
+use crate::faults::FaultInjector;
 use crate::metrics::StageKind;
+use crate::{Architecture, SsdConfig};
+
+/// The fNoC seam: the network and what the simulator keeps beside it.
+#[derive(Debug)]
+pub(super) struct Fnoc {
+    net: Network,
+    /// In-flight packets: the slab key's bits are the packet id, so
+    /// delivery resolves back to its copy job without a hash probe.
+    packet_jobs: Slab<JobId>,
+    /// The reused step buffers: the event loop books one NoC step at a
+    /// time, so one `Step` (with retained capacity) serves them all.
+    step: Step,
+    /// Flit events handled off the network's lanes; folded into
+    /// `events_delivered`, the state digest and progress ticks wherever
+    /// queue pops are, so every event counts once wherever it waited.
+    lane_pops: u64,
+}
+
+impl Fnoc {
+    /// The fNoC of a dSSD_f config; `None` for every other architecture.
+    pub(super) fn new(config: &SsdConfig) -> Option<Box<Fnoc>> {
+        if config.architecture != Architecture::DssdFnoc {
+            return None;
+        }
+        let mut nc = config.noc;
+        if nc.link_bytes_per_sec == 0 {
+            // Derive the link bandwidth from the dedicated on-chip budget
+            // (bisection normalization).
+            nc = nc.with_bisection_bandwidth(config.dedicated_budget_bytes_per_sec().max(1));
+        }
+        let net = Network::new(nc);
+        Some(Box::new(Fnoc { net, packet_jobs: Slab::new(), step: Step::default(), lane_pops: 0 }))
+    }
+}
 
 impl SsdSim {
     /// The embedded fNoC, when this architecture has one. Read-only:
     /// for stats and diagnostics (e.g. [`Network::express_diag`]).
     #[must_use]
     pub fn noc(&self) -> Option<&Network> {
-        self.noc.as_deref()
+        self.noc.as_deref().map(|n| &n.net)
+    }
+
+    /// Flit events handled off the fNoC's lanes so far.
+    pub(super) fn lane_pops(&self) -> u64 {
+        self.noc.as_deref().map_or(0, |n| n.lane_pops)
+    }
+
+    /// Drops the fNoC's next lane event, popped past the horizon.
+    pub(super) fn discard_lane_head(&mut self) {
+        let noc = self.noc.as_deref_mut().expect("a lane head has a NoC");
+        noc.net.discard_next();
+        noc.lane_pops += 1;
     }
 
     /// Runs `f` on the fNoC with the reused step buffers, the queue's
@@ -27,11 +74,9 @@ impl SsdSim {
         &mut self,
         f: impl FnOnce(&mut Network, &mut Step, &mut Orders, &mut SimTime) -> R,
     ) -> R {
-        let mut step = std::mem::take(&mut self.noc_step);
         let noc = self.noc.as_deref_mut().expect("fNoC work without an fNoC");
-        let r = f(noc, &mut step, self.queue.orders(), &mut self.now);
-        self.absorb_noc(&mut step);
-        self.noc_step = step;
+        let r = f(&mut noc.net, &mut noc.step, self.queue.orders(), &mut self.now);
+        self.book_step();
         r
     }
 
@@ -40,14 +85,14 @@ impl SsdSim {
     pub(super) fn send_packets(&mut self, job: JobId, src: usize, dst: usize) {
         let page_bytes = u64::from(self.config.geometry.page_bytes);
         let (n, _) = self.job_side(job, false);
-        self.jobs[job].packets_in_flight = n;
+        self.gc.job(job).expect("sending an unknown copy job").packets_in_flight = n;
         for _ in 0..n {
-            let pid = self.packet_jobs.insert(job).to_bits();
+            let pid = self.noc.as_deref_mut().expect("dSSD_f").packet_jobs.insert(job).to_bits();
             let pkt = Packet::new(pid, src, dst, page_bytes).with_tag(job.to_bits());
-            if self.injector.as_mut().is_some_and(|i| i.noc_degrades()) {
+            if self.repair.injector.as_mut().is_some_and(FaultInjector::noc_degrades) {
                 // Injected link degradation: the packet times out and is
                 // re-injected after the configured delay.
-                self.tracer.instant(Track::Faults, "noc degrade", self.now);
+                self.observe.tracer.instant(Track::Faults, "noc degrade", self.now);
                 self.report.faults.noc_faults += 1;
                 // The degraded region must not stay fast-forwarded: any
                 // express reservation crossing the affected route reverts
@@ -97,20 +142,21 @@ impl SsdSim {
             n += ran;
         }
         debug_assert!(n > 0, "a NoC burst must handle the lane head it was given");
-        self.noc_lane_pops += n;
+        self.noc.as_deref_mut().expect("a burst has a NoC").lane_pops += n;
         n
     }
 
-    /// Books a NoC [`Step`]: traces its hops, queues its express
-    /// deliveries and books its delivered packets, leaving its buffers
-    /// empty (capacity retained) for reuse.
-    fn absorb_noc(&mut self, step: &mut Step) {
+    /// Books the NoC [`Step`] the last call left: traces its hops, queues
+    /// its express deliveries and books its delivered packets, leaving
+    /// its buffers empty (capacity retained) for reuse.
+    fn book_step(&mut self) {
+        let noc = self.noc.as_deref_mut().expect("booking a step without an fNoC");
         // Per-hop link slices first: `packet_jobs` entries are removed on
         // delivery, and the delivered packet's final hops ride in the same
         // step. Hops are recorded only when tracing, so this is cold.
-        for h in step.hops.drain(..) {
-            if let Some(&job) = self.packet_jobs.get(SlabKey::from_bits(h.packet)) {
-                self.tracer.span_named(
+        for h in noc.step.hops.drain(..) {
+            if let Some(&job) = noc.packet_jobs.get(SlabKey::from_bits(h.packet)) {
+                self.observe.tracer.span_named(
                     Class::Gc,
                     job.to_bits(),
                     Track::Router(h.node as u16),
@@ -121,21 +167,22 @@ impl SsdSim {
                 );
             }
         }
-        for (t, e) in step.schedule.drain(..) {
+        for (t, e) in noc.step.schedule.drain(..) {
             self.queue.push(t, Ev::Noc(e));
         }
         // Delivered packets are booked against their copy jobs; a job's
         // last packet schedules its post-transit leg.
-        for d in step.delivered.drain(..) {
-            let job = self
+        for d in noc.step.delivered.drain(..) {
+            let job = noc
                 .packet_jobs
                 .remove(SlabKey::from_bits(d.packet.id))
                 .expect("delivered packet without job");
-            let j = &mut self.jobs[job];
+            let j = self.gc.job(job).expect("delivered packet of a finished job");
             j.packets_in_flight -= 1;
             if j.packets_in_flight == 0 {
                 let (at, transit) = (d.injected_at, d.latency());
-                self.span(Class::Gc, job, StageKind::Noc, Track::NocTransit, at, transit);
+                let owner = (Some(&mut j.stages), Class::Gc, job);
+                self.observe.span(owner, StageKind::Noc, Track::NocTransit, at, transit);
                 self.queue.push(self.now, Ev::CopyAtDstBus { job });
             }
         }

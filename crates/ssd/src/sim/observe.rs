@@ -9,6 +9,58 @@ use dssd_telemetry::{Class, EpochSeries, Stage, TraceConfig, Tracer, Track};
 use super::{SsdSim, CLASS_GC, CLASS_IO};
 use crate::metrics::{StageKind, StageTotals};
 
+/// What a span is attributed to: the stage totals of a host request
+/// (`Class::Io`) or copy job (`Class::Gc`), if it is still in flight, and
+/// its class and key, which name its trace lane.
+pub(super) type SpanOwner<'a> = (Option<&'a mut StageTotals>, Class, SlabKey);
+
+/// The observation seam: the tracer, the epoch probe and the progress
+/// switch. Strictly observational: nothing here schedules an event or
+/// draws a random number, so turning any of it on cannot perturb the
+/// simulation.
+#[derive(Debug, Default)]
+pub(super) struct Observe {
+    /// Span tracer (disabled unless [`SsdSim::enable_tracing`] is
+    /// called). Every seam emits its own instants into it.
+    pub(super) tracer: Tracer,
+    /// Epoch time-series probe; piggybacks on the event loop (no queue
+    /// events of its own) so `events_delivered` stays bit-identical.
+    epoch: Option<EpochProbe>,
+    /// Emit a wall-clock-throttled heartbeat to stderr while the event
+    /// loop runs (`--progress`).
+    progress: bool,
+}
+
+impl Observe {
+    /// The span funnel: attributes `span` of `stage` time, starting at
+    /// `start`, to `owner` — in its per-stage totals and, when tracing,
+    /// as a timeline slice on `track` — so a slice and its breakdown
+    /// entry always agree. A span whose owner is gone is dropped.
+    #[inline]
+    pub(super) fn span(
+        &mut self,
+        owner: SpanOwner<'_>,
+        stage: StageKind,
+        track: Track,
+        start: SimTime,
+        span: SimSpan,
+    ) {
+        let (Some(totals), class, id) = owner else { return };
+        totals.add(stage, span);
+        self.tracer.span(class, id.to_bits(), track, Stage::ALL[stage.index()], start, span);
+    }
+
+    /// The next epoch boundary, while epoch sampling is on.
+    pub(super) fn next_epoch(&self) -> Option<SimTime> {
+        self.epoch.as_ref().map(|e| e.next)
+    }
+
+    /// A fresh progress meter, if the heartbeat is on.
+    pub(super) fn progress_meter(&self) -> Option<ProgressMeter> {
+        self.progress.then(ProgressMeter::new)
+    }
+}
+
 /// Stderr heartbeat state for [`SsdSim::set_progress`]: reports sim-time,
 /// events processed and the recent events/sec rate about once per second
 /// of wall time. Checking the wall clock is itself throttled so the hot
@@ -54,16 +106,17 @@ impl ProgressMeter {
 
 /// Fixed-interval sampling state for the telemetry epoch time-series.
 #[derive(Debug, Clone)]
-pub(super) struct EpochProbe {
+struct EpochProbe {
     every: SimSpan,
-    pub(super) next: SimTime,
+    next: SimTime,
     series: EpochSeries,
-    prev: EpochPrev,
+    prev: EpochCounters,
 }
 
-/// Cumulative-counter snapshot from the previous epoch, for rate deltas.
+/// The cumulative counters an epoch row turns into rates, as snapshot at
+/// one boundary; the previous boundary's snapshot gives the deltas.
 #[derive(Debug, Default, Clone, Copy)]
-struct EpochPrev {
+struct EpochCounters {
     io_bytes: u64,
     gc_bytes: u64,
     completed: u64,
@@ -104,7 +157,7 @@ impl SsdSim {
     /// events/sec, about once per wall-clock second). Observational only:
     /// it writes nothing to stdout and cannot perturb the simulation.
     pub fn set_progress(&mut self, on: bool) {
-        self.progress = on;
+        self.observe.progress = on;
     }
 
     /// Enables span tracing (and epoch sampling when `cfg.epoch` is set).
@@ -113,58 +166,34 @@ impl SsdSim {
     /// leaves the [`RunReport`](crate::RunReport) bit-identical to an
     /// untraced run.
     pub fn enable_tracing(&mut self, cfg: TraceConfig) {
-        self.tracer = Tracer::enabled(cfg);
-        if let Some(n) = self.noc.as_deref_mut() {
-            n.set_record_hops(true);
+        self.observe.tracer = Tracer::enabled(cfg);
+        if self.noc().is_some() {
+            self.with_noc(|noc, _, _, _| noc.set_record_hops(true));
         }
-        self.epoch = cfg.epoch.map(|every| EpochProbe {
+        self.observe.epoch = cfg.epoch.map(|every| EpochProbe {
             every,
             next: SimTime::ZERO + every,
             series: EpochSeries::new(EPOCH_COLUMNS.to_vec()),
-            prev: EpochPrev::default(),
+            prev: EpochCounters::default(),
         });
     }
 
     /// The span tracer (disabled unless [`SsdSim::enable_tracing`] ran).
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.observe.tracer
     }
 
     /// Mutable span tracer, so an embedding front-end can emit its own
     /// observational spans (e.g. per-tenant lanes) into the same trace.
     pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
+        &mut self.observe.tracer
     }
 
     /// The collected epoch time-series, if epoch sampling is enabled.
     #[must_use]
     pub fn epoch_series(&self) -> Option<&EpochSeries> {
-        self.epoch.as_ref().map(|e| &e.series)
-    }
-
-    /// The span funnel: attributes `span` of `stage` time, starting at
-    /// `start`, to host request (`Class::Io`) or copy job (`Class::Gc`)
-    /// `id` — in its per-stage totals and, when tracing, as a timeline
-    /// slice on `track` — so a slice and its breakdown entry always agree.
-    #[inline]
-    pub(super) fn span(
-        &mut self,
-        class: Class,
-        id: SlabKey,
-        stage: StageKind,
-        track: Track,
-        start: SimTime,
-        span: SimSpan,
-    ) {
-        let totals = match class {
-            Class::Io => self.requests.get_mut(id).map(|r| &mut r.stages),
-            Class::Gc => self.jobs.get_mut(id).map(|j| &mut j.stages),
-        };
-        let Some(totals) = totals else { return };
-        totals.add(stage, span);
-        let stage = Stage::ALL[stage.index()];
-        self.tracer.span(class, id.to_bits(), track, stage, start, span);
+        self.observe.epoch.as_ref().map(|e| &e.series)
     }
 
     /// Closes the funnel for a finished request or copy job: its
@@ -182,14 +211,14 @@ impl SsdSim {
             Class::Io => self.report.io_breakdown.record(&totals.us),
             Class::Gc => self.report.copyback_breakdown.record(&totals.us),
         }
-        self.tracer.end(class, id.to_bits(), name, self.now, failed, &totals.spans);
+        self.observe.tracer.end(class, id.to_bits(), name, self.now, failed, &totals.spans);
     }
 
     /// Samples every epoch boundary at or before `t` (cold path — only
     /// reached when epoch sampling is enabled).
     pub(super) fn sample_epochs_until(&mut self, t: SimTime) {
-        while let Some(next) = self.epoch.as_ref().map(|e| e.next) {
-            if next > t || next > self.horizon {
+        while let Some(next) = self.observe.next_epoch() {
+            if next > t || next > self.horizon() {
                 break;
             }
             self.sample_epoch(next);
@@ -199,58 +228,57 @@ impl SsdSim {
     /// Collects one epoch row at boundary `at`. Read-only with respect to
     /// simulation state: it only inspects queues, meters and counters.
     fn sample_epoch(&mut self, at: SimTime) {
-        let Some(mut probe) = self.epoch.take() else { return };
-        let dt = probe.every.as_secs_f64();
-        let epoch_ns = probe.every.as_ns() as f64;
-        let prev = probe.prev;
-
-        let io_bytes = self.report.io_bw.total_bytes();
-        let gc_bytes = self.report.gc_bw.total_bytes();
-        let completed = self.report.requests_completed;
-        let gc_pages = self.report.gc_pages_copied;
-        let sysbus_io_busy_ns = self.report.sysbus_io_util.total_busy().as_ns();
-        let sysbus_gc_busy_ns = self.report.sysbus_gc_util.total_busy().as_ns();
-        let ecc_busy_ns: u64 = self
-            .controllers
-            .iter()
-            .map(|c| (c.ecc().class_busy(CLASS_IO) + c.ecc().class_busy(CLASS_GC)).as_ns())
-            .sum();
-        let credit_stalls = self.noc.as_deref().map_or(0, |n| n.stats().credit_stalls);
-        let faults = self.report.faults.injected_total();
-
-        probe.series.push_row(vec![
-            at.as_ns() as f64 / 1e6,
-            self.outstanding as f64,
-            self.controllers.iter().map(|c| c.queue().len()).sum::<usize>() as f64,
-            self.controllers.iter().map(|c| c.dbuf().in_use()).sum::<usize>() as f64,
-            self.ftl.free_superblocks() as f64,
-            f64::from(u8::from(self.gc.is_some())),
-            self.gc.as_ref().map_or(0, |g| g.pending.len()) as f64,
-            self.jobs.len() as f64,
-            self.noc.as_deref().map_or(0, |n| n.in_flight()) as f64,
-            (io_bytes - prev.io_bytes) as f64 / dt / 1e9,
-            (gc_bytes - prev.gc_bytes) as f64 / dt / 1e9,
-            (sysbus_io_busy_ns - prev.sysbus_io_busy_ns) as f64 / epoch_ns,
-            (sysbus_gc_busy_ns - prev.sysbus_gc_busy_ns) as f64 / epoch_ns,
-            (ecc_busy_ns - prev.ecc_busy_ns) as f64
-                / (epoch_ns * self.controllers.len().max(1) as f64),
-            (credit_stalls - prev.credit_stalls) as f64 / dt,
-            (completed - prev.completed) as f64 / dt,
-            (gc_pages - prev.gc_pages) as f64 / dt,
-            (faults - prev.faults) as f64 / dt,
-        ]);
-        probe.prev = EpochPrev {
-            io_bytes,
-            gc_bytes,
-            completed,
-            gc_pages,
-            sysbus_io_busy_ns,
-            sysbus_gc_busy_ns,
-            ecc_busy_ns,
-            credit_stalls,
-            faults,
+        let controllers = &self.res.controllers;
+        let now = EpochCounters {
+            io_bytes: self.report.io_bw.total_bytes(),
+            gc_bytes: self.report.gc_bw.total_bytes(),
+            completed: self.report.requests_completed,
+            gc_pages: self.report.gc_pages_copied,
+            sysbus_io_busy_ns: self.report.sysbus_io_util.total_busy().as_ns(),
+            sysbus_gc_busy_ns: self.report.sysbus_gc_util.total_busy().as_ns(),
+            ecc_busy_ns: controllers
+                .iter()
+                .map(|c| (c.ecc().class_busy(CLASS_IO) + c.ecc().class_busy(CLASS_GC)).as_ns())
+                .sum(),
+            credit_stalls: self.noc().map_or(0, |n| n.stats().credit_stalls),
+            faults: self.report.faults.injected_total(),
         };
-        probe.next = at + probe.every;
-        self.epoch = Some(probe);
+        let [gc_active, gc_pending, gc_jobs] = self.gc.epoch_columns();
+        let depths = [
+            self.host.outstanding() as f64,
+            controllers.iter().map(|c| c.queue().len()).sum::<usize>() as f64,
+            controllers.iter().map(|c| c.dbuf().in_use()).sum::<usize>() as f64,
+            self.ftl.free_superblocks() as f64,
+            gc_active,
+            gc_pending,
+            gc_jobs,
+            self.noc().map_or(0, |n| n.in_flight()) as f64,
+        ];
+        let probe = self.observe.epoch.as_mut().expect("sampled with a probe");
+        probe.record(at, depths, now, controllers.len().max(1) as f64);
+    }
+}
+
+impl EpochProbe {
+    /// Pushes the row of boundary `at`: the instantaneous `depths`, then
+    /// each cumulative counter's rate since the previous boundary.
+    fn record(&mut self, at: SimTime, depths: [f64; 8], now: EpochCounters, channels: f64) {
+        let (dt, epoch_ns, prev) = (self.every.as_secs_f64(), self.every.as_ns() as f64, self.prev);
+        let mut row = vec![at.as_ns() as f64 / 1e6];
+        row.extend(depths);
+        row.extend([
+            (now.io_bytes - prev.io_bytes) as f64 / dt / 1e9,
+            (now.gc_bytes - prev.gc_bytes) as f64 / dt / 1e9,
+            (now.sysbus_io_busy_ns - prev.sysbus_io_busy_ns) as f64 / epoch_ns,
+            (now.sysbus_gc_busy_ns - prev.sysbus_gc_busy_ns) as f64 / epoch_ns,
+            (now.ecc_busy_ns - prev.ecc_busy_ns) as f64 / (epoch_ns * channels),
+            (now.credit_stalls - prev.credit_stalls) as f64 / dt,
+            (now.completed - prev.completed) as f64 / dt,
+            (now.gc_pages - prev.gc_pages) as f64 / dt,
+            (now.faults - prev.faults) as f64 / dt,
+        ]);
+        self.series.push_row(row);
+        self.prev = now;
+        self.next = at + self.every;
     }
 }
