@@ -176,10 +176,15 @@ impl Ftl {
         }
     }
 
-    /// Tickets issued by [`Ftl::write_pages`] since the last drain, in
-    /// allocation-group order. Empty when the model is disabled.
-    pub fn meta_drain_tickets(&mut self) -> Vec<u32> {
-        self.meta.as_mut().map(MetaState::drain_tickets).unwrap_or_default()
+    /// Replaces `into`'s contents with the tickets issued by
+    /// [`Ftl::write_pages`] since the last drain, in allocation-group
+    /// order: none when the model is disabled. Reusing one buffer keeps
+    /// durable writes free of heap allocation.
+    pub fn meta_drain_tickets(&mut self, into: &mut Vec<u32>) {
+        match &mut self.meta {
+            Some(meta) => meta.drain_tickets(into),
+            None => into.clear(),
+        }
     }
 
     /// Reports that the program behind `ticket` completed at `at`.
@@ -336,12 +341,9 @@ impl Ftl {
                 self.map.map_write(*lpn, geo.page_index(addr));
             }
             if let Some(meta) = &mut self.meta {
-                let pairs: Vec<(Lpn, u64)> = rest
-                    .iter()
-                    .zip(group.addrs())
-                    .map(|(lpn, addr)| (*lpn, geo.page_index(addr)))
-                    .collect();
-                meta.note_host_writes(&pairs);
+                meta.note_host_writes(
+                    rest.iter().zip(group.addrs()).map(|(lpn, addr)| (*lpn, geo.page_index(addr))),
+                );
             }
             self.stats.host_pages_written += group.len() as u64;
             rest = &rest[group.len()..];

@@ -169,6 +169,14 @@ pub struct RecoveryOutcome {
     pub pages_read: u64,
 }
 
+/// One issued write group: its `(lpn, version, ppn)` entries. A retired
+/// ticket keeps its buffer's capacity for the next ticket to reuse.
+#[derive(Debug, Clone, Default)]
+struct Ticket {
+    live: bool,
+    entries: Vec<(Lpn, u64, Ppn)>,
+}
+
 /// The full durability model (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct MetaState {
@@ -194,8 +202,8 @@ pub struct MetaState {
     /// Checkpoint currently being flushed.
     checkpoint_inflight: Option<Checkpoint>,
     pages_since_checkpoint: u64,
-    /// Issued-but-not-yet-programmed write groups: (lpn, version, ppn).
-    tickets: Vec<Option<Vec<(Lpn, u64, Ppn)>>>,
+    /// Write groups issued and not yet retired, indexed by ticket.
+    tickets: Vec<Ticket>,
     free_tickets: Vec<u32>,
     issued_order: Vec<u32>,
     /// Metadata I/O awaiting the simulator's traffic charge.
@@ -267,16 +275,24 @@ impl MetaState {
         self.pending.len()
     }
 
-    fn alloc_ticket(&mut self, entries: Vec<(Lpn, u64, Ppn)>) -> u32 {
-        let id = if let Some(id) = self.free_tickets.pop() {
-            self.tickets[id as usize] = Some(entries);
-            id
-        } else {
-            self.tickets.push(Some(entries));
+    /// Issues a ticket with no entries yet, reusing the most recently
+    /// retired one.
+    fn alloc_ticket(&mut self) -> u32 {
+        let id = self.free_tickets.pop().unwrap_or_else(|| {
+            self.tickets.push(Ticket::default());
             (self.tickets.len() - 1) as u32
-        };
+        });
+        self.tickets[id as usize].live = true;
         self.issued_order.push(id);
         id
+    }
+
+    /// Retires `ticket`, keeping its buffer for reuse.
+    fn free_ticket(&mut self, ticket: u32) {
+        let t = &mut self.tickets[ticket as usize];
+        t.live = false;
+        t.entries.clear();
+        self.free_tickets.push(ticket);
     }
 
     /// Records one allocation group of host writes: bumps each LPN's
@@ -286,9 +302,9 @@ impl MetaState {
     ///
     /// Before the mount baseline (prefill), writes are applied with
     /// instant durability and no ticket is issued.
-    pub fn note_host_writes(&mut self, pairs: &[(Lpn, Ppn)]) -> u32 {
+    pub fn note_host_writes(&mut self, pairs: impl IntoIterator<Item = (Lpn, Ppn)>) -> u32 {
         if !self.baseline_done {
-            for &(lpn, ppn) in pairs {
+            for (lpn, ppn) in pairs {
                 let version = self.next_version;
                 self.next_version += 1;
                 self.versions[lpn as usize] = version;
@@ -303,19 +319,22 @@ impl MetaState {
             }
             return META_NO_TICKET;
         }
-        let mut entries = Vec::with_capacity(pairs.len());
-        for &(lpn, ppn) in pairs {
+        let id = self.alloc_ticket();
+        let entries = &mut self.tickets[id as usize].entries;
+        for (lpn, ppn) in pairs {
             let version = self.next_version;
             self.next_version += 1;
             self.versions[lpn as usize] = version;
             entries.push((lpn, version, ppn));
         }
-        self.alloc_ticket(entries)
+        id
     }
 
-    /// Tickets issued (in order) since the last drain.
-    pub fn drain_tickets(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.issued_order)
+    /// Replaces `into`'s contents with the tickets issued since the last
+    /// drain, in order.
+    pub fn drain_tickets(&mut self, into: &mut Vec<u32>) {
+        into.clear();
+        into.append(&mut self.issued_order);
     }
 
     /// The program behind `ticket` completed at `at`: its pages' OOB
@@ -324,16 +343,17 @@ impl MetaState {
         if ticket == META_NO_TICKET {
             return;
         }
-        let entries = self.tickets[ticket as usize]
-            .as_ref()
-            .expect("live ticket")
-            .clone();
-        for (lpn, version, ppn) in entries {
+        let t = &mut self.tickets[ticket as usize];
+        assert!(t.live, "live ticket");
+        // Lent out while `append_op` borrows the model, then put back.
+        let entries = std::mem::take(&mut t.entries);
+        for &(lpn, version, ppn) in &entries {
             let programmed = self.next_programmed;
             self.next_programmed += 1;
             self.oob[ppn as usize] = Some(OobRec { lpn, version, programmed, durable_at: at });
             self.append_op(JournalOp::Map { lpn, version, ppn, programmed });
         }
+        self.tickets[ticket as usize].entries = entries;
         self.note_data_programs();
     }
 
@@ -343,8 +363,7 @@ impl MetaState {
         if ticket == META_NO_TICKET {
             return;
         }
-        self.tickets[ticket as usize] = None;
-        self.free_tickets.push(ticket);
+        self.free_ticket(ticket);
     }
 
     /// The host was acknowledged for the request that owned `ticket`:
@@ -353,14 +372,15 @@ impl MetaState {
         if ticket == META_NO_TICKET {
             return;
         }
-        let entries = self.tickets[ticket as usize].take().expect("live ticket");
-        self.free_tickets.push(ticket);
-        for (lpn, version, _) in entries {
+        let t = &self.tickets[ticket as usize];
+        assert!(t.live, "live ticket");
+        for &(lpn, version, _) in &t.entries {
             if version > self.acked_version[lpn as usize] {
                 self.acked_version[lpn as usize] = version;
                 self.acked_trim[lpn as usize] = false;
             }
         }
+        self.free_ticket(ticket);
     }
 
     /// Retires `ticket` without acknowledging (the owning request
@@ -369,8 +389,8 @@ impl MetaState {
         if ticket == META_NO_TICKET {
             return;
         }
-        if self.tickets[ticket as usize].take().is_some() {
-            self.free_tickets.push(ticket);
+        if self.tickets[ticket as usize].live {
+            self.free_ticket(ticket);
         }
     }
 
@@ -699,7 +719,7 @@ mod tests {
     /// Drives one acknowledged host write of `lpn` -> `ppn` end to end:
     /// version bump, program completion at `at`, host ack.
     fn write_acked(meta: &mut MetaState, map: &mut MappingTable, lpn: Lpn, ppn: Ppn, at: SimTime) {
-        let ticket = meta.note_host_writes(&[(lpn, ppn)]);
+        let ticket = meta.note_host_writes([(lpn, ppn)]);
         map.map_write(lpn, ppn);
         meta.mark_programmed(ticket, at);
         meta.ack(ticket);
@@ -708,7 +728,7 @@ mod tests {
     #[test]
     fn prefill_writes_are_instantly_durable_without_tickets() {
         let (mut meta, mut map) = setup(4, 0);
-        assert_eq!(meta.note_host_writes(&[(0, 0), (1, 1)]), META_NO_TICKET);
+        assert_eq!(meta.note_host_writes([(0, 0), (1, 1)]), META_NO_TICKET);
         map.map_write(0, 0);
         map.map_write(1, 1);
         meta.mount_baseline(&map);
@@ -754,7 +774,7 @@ mod tests {
         let (mut meta, mut map) = setup(1024, 0);
         meta.mount_baseline(&map);
         // Program completes at t=500, crash at t=100: the page tore.
-        let ticket = meta.note_host_writes(&[(6, 10)]);
+        let ticket = meta.note_host_writes([(6, 10)]);
         map.map_write(6, 10);
         meta.mark_programmed(ticket, t(500));
         let out = meta.recover(t(100));
@@ -769,7 +789,7 @@ mod tests {
         meta.mount_baseline(&map);
         // Pathological: host acked, but the program lands after the
         // crash instant. The detector must flag it.
-        let ticket = meta.note_host_writes(&[(6, 10)]);
+        let ticket = meta.note_host_writes([(6, 10)]);
         map.map_write(6, 10);
         meta.mark_programmed(ticket, t(500));
         meta.ack(ticket);

@@ -6,36 +6,46 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::SimTime;
 
 /// Log2 of the calendar bucket width in nanoseconds (256 ns buckets).
-/// Pop min-scans the cursor bucket, so buckets must stay at a handful
-/// of entries. The fNoC's flit events wait on the network's own lanes
-/// ([`FifoLanes`]), not here, so the calendar holds only host,
-/// channel-leg, GC and timer events: a pop scans 1.5 to 2.1 entries on
-/// average on the simulator's benchmark workloads at this width, and
-/// 1.4 to 1.9 at 16 ns. The largest bucket, 65 entries, is a
+/// Pop walks the cursor bucket's list for its minimum, so buckets must
+/// stay at a handful of entries. The fNoC's flit events wait on the
+/// network's own lanes ([`FifoLanes`]), not here, so the calendar holds
+/// only host, channel-leg, GC and timer events: a pop scans 1.5 to 2.1
+/// entries on average on the simulator's benchmark workloads at this
+/// width, and 1.4 to 1.9 at 16 ns. The largest bucket, 65 entries, is a
 /// queue-depth-64 admission burst at one instant, which fills one bucket
 /// at any width. Going from 16 to 256 ns ran the Baseline trace replay
 /// 1.13× faster, on top of the far run and the per-channel GC pick. A
-/// schedule packed far more densely pays for the width in longer scans:
-/// 10,000 events inside 5 µs, about 500 per bucket, pop ~10× slower
-/// than in 16 ns buckets. Moving the cursor over empty buckets costs
-/// nothing per bucket (the occupancy bitmap finds the next one).
+/// schedule packed far more densely pays for the width in longer scans,
+/// and for the lists in pointer chasing: pushing and popping 10,000
+/// events inside 5 µs, about 500 per bucket, takes a median 14.4 ms,
+/// against 6.6 ms with a contiguous `Vec` per bucket and, in an earlier
+/// measurement, 0.63 ms in 16 ns `Vec` buckets. Moving the cursor over
+/// empty buckets costs nothing per bucket (two `trailing_zeros` find the
+/// next one).
 const BUCKET_SHIFT: u32 = 8;
-/// Number of calendar buckets (a power of two and a multiple of 64, one
-/// occupancy bit each). The calendar window spans `NUM_BUCKETS <<
-/// BUCKET_SHIFT` ≈ 1.05 ms of simulated time: enough for the Baseline's
-/// host and copyback legs, which GC copies on the shared system bus park
-/// 0.1 to 0.7 ms ahead, and for erases and timers, so that on the
-/// benchmark workloads only a trace replay's up-front arrivals overflow
-/// (into the far run). At 16 ns buckets (a 66 µs window) those legs took
-/// 241,208 of a Baseline trace replay's 560,637 events through the far
-/// heap. The ring's headers are ~100 KB, small enough to stay
-/// cache-resident next to the live buckets; a 16,384-bucket ring (4×
-/// the window, at 16 ns) ran that replay at 0.76×, because its headers
-/// no longer do.
+/// Number of calendar buckets (a power of two, one occupancy bit each,
+/// and at most 64 occupancy words, one summary bit each). The calendar
+/// window spans `NUM_BUCKETS << BUCKET_SHIFT` ≈ 1.05 ms of simulated
+/// time: enough for the Baseline's host and copyback legs, which GC
+/// copies on the shared system bus park 0.1 to 0.7 ms ahead, and for
+/// erases and timers, so that on the benchmark workloads only a trace
+/// replay's up-front arrivals overflow (into the far run). At 16 ns
+/// buckets (a 66 µs window) those legs took 241,208 of a Baseline trace
+/// replay's 560,637 events through the far heap. A bucket costs one
+/// `u32` list head (16 KB for the ring). When each bucket was its own
+/// `Vec` (~100 KB of headers, 4,096 heap blocks), a 16,384-bucket ring
+/// (4× the window, at 16 ns) ran that replay at 0.76×, because its
+/// headers no longer stayed cache-resident; the list heads of such a
+/// ring would take 64 KB, which has not been measured.
 const NUM_BUCKETS: usize = 4096;
 /// Words of the occupancy bitmap.
 const OCCUPANCY_WORDS: usize = NUM_BUCKETS / 64;
-const _: () = assert!(NUM_BUCKETS.is_power_of_two() && NUM_BUCKETS.is_multiple_of(64));
+const _: () = assert!(
+    NUM_BUCKETS.is_power_of_two() && NUM_BUCKETS.is_multiple_of(64) && OCCUPANCY_WORDS <= 64
+);
+
+/// The end of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Bits of an entry's packed order that hold the insertion sequence;
 /// the rank sits above them.
@@ -62,19 +72,24 @@ const SEQ_BITS: u32 = 56;
 ///
 /// Two tiers: a bucketed *calendar* covering a sliding near-future
 /// window, and an overflow for events beyond it. The common
-/// short-horizon push/pop is O(1) amortized — append to a bucket, scan
+/// short-horizon push/pop is O(1) amortized — link into a bucket, scan
 /// the earliest non-empty bucket — instead of the heap's O(log n) sift
-/// per operation. An occupancy bitmap over the buckets lets the cursor
-/// jump straight to the next non-empty one, so a sparse schedule costs
-/// no more per pop than a dense one. The overflow is a FIFO *run* of
-/// far pushes that arrived in key order (a trace replay's up-front
-/// arrivals), appended in O(1), beside a binary heap for the far pushes
-/// that did not; the earliest far event is the lesser of the run's head
-/// and the heap's top. Far events migrate into the calendar as the
-/// window slides over their timestamps. Every entry is ordered by one
-/// packed [`EventKey`], so ordering (including FIFO tie-breaking by
-/// insertion sequence) is bit-identical to a pure-heap implementation;
-/// a randomized differential test asserts it.
+/// per operation. The calendar's entries all live in one slab of
+/// slots; each bucket is a singly linked list through the slab, found
+/// by its `u32` head, and freed slots go on a LIFO free list, so the
+/// few live slots are reused while still in cache. An occupancy bitmap
+/// over the buckets, with one summary bit per bitmap word, lets the
+/// cursor jump straight to the next non-empty bucket, so a sparse
+/// schedule costs no more per pop than a dense one. The overflow is a
+/// FIFO *run* of far pushes that arrived in key order (a trace replay's
+/// up-front arrivals), appended in O(1), beside a binary heap for the
+/// far pushes that did not; the earliest far event is the lesser of the
+/// run's head and the heap's top. Far events migrate into the calendar
+/// as the window slides over their timestamps. Every entry is ordered
+/// by one packed [`EventKey`], so ordering (including FIFO tie-breaking
+/// by insertion sequence) is bit-identical to a pure-heap
+/// implementation; a randomized differential test asserts it, with the
+/// calendar's storage audited after every operation.
 ///
 /// Events a caller schedules at a few constant delays need no calendar
 /// at all: [`FifoLanes`] stamped from this queue's counter
@@ -99,10 +114,20 @@ const SEQ_BITS: u32 = 56;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Near-future calendar: ring of buckets, one per time quantum.
-    near: Vec<Vec<Entry<E>>>,
-    /// Bit `i` is set iff `near[i]` is non-empty.
+    /// Near-future calendar storage: every calendar entry sits in one
+    /// slot, and every slot is on exactly one list, its bucket's or the
+    /// free list.
+    slots: Vec<Slot<E>>,
+    /// The ring of buckets, one per time quantum: the first slot of
+    /// each bucket's list, [`NIL`] while the bucket is empty.
+    heads: Box<[u32]>,
+    /// The first slot of the free list ([`NIL`] if none): the most
+    /// recently freed slot is reused first.
+    free: u32,
+    /// Bit `i` is set iff bucket `i` is non-empty.
     occupied: [u64; OCCUPANCY_WORDS],
+    /// Bit `w` is set iff `occupied[w]` is non-zero.
+    summary: u64,
     /// Events currently in the calendar tier.
     near_len: usize,
     /// Quantum index (`time >> BUCKET_SHIFT`) of the bucket at `cursor`.
@@ -223,6 +248,21 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One slot of the calendar's slab.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    /// The next slot of the list this one is on, or [`NIL`].
+    next: u32,
+    /// The entry of a bucket's slot; `None` on the free list.
+    entry: Option<Entry<E>>,
+}
+
+impl<E> Slot<E> {
+    fn entry(&self) -> &Entry<E> {
+        self.entry.as_ref().expect("a bucket's slot holds an entry")
+    }
+}
+
 fn quantum(time: SimTime) -> u64 {
     time.as_ns() >> BUCKET_SHIFT
 }
@@ -232,8 +272,11 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            near: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            slots: Vec::new(),
+            heads: vec![NIL; NUM_BUCKETS].into_boxed_slice(),
+            free: NIL,
             occupied: [0; OCCUPANCY_WORDS],
+            summary: 0,
             near_len: 0,
             window_start_q: 0,
             cursor: 0,
@@ -271,17 +314,32 @@ impl<E> EventQueue<E> {
         // Late pushes (before the window) land in the cursor bucket: the
         // per-bucket min-scan still delivers them in key order before
         // anything later.
-        let slot = if q <= self.window_start_q {
+        let bucket = if q <= self.window_start_q {
             self.cursor
         } else {
             (q % NUM_BUCKETS as u64) as usize
         };
-        self.insert_near(slot, entry);
+        self.insert_near(bucket, entry);
     }
 
-    fn insert_near(&mut self, slot: usize, entry: Entry<E>) {
-        self.near[slot].push(entry);
-        self.occupied[slot / 64] |= 1 << (slot % 64);
+    /// Links `entry` at the head of `bucket`'s list, in the most
+    /// recently freed slot or, with the free list empty, a new one.
+    fn insert_near(&mut self, bucket: usize, entry: Entry<E>) {
+        let slot = Slot { next: self.heads[bucket], entry: Some(entry) };
+        let at = if self.free == NIL {
+            debug_assert!(self.slots.len() < NIL as usize, "calendar slot index overflows");
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
+        } else {
+            let at = self.free;
+            let free = &mut self.slots[at as usize];
+            self.free = free.next;
+            *free = slot;
+            at
+        };
+        self.heads[bucket] = at;
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
+        self.summary |= 1 << (bucket / 64);
         self.near_len += 1;
     }
 
@@ -289,13 +347,16 @@ impl<E> EventQueue<E> {
     /// wrapping around the ring. The calendar must not be empty.
     fn next_occupied(&self, from: usize) -> usize {
         debug_assert!(self.near_len > 0);
-        let mut word = from / 64;
-        let mut bits = self.occupied[word] & (u64::MAX << (from % 64));
-        while bits == 0 {
-            word = (word + 1) % OCCUPANCY_WORDS;
-            bits = self.occupied[word];
+        let word = from / 64;
+        let bits = self.occupied[word] & (u64::MAX << (from % 64));
+        if bits != 0 {
+            return word * 64 + bits.trailing_zeros() as usize;
         }
-        word * 64 + bits.trailing_zeros() as usize
+        // The first non-empty word after `word`, else the first one from
+        // the ring's start, which may be `word` itself, below `from`.
+        let later = self.summary & ((u64::MAX << word) << 1);
+        let word = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+        word * 64 + self.occupied[word].trailing_zeros() as usize
     }
 
     /// Migrates far-tier events whose quantum fell inside the calendar
@@ -329,25 +390,36 @@ impl<E> EventQueue<E> {
         run.into_iter().chain(heap).min()
     }
 
-    /// Moves the cursor to the earliest non-empty bucket and returns the
-    /// index of its minimum entry, or `None` if the queue is empty.
-    fn front(&mut self) -> Option<usize> {
-        if self.near[self.cursor].is_empty() {
+    /// The least key of non-empty `bucket`, its slot, and the slot
+    /// before that in the list ([`NIL`] if it is the head). Buckets are
+    /// small, so the walk is short.
+    fn min_in(&self, bucket: usize) -> (EventKey, u32, u32) {
+        let mut best = self.heads[bucket];
+        let mut best_key = self.slots[best as usize].entry().key();
+        let mut best_prev = NIL;
+        let (mut prev, mut at) = (best, self.slots[best as usize].next);
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            let key = slot.entry().key();
+            if key < best_key {
+                (best_key, best, best_prev) = (key, at, prev);
+            }
+            (prev, at) = (at, slot.next);
+        }
+        (best_key, best, best_prev)
+    }
+
+    /// Moves the cursor to the earliest non-empty bucket and returns its
+    /// minimum entry's slot and the slot before it ([`NIL`] if none), or
+    /// `None` if the queue is empty.
+    fn front(&mut self) -> Option<(u32, u32)> {
+        if self.heads[self.cursor] == NIL {
             self.advance()?;
         }
-        // The cursor bucket holds the earliest quantum: pick its minimum
-        // key. Buckets are small, so the scan is cheap.
-        let bucket = &self.near[self.cursor];
-        let mut best = 0;
-        let mut best_key = bucket[0].key();
-        for (i, e) in bucket.iter().enumerate().skip(1) {
-            let key = e.key();
-            if key < best_key {
-                best = i;
-                best_key = key;
-            }
-        }
-        Some(best)
+        // The cursor bucket holds the earliest quantum: its minimum key
+        // is the queue's.
+        let (_, best, prev) = self.min_in(self.cursor);
+        Some((best, prev))
     }
 
     /// Moves the cursor off its empty bucket to the earliest non-empty
@@ -372,11 +444,22 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let index = self.front()?;
-        let bucket = &mut self.near[self.cursor];
-        let entry = bucket.swap_remove(index);
-        if bucket.is_empty() {
-            self.occupied[self.cursor / 64] &= !(1 << (self.cursor % 64));
+        let (at, prev) = self.front()?;
+        // Unlink the slot and put it at the head of the free list.
+        let slot = &mut self.slots[at as usize];
+        let next = std::mem::replace(&mut slot.next, self.free);
+        let entry = slot.entry.take().expect("a bucket's slot holds an entry");
+        self.free = at;
+        match prev {
+            NIL => self.heads[self.cursor] = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        if self.heads[self.cursor] == NIL {
+            let word = self.cursor / 64;
+            self.occupied[word] &= !(1 << (self.cursor % 64));
+            if self.occupied[word] == 0 {
+                self.summary &= !(1 << word);
+            }
         }
         self.near_len -= 1;
         self.popped += 1;
@@ -386,16 +469,16 @@ impl<E> EventQueue<E> {
     /// The key of the earliest pending event, if any.
     #[must_use]
     pub fn peek_key(&self) -> Option<EventKey> {
-        let mut bucket = &self.near[self.cursor];
-        if bucket.is_empty() {
-            if self.near_len == 0 {
-                return self.far_front_key();
-            }
-            bucket = &self.near[self.next_occupied(self.cursor)];
+        if self.near_len == 0 {
+            return self.far_front_key();
         }
         // The first non-empty bucket from the cursor holds the earliest
         // calendar quantum, and every far event lies beyond the window.
-        bucket.iter().map(Entry::key).min()
+        let bucket = match self.heads[self.cursor] {
+            NIL => self.next_occupied(self.cursor),
+            _ => self.cursor,
+        };
+        Some(self.min_in(bucket).0)
     }
 
     /// Number of pending events.
@@ -715,6 +798,79 @@ mod tests {
         }
     }
 
+    impl<E> EventQueue<E> {
+        /// Checks the calendar's storage: every slot is on exactly one
+        /// list, its bucket's (holding an entry) or the free list
+        /// (holding none); `near_len` counts the listed entries; each
+        /// occupancy bit and summary bit is set exactly when its bucket
+        /// or word is non-empty; and every entry sits in its own
+        /// quantum's bucket inside the window, or in the cursor bucket
+        /// if its quantum is not past the window start (a late push).
+        fn audit(&self) -> Result<(), String> {
+            // Which list each slot was found on: a bucket, or `FREE`.
+            const FREE: usize = usize::MAX;
+            let mut found = vec![None; self.slots.len()];
+            let mut visit = |at: u32, list: usize| match found.get_mut(at as usize) {
+                None => Err(format!("list {list} links slot {at}, past the slab")),
+                Some(Some(first)) => Err(format!("slot {at} is on list {first} and {list}")),
+                Some(seen) => {
+                    *seen = Some(list);
+                    Ok(())
+                }
+            };
+            let mut listed = 0;
+            for word in 0..OCCUPANCY_WORDS {
+                if (self.summary >> word & 1 == 1) != (self.occupied[word] != 0) {
+                    return Err(format!("summary bit {word} disagrees with its word"));
+                }
+                let mut bits = self.occupied[word];
+                while bits != 0 {
+                    let bucket = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let mut at = self.heads[bucket];
+                    if at == NIL {
+                        return Err(format!("occupancy bit {bucket} is set on an empty bucket"));
+                    }
+                    while at != NIL {
+                        visit(at, bucket)?;
+                        let slot = &self.slots[at as usize];
+                        let Some(entry) = &slot.entry else {
+                            return Err(format!("slot {at} in bucket {bucket} holds no entry"));
+                        };
+                        let q = quantum(entry.time);
+                        let home = if q <= self.window_start_q {
+                            self.cursor
+                        } else {
+                            (q % NUM_BUCKETS as u64) as usize
+                        };
+                        if bucket != home || q >= self.window_start_q + NUM_BUCKETS as u64 {
+                            return Err(format!(
+                                "an entry of quantum {q} sits in bucket {bucket}, window start {}",
+                                self.window_start_q
+                            ));
+                        }
+                        listed += 1;
+                        at = slot.next;
+                    }
+                }
+            }
+            let mut at = self.free;
+            while at != NIL {
+                visit(at, FREE)?;
+                if self.slots[at as usize].entry.is_some() {
+                    return Err(format!("free slot {at} holds an entry"));
+                }
+                at = self.slots[at as usize].next;
+            }
+            // A non-empty bucket whose occupancy bit is clear leaves its
+            // slots unvisited, so this also catches a cleared bit.
+            if let Some(at) = found.iter().position(Option::is_none) {
+                return Err(format!("slot {at} is on no list reached from a set bit"));
+            }
+            same(self.near_len, listed, "near_len vs listed entries")
+        }
+    }
+
     type Popped = Option<(SimTime, u64)>;
 
     /// `Err` naming `what` unless the queue's `got` equals the
@@ -820,6 +976,7 @@ mod tests {
             }
         }
         let check_front = |merged: &Merged, reference: &HeapQueue<u64>| {
+            merged.queue.audit()?;
             same(merged.peek_time(), reference.peek().map(|(t, _)| t), "peek_time")?;
             same(merged.len(), reference.heap.len(), "len")?;
             same(merged.delivered(), reference.popped, "delivered")

@@ -9,7 +9,7 @@ use dssd_ftl::CopyGroup;
 /// GC in parallel across all flash (its copy bursts are what interfere
 /// with I/O), so the cap is high; the real throttle is resource
 /// contention, not the issue rate.
-const GC_PER_CHANNEL_INFLIGHT: usize = 16;
+pub(crate) const GC_PER_CHANNEL_INFLIGHT: usize = 16;
 
 /// A round's unissued copy groups, one FIFO per source channel.
 ///

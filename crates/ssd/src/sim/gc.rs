@@ -463,3 +463,36 @@ impl SsdSim {
         }
     }
 }
+
+#[cfg(test)]
+impl SsdSim {
+    /// The GC law: while a round is active, each channel's in-flight
+    /// count equals the live copy jobs sourced there, keyed as
+    /// `issue_copy` and `copy_done` key them, and stays within
+    /// `GC_PER_CHANNEL_INFLIGHT`; each controller's dBUF holds exactly
+    /// the pages of the jobs holding a source reservation on it, within
+    /// its capacity.
+    pub(super) fn audit_gc(&self) {
+        let channels = self.config.geometry.channels as usize;
+        let (mut jobs, mut held) = (vec![0; channels], vec![0; channels]);
+        for (_, j) in self.gc.jobs.iter() {
+            let src = j.src_addr();
+            jobs[src.channel as usize] += 1;
+            if j.holds_src_dbuf {
+                held[self.effective_addr(src).channel as usize] += j.src.len();
+            }
+        }
+        if let Some(round) = &self.gc.round {
+            for (ch, (&inflight, &live)) in round.channel_inflight.iter().zip(&jobs).enumerate() {
+                assert_eq!(inflight, live, "channel {ch}: in-flight count vs live copy jobs");
+                let cap = crate::pending::GC_PER_CHANNEL_INFLIGHT;
+                assert!(inflight <= cap, "channel {ch}: {inflight} copies in flight");
+            }
+        }
+        for (ch, c) in self.res.controllers.iter().enumerate() {
+            let dbuf = c.dbuf();
+            assert_eq!(dbuf.in_use(), held[ch], "controller {ch}: dBUF slots vs pages held");
+            assert!(dbuf.in_use() <= dbuf.capacity(), "controller {ch}: dBUF over capacity");
+        }
+    }
+}

@@ -34,6 +34,11 @@ pub(super) struct Host {
     /// `Ftl::write_pages` call, and the LPNs `write_or_park` allocates.
     alloc_groups: Vec<AllocGroup>,
     lpn_buf: Vec<Lpn>,
+    /// Reused buffers of the durable write path: the tickets of one
+    /// `Ftl::write_pages` call, one per allocation group, and the
+    /// emptied ticket lists of finished requests, for new requests.
+    ticket_buf: Vec<u32>,
+    spare_tickets: Vec<Vec<u32>>,
     /// Reused buffer of the read path: a host read's pages grouped for
     /// multi-plane reads, as the `(effective die, page row, effective
     /// channel)` key of each page with its (pre-remap) address, sorted
@@ -196,7 +201,7 @@ impl SsdSim {
             total_pages: r.pages,
             stages: StageTotals::default(),
             failed: false,
-            tickets: Vec::new(),
+            tickets: self.host.spare_tickets.pop().unwrap_or_default(),
         });
         self.observe.tracer.begin(Class::Io, id.to_bits(), op_name(r.op), self.now);
         if r.dram_hit {
@@ -257,9 +262,9 @@ impl SsdSim {
         }
         // One durability ticket per group (none with the model off),
         // redeemed when the request completes.
-        let tickets = self.ftl.meta_drain_tickets();
+        self.ftl.meta_drain_tickets(&mut host.ticket_buf);
         if let Some(st) = host.requests.get_mut(req) {
-            st.tickets.extend_from_slice(&tickets);
+            st.tickets.extend_from_slice(&host.ticket_buf);
         }
         let carry = self.repair.injector.is_some();
         let mut off = 0usize;
@@ -280,7 +285,7 @@ impl SsdSim {
                 addr,
                 lpns,
                 attempt,
-                ticket: tickets.get(i).copied().unwrap_or(META_NO_TICKET),
+                ticket: self.host.ticket_buf.get(i).copied().unwrap_or(META_NO_TICKET),
             });
             self.queue.push(at, Ev::WriteAtCtrl { leg });
         }
@@ -475,7 +480,7 @@ impl SsdSim {
         if state.pages_left > 0 {
             return;
         }
-        let state = self.host.requests.remove(req).expect("looked up above");
+        let mut state = self.host.requests.remove(req).expect("looked up above");
         self.host.outstanding -= 1;
         // Redeem the durability tickets: a successful completion is the
         // host acknowledgement (the recovery oracle's ground truth); a
@@ -486,6 +491,10 @@ impl SsdSim {
             } else {
                 self.ftl.meta_ack(ticket);
             }
+        }
+        if state.tickets.capacity() > 0 {
+            state.tickets.clear();
+            self.host.spare_tickets.push(state.tickets);
         }
         if state.failed {
             self.report.faults.requests_failed += 1;
@@ -659,9 +668,9 @@ mod tests {
 
     use crate::{Architecture, FaultConfig, RunState, SsdConfig, SsdSim};
 
-    /// The request-conservation audit holds after every single event, on
-    /// every architecture, with faults off and on (read retries, program
-    /// re-allocation, erase failures, delayed packets).
+    /// The request-conservation audit and the GC law hold after every
+    /// single event, on every architecture, with faults off and on (read
+    /// retries, program re-allocation, erase failures, delayed packets).
     #[test]
     fn requests_are_conserved_after_every_event() {
         let mut faults = FaultConfig::none();
@@ -682,6 +691,7 @@ mod tests {
                 let mut events = 0u64;
                 while sim.run_events(1) == RunState::Paused {
                     sim.audit_requests();
+                    sim.audit_gc();
                     events += 1;
                 }
                 assert!(events > 1_000, "{}: only {events} events", arch.label());
