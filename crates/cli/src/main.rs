@@ -66,7 +66,7 @@
 //! `serve` drives the live block-device front-end (`dssd-service`): the
 //! `--spec` file declares tenants, their offered load, and their QoS
 //! knobs (token-bucket rate limits, queue-depth caps, a global backlog
-//! threshold). The live run submits through per-tenant SQ/CQ rings with
+//! threshold). The live run submits through per-tenant SQ rings with
 //! admission control; `--batch` replays the *same* deterministic
 //! submission schedule as a plain `run_trace`. For a spec with no QoS
 //! constraint the two modes print byte-identical stdout — CI diffs
@@ -250,6 +250,18 @@ fn ms_flag(flags: &Flags, key: &str) -> Result<Option<SimSpan>, ArgError> {
     Ok((ms > 0.0).then(|| SimSpan::from_ns(ns as u64)))
 }
 
+/// `--key MS` (or `default` when absent), a whole number of
+/// milliseconds, with its span. A count whose nanoseconds do not fit the
+/// clock is an error: the product would wrap to a short span in release
+/// builds and panic in debug ones.
+fn whole_ms(flags: &Flags, key: &str, default: u64) -> Result<(u64, SimSpan), ArgError> {
+    let ms: u64 = flags.get_or(key, default)?;
+    let ns = ms
+        .checked_mul(1_000_000)
+        .ok_or_else(|| ArgError(format!("--{key}: `{ms}` ms overflows the nanosecond clock")))?;
+    Ok((ms, SimSpan::from_ns(ns)))
+}
+
 fn build_faults(flags: &Flags) -> Result<FaultConfig, ArgError> {
     let mut f = FaultConfig::none();
     f.read_transient_prob = flags.get_or("fault-read-transient", 0.0)?;
@@ -372,18 +384,17 @@ fn trace_config(flags: &Flags) -> Result<Option<TraceConfig>, ArgError> {
     }
     let window = flags
         .get("trace-window")
-        .map(|_| flags.get_or("trace-window", 0u64))
-        .transpose()?
-        .map(SimSpan::from_ms);
+        .map(|_| whole_ms(flags, "trace-window", 0).map(|(_, span)| span))
+        .transpose()?;
     if window == Some(SimSpan::ZERO) {
         return Err(ArgError("--trace-window must be >= 1 ms".into()));
     }
     let epoch = if wants_epoch {
-        let ms = flags.get_or("epoch-ms", 1u64)?;
+        let (ms, span) = whole_ms(flags, "epoch-ms", 1)?;
         if ms == 0 {
             return Err(ArgError("--epoch-ms must be >= 1".into()));
         }
-        Some(SimSpan::from_ms(ms))
+        Some(span)
     } else {
         None
     };
@@ -543,7 +554,7 @@ fn cmd_crashpoints(rest: &[String]) -> Result<(), ArgError> {
     }
     base.power_loss = PowerLossConfig::none();
     let pages = flags.get_at_least("pages", 8u32, 1)?;
-    let ms = flags.get_or("ms", 2u64)?;
+    let (ms, duration) = whole_ms(&flags, "ms", 2)?;
     let stride = flags.get_or("stride", 500u64)?;
     if stride == 0 {
         return Err(ArgError("--stride must be >= 1".into()));
@@ -561,7 +572,7 @@ fn cmd_crashpoints(rest: &[String]) -> Result<(), ArgError> {
     };
     let config = CrashpointConfig {
         workload: SyntheticWorkload::writes(AccessPattern::Random, pages).with_queue_depth(64),
-        duration: SimSpan::from_ms(ms),
+        duration,
         stride,
         seeds,
         base,
@@ -640,7 +651,7 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
     let cfg = build_config(&flags)?;
     let tracing = trace_config(&flags)?;
     let pages = flags.get_at_least("pages", 8u32, 1)?;
-    let ms = flags.get_or("ms", 30u64)?;
+    let (ms, duration) = whole_ms(&flags, "ms", 30)?;
     let qd = flags.get_at_least("qd", 64usize, 1)?;
     let snapshot_at = ms_flag(&flags, "snapshot-at-ms")?.map(|span| SimTime::ZERO + span);
     let pattern = match flags.get("pattern").unwrap_or("random") {
@@ -658,7 +669,6 @@ fn cmd_run(rest: &[String]) -> Result<(), ArgError> {
     if flags.switch("dram-hit") {
         wl = wl.with_dram_hit_fraction(1.0);
     }
-    let duration = SimSpan::from_ms(ms);
     let plan = RunPlan { workload: wl.clone(), duration };
     let mut sim = if let Some(path) = flags.get("resume") {
         // Rebuild the snapshotted state by deterministic replay; the
@@ -723,7 +733,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
         &["jobs", "ms", "pages", "factors", "arch", "seed", "json"],
     )?;
     let jobs = flags.get_or("jobs", 0usize)?; // 0 = all available cores
-    let ms = flags.get_or("ms", 5u64)?;
+    let (ms, duration) = whole_ms(&flags, "ms", 5)?;
     let pages = flags.get_at_least("pages", 8u32, 1)?;
     let factors: Vec<f64> = match flags.get("factors") {
         None => vec![1.0],
@@ -752,7 +762,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), ArgError> {
                 cfg = cfg.with_onchip_factor(factor);
             }
             let label = format!("{}/x{factor}", arch.label());
-            let mut p = SweepPoint::writes(label, cfg, SimSpan::from_ms(ms));
+            let mut p = SweepPoint::writes(label, cfg, duration);
             p.request_pages = pages;
             points.push(p);
         }
@@ -791,14 +801,14 @@ fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
     let mut cfg = build_config(&flags)?;
     cfg.gc_continuous = true;
     let tracing = trace_config(&flags)?;
-    let ms = flags.get_or("ms", 40u64)?;
+    let (ms, duration) = whole_ms(&flags, "ms", 40)?;
     let speedup: f64 = flags.get_or("speedup", 10.0)?;
     if !(speedup.is_finite() && speedup > 0.0) {
         return Err(ArgError(format!("--speedup: `{speedup}` must be a finite number > 0")));
     }
     // The replay covers `ms` of the accelerated trace: `ms * speedup` of
     // the original, which must fit the nanosecond clock.
-    let original_ns = SimSpan::from_ms(ms).as_ns() as f64 * speedup;
+    let original_ns = duration.as_ns() as f64 * speedup;
     if original_ns >= u64::MAX as f64 {
         return Err(ArgError(format!(
             "--speedup: {ms} ms at {speedup}x overflows the nanosecond clock"
@@ -832,14 +842,14 @@ fn cmd_trace(rest: &[String]) -> Result<(), ArgError> {
     let requests = trace
         .accelerate(speedup)
         .to_requests(page_bytes, sim.ftl().lpn_count());
-    sim.run_trace(requests, SimSpan::from_ms(ms));
+    sim.run_trace(requests, duration);
     print_report(&mut sim);
     write_trace_outputs(&mut sim, &flags)?;
     Ok(())
 }
 
 /// `serve` — the live multi-tenant front-end. Parses a tenant spec,
-/// drives the simulator through per-tenant SQ/CQ rings with QoS and
+/// drives the simulator through per-tenant SQ rings with QoS and
 /// admission control, and prints the standard device report. With
 /// `--batch` the *same* deterministic submission schedule is replayed
 /// as a plain `run_trace`; for a spec with no QoS constraint, live and
@@ -1009,21 +1019,19 @@ fn cmd_noc(rest: &[String]) -> Result<(), ArgError> {
         p => return Err(ArgError(format!("unknown pattern `{p}`"))),
     };
     let load_mbps = flags.get_or("load-mbps", 150u64)?;
-    let ms = flags.get_or("ms", 2u64)?;
+    let load = load_mbps.checked_mul(1_000_000).ok_or_else(|| {
+        ArgError(format!(
+            "--load-mbps: `{load_mbps}` MB/s overflows bytes per second"
+        ))
+    })?;
+    let (_, duration) = whole_ms(&flags, "ms", 2)?;
     let config = NocConfig::new(topology, terminals)
         .with_bisection_bandwidth(flags.get_or("bisection", 2_000_000_000u64)?)
         .with_input_buffer_flits(flags.get_or("buffer", 4usize)?)
         .with_express(!flags.switch("no-noc-express"));
     config.validate().map_err(ArgError)?;
     let mut rng = Rng::new(flags.get_or("seed", 7u64)?);
-    let packets = schedule(
-        terminals,
-        pattern,
-        load_mbps * 1_000_000,
-        4096,
-        SimSpan::from_ms(ms),
-        &mut rng,
-    );
+    let packets = schedule(terminals, pattern, load, 4096, duration, &mut rng);
     let offered = packets.len();
     let mut net = Network::new(config);
     let delivered = drive(&mut net, packets);

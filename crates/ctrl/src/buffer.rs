@@ -23,9 +23,6 @@
 pub struct BufferPool {
     capacity: usize,
     in_use: usize,
-    high_water: usize,
-    rejections: u64,
-    reservations: u64,
 }
 
 impl BufferPool {
@@ -40,9 +37,6 @@ impl BufferPool {
         BufferPool {
             capacity,
             in_use: 0,
-            high_water: 0,
-            rejections: 0,
-            reservations: 0,
         }
     }
 
@@ -70,15 +64,12 @@ impl BufferPool {
         self.in_use == self.capacity
     }
 
-    /// Reserves one slot; returns false (and counts a rejection) if full.
+    /// Reserves one slot; returns false if full.
     pub fn try_reserve(&mut self) -> bool {
         if self.is_full() {
-            self.rejections += 1;
             return false;
         }
         self.in_use += 1;
-        self.reservations += 1;
-        self.high_water = self.high_water.max(self.in_use);
         true
     }
 
@@ -91,24 +82,6 @@ impl BufferPool {
     pub fn release(&mut self) {
         assert!(self.in_use > 0, "release without reserve");
         self.in_use -= 1;
-    }
-
-    /// Highest simultaneous occupancy observed.
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Number of failed reservations (back-pressure events).
-    #[must_use]
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Number of successful reservations.
-    #[must_use]
-    pub fn reservations(&self) -> u64 {
-        self.reservations
     }
 }
 
@@ -123,7 +96,6 @@ mod tests {
         assert!(p.try_reserve());
         assert!(p.is_full());
         assert!(!p.try_reserve());
-        assert_eq!(p.rejections(), 1);
         assert_eq!(p.available(), 0);
     }
 
@@ -133,19 +105,6 @@ mod tests {
         assert!(p.try_reserve());
         p.release();
         assert!(p.try_reserve());
-        assert_eq!(p.reservations(), 2);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut p = BufferPool::new(4);
-        p.try_reserve();
-        p.try_reserve();
-        p.try_reserve();
-        p.release();
-        p.release();
-        assert_eq!(p.high_water(), 3);
-        assert_eq!(p.in_use(), 1);
     }
 
     #[test]

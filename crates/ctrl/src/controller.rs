@@ -1,12 +1,10 @@
 //! The decoupled flash controller (C_D) of Fig 4, composed.
 
-use crate::{
-    BufferPool, CommandQueue, EccConfig, EccEngine, RecycleBlockTable, SuperblockRemapTable,
-};
+use crate::{BufferPool, EccConfig, EccEngine, RecycleBlockTable, SuperblockRemapTable};
 
-/// One decoupled flash controller: the conventional controller's command
-/// queue plus the dSSD additions — an integrated [`EccEngine`], the
-/// decoupled buffer ([`BufferPool`]), and the dynamic-superblock hardware
+/// One decoupled flash controller: the dSSD additions to a conventional
+/// controller — an integrated [`EccEngine`], the decoupled buffer
+/// ([`BufferPool`]), and the dynamic-superblock hardware
 /// ([`SuperblockRemapTable`] and [`RecycleBlockTable`], keyed by global
 /// block index).
 ///
@@ -17,17 +15,14 @@ use crate::{
 /// # Example
 ///
 /// ```
-/// use dssd_ctrl::{CommandKind, DecoupledController, EccConfig};
+/// use dssd_ctrl::{DecoupledController, EccConfig};
 ///
 /// let mut ctrl = DecoupledController::new(EccConfig::default(), 16, 1024, 4096);
-/// let cmd = ctrl.queue_mut().submit(CommandKind::Copyback { dst_node: 3 });
 /// assert!(ctrl.dbuf_mut().try_reserve());
-/// ctrl.queue_mut().retire(cmd);
 /// ctrl.dbuf_mut().release();
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecoupledController {
-    queue: CommandQueue,
     ecc: EccEngine,
     dbuf: BufferPool,
     srt: SuperblockRemapTable<u32>,
@@ -49,23 +44,11 @@ impl DecoupledController {
         rbt_entries: usize,
     ) -> Self {
         DecoupledController {
-            queue: CommandQueue::new(),
             ecc: EccEngine::new(ecc),
             dbuf: BufferPool::new(dbuf_pages),
             srt: SuperblockRemapTable::new(srt_entries),
             rbt: RecycleBlockTable::new(rbt_entries),
         }
-    }
-
-    /// The command queue (read-only).
-    #[must_use]
-    pub fn queue(&self) -> &CommandQueue {
-        &self.queue
-    }
-
-    /// The command queue.
-    pub fn queue_mut(&mut self) -> &mut CommandQueue {
-        &mut self.queue
     }
 
     /// The integrated ECC engine (read-only).
@@ -116,17 +99,14 @@ impl DecoupledController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CommandKind, CopybackStage};
 
     #[test]
     fn composes_all_parts() {
-        let mut c = DecoupledController::new(EccConfig::default(), 16, 1024, 64);
+        let c = DecoupledController::new(EccConfig::default(), 16, 1024, 64);
         assert_eq!(c.dbuf().capacity(), 16);
         assert_eq!(c.srt().capacity(), 1024);
         assert_eq!(c.rbt().capacity(), 64);
-        let cmd = c.queue_mut().submit(CommandKind::Copyback { dst_node: 1 });
-        assert_eq!(c.queue().stage(cmd), Some(CopybackStage::Issued));
-        assert_eq!(c.ecc().checked(), 0);
+        assert_eq!(c.ecc().busy_total(), dssd_kernel::SimSpan::ZERO);
     }
 
     #[test]

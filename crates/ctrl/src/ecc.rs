@@ -56,6 +56,7 @@ impl Default for EccConfig {
 /// let mut ecc = EccEngine::new(EccConfig::default());
 /// let t = ecc.decode(SimTime::ZERO, 4096);
 /// assert!(t.done > t.start);
+/// assert_eq!(ecc.busy_total(), t.service());
 /// assert_eq!(ecc.check(1e-5), EccVerdict::Clean);
 /// assert_eq!(ecc.check(1e-3), EccVerdict::Corrected);
 /// assert_eq!(ecc.check(5e-2), EccVerdict::Uncorrectable);
@@ -64,9 +65,8 @@ impl Default for EccConfig {
 pub struct EccEngine {
     config: EccConfig,
     pipeline: BandwidthServer,
-    checked: u64,
-    corrected: u64,
-    uncorrectable: u64,
+    /// Decode-pipeline busy time so far.
+    busy: SimSpan,
 }
 
 impl EccEngine {
@@ -76,9 +76,7 @@ impl EccEngine {
         EccEngine {
             pipeline: BandwidthServer::new(config.bytes_per_sec, config.latency),
             config,
-            checked: 0,
-            corrected: 0,
-            uncorrectable: 0,
+            busy: SimSpan::ZERO,
         }
     }
 
@@ -91,57 +89,27 @@ impl EccEngine {
     /// Queues one page of `bytes` for decoding at `now`; returns the
     /// occupancy interval (FIFO with any pages already queued).
     pub fn decode(&mut self, now: SimTime, bytes: u64) -> Transfer {
-        self.pipeline.enqueue(now, bytes, 0)
-    }
-
-    /// [`EccEngine::decode`] with traffic-class attribution (host I/O vs
-    /// GC), matching the bus servers' accounting.
-    pub fn decode_as(&mut self, now: SimTime, bytes: u64, class: usize) -> Transfer {
-        self.pipeline.enqueue(now, bytes, class)
-    }
-
-    /// Decode-pipeline busy time attributed to one traffic class.
-    #[must_use]
-    pub fn class_busy(&self, class: usize) -> SimSpan {
-        self.pipeline.class_stats(class).busy
+        let t = self.pipeline.enqueue(now, bytes);
+        self.busy += t.service();
+        t
     }
 
     /// Classifies a page by its raw bit error rate.
-    pub fn check(&mut self, rber: f64) -> EccVerdict {
-        self.checked += 1;
+    #[must_use]
+    pub fn check(&self, rber: f64) -> EccVerdict {
         if rber >= self.config.correctable_rber {
-            self.uncorrectable += 1;
             EccVerdict::Uncorrectable
         } else if rber >= self.config.clean_rber {
-            self.corrected += 1;
             EccVerdict::Corrected
         } else {
             EccVerdict::Clean
         }
     }
 
-    /// Pages checked so far.
-    #[must_use]
-    pub fn checked(&self) -> u64 {
-        self.checked
-    }
-
-    /// Pages that needed correction.
-    #[must_use]
-    pub fn corrected(&self) -> u64 {
-        self.corrected
-    }
-
-    /// Pages beyond correction strength.
-    #[must_use]
-    pub fn uncorrectable(&self) -> u64 {
-        self.uncorrectable
-    }
-
     /// Total decode-pipeline busy time.
     #[must_use]
     pub fn busy_total(&self) -> SimSpan {
-        self.pipeline.total_busy()
+        self.busy
     }
 }
 
@@ -155,6 +123,7 @@ mod tests {
         let a = e.decode(SimTime::ZERO, 4096);
         let b = e.decode(SimTime::ZERO, 4096);
         assert_eq!(b.start, a.done);
+        assert_eq!(e.busy_total(), a.service() + b.service());
     }
 
     #[test]
@@ -168,14 +137,11 @@ mod tests {
 
     #[test]
     fn verdict_thresholds() {
-        let mut e = EccEngine::new(EccConfig::default());
+        let e = EccEngine::new(EccConfig::default());
         assert_eq!(e.check(0.0), EccVerdict::Clean);
         assert_eq!(e.check(9.9e-5), EccVerdict::Clean);
         assert_eq!(e.check(1e-4), EccVerdict::Corrected);
         assert_eq!(e.check(9.9e-3), EccVerdict::Corrected);
         assert_eq!(e.check(1e-2), EccVerdict::Uncorrectable);
-        assert_eq!(e.checked(), 5);
-        assert_eq!(e.corrected(), 2);
-        assert_eq!(e.uncorrectable(), 1);
     }
 }

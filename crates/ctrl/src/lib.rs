@@ -10,13 +10,15 @@
 //!   without touching the page buffers used by host I/O ([`BufferPool`]);
 //! * a **network interface + router** onto the fNoC (the network itself
 //!   lives in `dssd-noc`);
-//! * a **command queue** that tracks multi-stage copyback commands through
-//!   their `R` (read done), `RE` (ECC done), `N` (in network) and `W`
-//!   (write issued) states ([`CommandQueue`], [`CopybackStage`]);
 //! * the dynamic-superblock hardware of Sec 5: the **recycle block table
 //!   (RBT)** holding re-usable sub-blocks of dead superblocks and the
 //!   **superblock remapping table (SRT)** holding sub-block remappings
 //!   ([`RecycleBlockTable`], [`SuperblockRemapTable`]).
+//!
+//! The paper's command queue tracks each copyback through its `R` (read
+//! done), `RE` (ECC done), `N` (in network) and `W` (write issued)
+//! stages. Here those stages are the copy job's own chain of events in
+//! the simulator, so the controller keeps no command state of its own.
 //!
 //! The crate also reproduces the paper's Sec 6.5 area-overhead arithmetic
 //! in [`overhead`].
@@ -28,11 +30,9 @@ mod buffer;
 mod controller;
 mod ecc;
 pub mod overhead;
-mod queue;
 mod tables;
 
 pub use buffer::BufferPool;
 pub use controller::DecoupledController;
 pub use ecc::{EccConfig, EccEngine, EccVerdict};
-pub use queue::{CommandId, CommandKind, CommandQueue, CopybackStage};
 pub use tables::{RecycleBlockTable, SubBlockId, SuperblockRemapTable, TableFull};

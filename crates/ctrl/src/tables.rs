@@ -104,8 +104,6 @@ impl Error for TableFull {}
 pub struct RecycleBlockTable<K = SubBlockId> {
     pool: VecDeque<K>,
     capacity: usize,
-    deposited: u64,
-    taken: u64,
 }
 
 impl<K: Copy + PartialEq> RecycleBlockTable<K> {
@@ -120,8 +118,6 @@ impl<K: Copy + PartialEq> RecycleBlockTable<K> {
         RecycleBlockTable {
             pool: VecDeque::new(),
             capacity,
-            deposited: 0,
-            taken: 0,
         }
     }
 
@@ -147,17 +143,12 @@ impl<K: Copy + PartialEq> RecycleBlockTable<K> {
             return Err(TableFull { capacity: self.capacity });
         }
         self.pool.push_back(block);
-        self.deposited += 1;
         Ok(())
     }
 
     /// Takes the oldest recycled block, if any.
     pub fn take(&mut self) -> Option<K> {
-        let b = self.pool.pop_front();
-        if b.is_some() {
-            self.taken += 1;
-        }
-        b
+        self.pool.pop_front()
     }
 
     /// Recycled blocks currently available.
@@ -176,18 +167,6 @@ impl<K: Copy + PartialEq> RecycleBlockTable<K> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Lifetime count of deposits.
-    #[must_use]
-    pub fn deposited(&self) -> u64 {
-        self.deposited
-    }
-
-    /// Lifetime count of successful takes.
-    #[must_use]
-    pub fn taken(&self) -> u64 {
-        self.taken
     }
 
     /// True if `block` is currently in the bin.
@@ -228,8 +207,6 @@ impl<K: Copy + PartialEq> RecycleBlockTable<K> {
 pub struct SuperblockRemapTable<K = SubBlockId> {
     entries: Vec<(K, K)>,
     capacity: usize,
-    lookups: u64,
-    hits: u64,
 }
 
 impl<K: Copy + Ord> SuperblockRemapTable<K> {
@@ -244,8 +221,6 @@ impl<K: Copy + Ord> SuperblockRemapTable<K> {
         SuperblockRemapTable {
             entries: Vec::new(),
             capacity,
-            lookups: 0,
-            hits: 0,
         }
     }
 
@@ -289,17 +264,10 @@ impl<K: Copy + Ord> SuperblockRemapTable<K> {
     }
 
     /// Translates an access: remapped sources go to their destination,
-    /// everything else passes through unchanged. Updates hit statistics,
-    /// modeling the on-datapath table consultation.
-    pub fn resolve(&mut self, src: K) -> K {
-        self.lookups += 1;
-        match self.position(src) {
-            Ok(i) => {
-                self.hits += 1;
-                self.entries[i].1
-            }
-            Err(_) => src,
-        }
+    /// everything else passes through unchanged.
+    #[must_use]
+    pub fn resolve(&self, src: K) -> K {
+        self.lookup(src).unwrap_or(src)
     }
 
     /// Active (valid) remapping entries — the quantity plotted in Fig 16b.
@@ -330,18 +298,6 @@ impl<K: Copy + Ord> SuperblockRemapTable<K> {
     #[must_use]
     pub fn size_bytes(&self) -> usize {
         self.capacity * 4
-    }
-
-    /// Datapath lookups performed.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that hit a remapping.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Iterates over active `(src, dst)` remappings in source order.
@@ -383,8 +339,6 @@ mod tests {
         assert_eq!(rbt.take(), Some(SubBlockId::new(0, 1)));
         assert_eq!(rbt.take(), Some(SubBlockId::new(0, 2)));
         assert_eq!(rbt.take(), None);
-        assert_eq!(rbt.deposited(), 2);
-        assert_eq!(rbt.taken(), 2);
     }
 
     #[test]
@@ -415,8 +369,6 @@ mod tests {
         srt.insert(a, b).unwrap();
         assert_eq!(srt.resolve(a), b);
         assert_eq!(srt.resolve(c), c);
-        assert_eq!(srt.lookups(), 2);
-        assert_eq!(srt.hits(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This crate models the "back-end" of the SSD: the physical organization
 //! of flash (channels × ways × dies × planes × blocks × pages), the
 //! ONFI-flavoured operation set (read / program / erase, with multi-plane
-//! variants), per-die busy-state machines, per-channel flash-bus transfer
+//! array timing), per-die busy-state machines, per-channel flash-bus transfer
 //! costs, and a per-block wear model with Gaussian program/erase limits —
 //! the block-level process-variation model the paper adopts from WAS
 //! (E = 5578, σ = 826.9 P/E cycles).
@@ -34,14 +34,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod command;
 mod geometry;
 mod state;
 mod timing;
 mod wear;
 
-pub use command::{FlashOp, FlashOpKind};
 pub use geometry::{BlockAddr, DieAddr, FlashGeometry, PageAddr, PlaneAddr};
 pub use state::DieGrid;
-pub use timing::{FlashTiming, LatencyRange};
+pub use timing::{FlashOpKind, FlashTiming, LatencyRange};
 pub use wear::{EraseOutcome, WearModel};

@@ -28,32 +28,13 @@ use dssd_kernel::{SimSpan, SimTime};
 #[derive(Debug, Clone)]
 pub struct DieGrid {
     busy_until: Vec<SimTime>,
-    busy_total: Vec<SimSpan>,
-    ops: Vec<u64>,
 }
 
 impl DieGrid {
     /// Creates an all-idle grid for the geometry.
     #[must_use]
     pub fn new(geometry: &FlashGeometry) -> Self {
-        let n = geometry.total_dies() as usize;
-        DieGrid {
-            busy_until: vec![SimTime::ZERO; n],
-            busy_total: vec![SimSpan::ZERO; n],
-            ops: vec![0; n],
-        }
-    }
-
-    /// Number of dies tracked.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.busy_until.len()
-    }
-
-    /// True if the grid tracks no dies.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.busy_until.is_empty()
+        DieGrid { busy_until: vec![SimTime::ZERO; geometry.total_dies() as usize] }
     }
 
     /// Occupies die `die` for `duration`, starting no earlier than `now`.
@@ -66,27 +47,7 @@ impl DieGrid {
         let start = now.max(self.busy_until[die]);
         let done = start + duration;
         self.busy_until[die] = done;
-        self.busy_total[die] += duration;
-        self.ops[die] += 1;
         (start, done)
-    }
-
-    /// True if die `die` is idle at `now`.
-    #[must_use]
-    pub fn is_idle(&self, die: usize, now: SimTime) -> bool {
-        self.busy_until[die] <= now
-    }
-
-    /// Total array-busy time accumulated on die `die`.
-    #[must_use]
-    pub fn busy_total(&self, die: usize) -> SimSpan {
-        self.busy_total[die]
-    }
-
-    /// Operations issued to die `die`.
-    #[must_use]
-    pub fn op_count(&self, die: usize) -> u64 {
-        self.ops[die]
     }
 }
 
@@ -121,34 +82,14 @@ mod tests {
         assert_eq!(s, SimTime::from_us(100));
     }
 
-    #[test]
-    fn idle_query() {
-        let mut g = DieGrid::new(&FlashGeometry::tiny());
-        assert!(g.is_idle(0, SimTime::ZERO));
-        g.occupy(0, SimTime::ZERO, SimSpan::from_us(10));
-        assert!(!g.is_idle(0, SimTime::from_us(5)));
-        assert!(g.is_idle(0, SimTime::from_us(10)));
-    }
-
-    #[test]
-    fn accounting() {
-        let mut g = DieGrid::new(&FlashGeometry::tiny());
-        g.occupy(2, SimTime::ZERO, SimSpan::from_us(10));
-        g.occupy(2, SimTime::ZERO, SimSpan::from_us(30));
-        assert_eq!(g.busy_total(2), SimSpan::from_us(40));
-        assert_eq!(g.op_count(2), 2);
-        assert_eq!(g.op_count(0), 0);
-    }
-
-    /// Occupancy intervals of one die never overlap and total busy
-    /// time equals the sum of requested durations.
+    /// Occupancy intervals of one die never overlap, never start before
+    /// their request, and last exactly the requested duration.
     #[test]
     fn die_occupancy_is_serial() {
         check(8192, 0xD1E_0000, |rng| {
             let mut grid = DieGrid::new(&FlashGeometry::tiny());
             let ops = 1 + rng.index(119) as u64;
             let mut prev_done = SimTime::ZERO;
-            let mut total = SimSpan::ZERO;
             for _ in 0..ops {
                 let at = SimTime::from_us(rng.range_u64(0..5_000));
                 let dur = SimSpan::from_us(rng.range_u64(1..500));
@@ -158,11 +99,6 @@ mod tests {
                     return Err(format!("{dur:?} at {at:?} ran {ran} after {prev_done:?}"));
                 }
                 prev_done = done;
-                total += dur;
-            }
-            let (busy, count) = (grid.busy_total(0), grid.op_count(0));
-            if busy != total || count != ops {
-                return Err(format!("busy {busy:?} over {count} ops, asked {total:?} over {ops}"));
             }
             Ok(())
         });

@@ -2,6 +2,17 @@
 
 use dssd_kernel::{Rng, SimSpan};
 
+/// The kind of a low-level flash array operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FlashOpKind {
+    /// Page read (array → page register).
+    Read,
+    /// Page program (page register → array).
+    Program,
+    /// Block erase.
+    Erase,
+}
+
 /// A closed latency range `[min, max]` sampled uniformly.
 ///
 /// TLC devices have page-position-dependent latency (the paper gives
@@ -127,6 +138,29 @@ impl FlashTiming {
     pub fn sample_erase(&self, rng: &mut Rng) -> SimSpan {
         self.erase.sample(rng)
     }
+
+    /// Samples the array time of a `planes`-plane operation of `kind` on
+    /// one die. Multi-plane operations (the ONFI command set the paper's
+    /// "high bandwidth" scenario relies on) keep the die busy once for
+    /// all planes, so the time is the slowest plane's: one sample per
+    /// plane, drawn in plane order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` is zero.
+    pub fn sample_array(&self, kind: FlashOpKind, planes: u32, rng: &mut Rng) -> SimSpan {
+        assert!(planes > 0, "planes must be non-zero");
+        let sample_one = |rng: &mut Rng| match kind {
+            FlashOpKind::Read => self.sample_read(rng),
+            FlashOpKind::Program => self.sample_program(rng),
+            FlashOpKind::Erase => self.sample_erase(rng),
+        };
+        let mut worst = SimSpan::ZERO;
+        for _ in 0..planes {
+            worst = worst.max(sample_one(rng));
+        }
+        worst
+    }
 }
 
 #[cfg(test)]
@@ -181,6 +215,46 @@ mod tests {
     #[should_panic(expected = "inverted")]
     fn inverted_range_panics() {
         let _ = LatencyRange::from_us(10, 5);
+    }
+
+    #[test]
+    fn multi_plane_latency_is_max_not_sum() {
+        let t = FlashTiming::ull(); // fixed latencies
+        let mut rng = Rng::new(1);
+        let one = t.sample_array(FlashOpKind::Program, 1, &mut rng);
+        let eight = t.sample_array(FlashOpKind::Program, 8, &mut rng);
+        assert_eq!(one, eight); // ULL is constant-latency: max == single
+    }
+
+    #[test]
+    fn multi_plane_latency_is_the_slowest_plane_for_tlc() {
+        // One draw per plane, in plane order, and the maximum wins: the
+        // same numbers a caller sampling each plane would draw.
+        let t = FlashTiming::tlc();
+        let (mut a, mut b) = (Rng::new(2), Rng::new(2));
+        for (kind, planes) in [(FlashOpKind::Read, 4), (FlashOpKind::Program, 3)] {
+            for _ in 0..100 {
+                let l = t.sample_array(kind, planes, &mut a);
+                let each = (0..planes).map(|_| match kind {
+                    FlashOpKind::Read => t.sample_read(&mut b),
+                    _ => t.sample_program(&mut b),
+                });
+                assert_eq!(l, each.max().unwrap());
+                let range = if kind == FlashOpKind::Read {
+                    t.read
+                } else {
+                    t.program
+                };
+                assert!(l >= range.min && l <= range.max);
+            }
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn zero_planes_panics() {
+        let _ = FlashTiming::ull().sample_array(FlashOpKind::Read, 0, &mut Rng::new(1));
     }
 
     #[test]

@@ -215,10 +215,12 @@ impl Ftl {
         }
     }
 
-    /// Pending metadata I/O (journal flushes, checkpoints) for the
-    /// simulator to charge as flash traffic.
-    pub fn meta_take_io(&mut self) -> Vec<MetaIo> {
-        self.meta.as_mut().map(MetaState::take_io).unwrap_or_default()
+    /// Moves the pending metadata I/O (journal flushes, checkpoints) for
+    /// the simulator to charge as flash traffic into `out`.
+    pub fn meta_drain_io(&mut self, out: &mut Vec<MetaIo>) {
+        if let Some(meta) = &mut self.meta {
+            meta.drain_io(out);
+        }
     }
 
     /// Captures the content of a dequeued [`MetaIo::Checkpoint`].

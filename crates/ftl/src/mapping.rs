@@ -42,7 +42,6 @@ pub struct MappingTable {
     /// over the superblock's sub-blocks, kept in step with it.
     valid_per_superblock: Vec<u32>,
     pages_per_block: u32,
-    mapped: u64,
 }
 
 impl MappingTable {
@@ -65,7 +64,6 @@ impl MappingTable {
             valid_per_block: vec![0; geometry.total_blocks() as usize],
             valid_per_superblock: vec![0; geometry.blocks as usize],
             pages_per_block: geometry.pages,
-            mapped: 0,
         }
     }
 
@@ -73,12 +71,6 @@ impl MappingTable {
     #[must_use]
     pub fn lpn_count(&self) -> u64 {
         self.l2p.len() as u64
-    }
-
-    /// Number of currently mapped logical pages.
-    #[must_use]
-    pub fn mapped(&self) -> u64 {
-        self.mapped
     }
 
     /// The physical page backing `lpn`, if mapped.
@@ -134,8 +126,6 @@ impl MappingTable {
         if old != NONE {
             self.p2l[old as usize] = NONE;
             self.dec_valid(old as Ppn);
-        } else {
-            self.mapped += 1;
         }
         self.l2p[lpn as usize] = ppn as u32;
         self.p2l[ppn as usize] = lpn as u32;
@@ -182,7 +172,6 @@ impl MappingTable {
         self.l2p[lpn as usize] = NONE;
         self.p2l[old as usize] = NONE;
         self.dec_valid(old as Ppn);
-        self.mapped -= 1;
         Some(old as Ppn)
     }
 
@@ -247,7 +236,6 @@ mod tests {
         assert_eq!(m.lookup(0), Some(5));
         assert_eq!(m.lpn_of(5), Some(0));
         assert!(m.is_valid(5));
-        assert_eq!(m.mapped(), 1);
     }
 
     #[test]
@@ -259,7 +247,6 @@ mod tests {
         assert!(!m.is_valid(0));
         assert_eq!(m.valid_in_block(0), 0);
         assert_eq!(m.valid_in_block(1), 1);
-        assert_eq!(m.mapped(), 1);
     }
 
     #[test]
@@ -300,7 +287,6 @@ mod tests {
         assert_eq!(m.trim(4), None);
         assert_eq!(m.lookup(4), None);
         assert!(!m.is_valid(9));
-        assert_eq!(m.mapped(), 0);
     }
 
     #[test]

@@ -107,7 +107,7 @@ struct Checkpoint {
 }
 
 /// Metadata I/O the simulator must charge as flash traffic. Drained via
-/// [`MetaState::take_io`]; the simulator computes each transfer's
+/// [`MetaState::drain_io`]; the simulator computes each transfer's
 /// completion time and reports it back through
 /// [`MetaState::journal_durable`] / [`MetaState::checkpoint_durable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,7 +237,7 @@ impl MetaState {
             next_version: 1,
             oob: vec![None; total_pages as usize],
             next_programmed: 1,
-            pending: Vec::new(),
+            pending: Vec::with_capacity(config.journal_entries_per_page as usize),
             pending_first_entry: 0,
             next_entry: 0,
             journal: Vec::new(),
@@ -482,7 +482,10 @@ impl MetaState {
         if self.pending.is_empty() {
             return;
         }
-        let ops = std::mem::take(&mut self.pending);
+        // The page keeps its ops; the next page starts in a buffer sized
+        // to a full page, so appends never regrow it.
+        let next = Vec::with_capacity(self.config.journal_entries_per_page as usize);
+        let ops = std::mem::replace(&mut self.pending, next);
         self.stats.journal_pages += 1;
         self.stats.journal_entries += ops.len() as u64;
         self.journal.push(JournalPage {
@@ -532,9 +535,10 @@ impl MetaState {
         self.checkpoint_inflight = Some(ckpt);
     }
 
-    /// Pending metadata I/O for the simulator to charge.
-    pub fn take_io(&mut self) -> Vec<MetaIo> {
-        std::mem::take(&mut self.io)
+    /// Moves the pending metadata I/O for the simulator to charge into
+    /// `out`, keeping both buffers' capacity for reuse.
+    pub fn drain_io(&mut self, out: &mut Vec<MetaIo>) {
+        out.append(&mut self.io);
     }
 
     /// The journal flush `page` completed at `at`.
@@ -745,7 +749,8 @@ mod tests {
         meta.mount_baseline(&map);
         write_acked(&mut meta, &mut map, 3, 7, t(100));
         write_acked(&mut meta, &mut map, 4, 8, t(200));
-        let io = meta.take_io();
+        let mut io = Vec::new();
+        meta.drain_io(&mut io);
         assert_eq!(io, vec![MetaIo::JournalFlush { page: 0, bytes: meta.config.page_bytes }]);
         meta.journal_durable(0, t(250));
         let out = meta.recover(t(300));
@@ -802,7 +807,8 @@ mod tests {
         let (mut meta, mut map) = setup(1, 1); // flush every op, checkpoint every program
         meta.mount_baseline(&map);
         write_acked(&mut meta, &mut map, 1, 2, t(100));
-        let io = meta.take_io();
+        let mut io = Vec::new();
+        meta.drain_io(&mut io);
         assert_eq!(io.len(), 2, "journal flush then checkpoint: {io:?}");
         assert!(matches!(io[1], MetaIo::Checkpoint { .. }));
         meta.journal_durable(0, t(150));

@@ -55,6 +55,6 @@ pub use check::check;
 pub use event::{EventKey, EventQueue, FifoLanes, Orders, ARRIVAL_RANK, DEFAULT_RANK};
 pub use hash::{FxHashMap, FxHasher};
 pub use rng::Rng;
-pub use server::{BandwidthServer, ServerStats, Transfer};
+pub use server::{BandwidthServer, Transfer};
 pub use slab::{Slab, SlabKey};
 pub use time::{SimSpan, SimTime};

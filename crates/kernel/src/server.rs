@@ -20,17 +20,6 @@ impl Transfer {
     }
 }
 
-/// Per-traffic-class accounting for a [`BandwidthServer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Transfers served.
-    pub items: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Total busy (service) time attributed to this class.
-    pub busy: SimSpan,
-}
-
 /// A FIFO bandwidth resource.
 ///
 /// Models a bus, a DRAM port, or a flash channel: transfers are served one
@@ -52,8 +41,8 @@ pub struct ServerStats {
 ///
 /// // An 8 GB/s system bus with no per-item overhead.
 /// let mut bus = BandwidthServer::new(8_000_000_000, SimSpan::ZERO);
-/// let a = bus.enqueue(SimTime::ZERO, 4096, 0);
-/// let b = bus.enqueue(SimTime::ZERO, 4096, 0);
+/// let a = bus.enqueue(SimTime::ZERO, 4096);
+/// let b = bus.enqueue(SimTime::ZERO, 4096);
 /// assert_eq!(a.done.as_ns(), 512);      // 4 KiB at 8 GB/s
 /// assert_eq!(b.start, a.done);          // FIFO: b waits for a
 /// ```
@@ -62,7 +51,6 @@ pub struct BandwidthServer {
     bytes_per_sec: u64,
     overhead: SimSpan,
     busy_until: SimTime,
-    classes: Vec<ServerStats>,
 }
 
 impl BandwidthServer {
@@ -79,64 +67,25 @@ impl BandwidthServer {
             bytes_per_sec,
             overhead,
             busy_until: SimTime::ZERO,
-            classes: Vec::new(),
         }
     }
 
-    /// The configured bandwidth in bytes per second.
-    #[must_use]
-    pub fn bytes_per_sec(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
-    /// Enqueues a transfer of `bytes` arriving at `now`, attributed to
-    /// traffic class `class` (e.g. 0 = host I/O, 1 = garbage collection).
-    /// Returns when the transfer starts and completes.
-    pub fn enqueue(&mut self, now: SimTime, bytes: u64, class: usize) -> Transfer {
-        self.enqueue_extra(now, bytes, class, SimSpan::ZERO)
+    /// Enqueues a transfer of `bytes` arriving at `now`. Returns when the
+    /// transfer starts and completes.
+    pub fn enqueue(&mut self, now: SimTime, bytes: u64) -> Transfer {
+        self.enqueue_extra(now, bytes, SimSpan::ZERO)
     }
 
     /// [`BandwidthServer::enqueue`] with additional per-item overhead on
     /// top of the server's base overhead (e.g. firmware descriptor
     /// management for individually-shepherded transfers).
-    pub fn enqueue_extra(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        class: usize,
-        extra: SimSpan,
-    ) -> Transfer {
+    pub fn enqueue_extra(&mut self, now: SimTime, bytes: u64, extra: SimSpan) -> Transfer {
         let start = now.max(self.busy_until);
         let service =
             self.overhead + extra + SimSpan::for_transfer(bytes, self.bytes_per_sec);
         let done = start + service;
         self.busy_until = done;
-        if self.classes.len() <= class {
-            self.classes.resize(class + 1, ServerStats::default());
-        }
-        let c = &mut self.classes[class];
-        c.items += 1;
-        c.bytes += bytes;
-        c.busy += service;
         Transfer { start, done }
-    }
-
-    /// The instant the server next becomes idle.
-    #[must_use]
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Accounting for one traffic class (zeros if never used).
-    #[must_use]
-    pub fn class_stats(&self, class: usize) -> ServerStats {
-        self.classes.get(class).copied().unwrap_or_default()
-    }
-
-    /// Total busy time across all classes.
-    #[must_use]
-    pub fn total_busy(&self) -> SimSpan {
-        self.classes.iter().map(|c| c.busy).sum()
     }
 }
 
@@ -151,7 +100,7 @@ mod tests {
     #[test]
     fn idle_server_serves_immediately() {
         let mut s = BandwidthServer::new(gbps(1), SimSpan::ZERO);
-        let t = s.enqueue(SimTime::from_us(10), 4096, 0);
+        let t = s.enqueue(SimTime::from_us(10), 4096);
         assert_eq!(t.start, SimTime::from_us(10));
         assert_eq!(t.done, SimTime::from_us(10) + SimSpan::from_ns(4096));
     }
@@ -159,8 +108,8 @@ mod tests {
     #[test]
     fn fifo_serializes_contending_transfers() {
         let mut s = BandwidthServer::new(gbps(1), SimSpan::ZERO);
-        let a = s.enqueue(SimTime::ZERO, 4096, 0);
-        let b = s.enqueue(SimTime::ZERO, 4096, 1);
+        let a = s.enqueue(SimTime::ZERO, 4096);
+        let b = s.enqueue(SimTime::ZERO, 4096);
         assert_eq!(b.start, a.done);
         assert_eq!(b.done.as_ns(), 2 * 4096);
         assert_eq!(b.start - SimTime::ZERO, SimSpan::from_ns(4096));
@@ -169,27 +118,17 @@ mod tests {
     #[test]
     fn overhead_is_charged_per_item() {
         let mut s = BandwidthServer::new(gbps(1), SimSpan::from_ns(100));
-        let a = s.enqueue(SimTime::ZERO, 1000, 0);
+        let a = s.enqueue(SimTime::ZERO, 1000);
         assert_eq!(a.service(), SimSpan::from_ns(1100));
     }
 
     #[test]
     fn idle_gap_is_not_counted_busy() {
         let mut s = BandwidthServer::new(gbps(1), SimSpan::ZERO);
-        s.enqueue(SimTime::ZERO, 1000, 0);
-        s.enqueue(SimTime::from_us(100), 1000, 0); // long idle gap
-        assert_eq!(s.total_busy(), SimSpan::from_ns(2000));
-    }
-
-    #[test]
-    fn class_attribution() {
-        let mut s = BandwidthServer::new(gbps(1), SimSpan::ZERO);
-        s.enqueue(SimTime::ZERO, 1000, 0);
-        s.enqueue(SimTime::ZERO, 3000, 1);
-        assert_eq!(s.class_stats(0).bytes, 1000);
-        assert_eq!(s.class_stats(1).bytes, 3000);
-        assert_eq!(s.class_stats(1).items, 1);
-        assert_eq!(s.class_stats(7), ServerStats::default());
+        let a = s.enqueue(SimTime::ZERO, 1000);
+        let b = s.enqueue(SimTime::from_us(100), 1000); // long idle gap
+        assert_eq!(b.start, SimTime::from_us(100));
+        assert_eq!(a.service() + b.service(), SimSpan::from_ns(2000));
     }
 
     #[test]
@@ -198,40 +137,33 @@ mod tests {
         let mut done = SimTime::ZERO;
         let n = 10_000u64;
         for _ in 0..n {
-            done = s.enqueue(SimTime::ZERO, 4096, 0).done;
+            done = s.enqueue(SimTime::ZERO, 4096).done;
         }
         let achieved = (n * 4096) as f64 / done.as_secs_f64();
         let rel = (achieved - 8e9).abs() / 8e9;
         assert!(rel < 0.01, "achieved {achieved}");
     }
 
-    /// Service intervals never overlap, never start before arrival,
-    /// and preserve FIFO order; accounting matches exactly.
+    /// Each transfer starts at its arrival or when the previous one is
+    /// done, whichever is later (FIFO, never idle with work queued), and
+    /// is served for exactly the overhead plus its bytes at the rate.
     #[test]
     fn fifo_invariants() {
         crate::check(256, 0xF1F0_0000, |rng| {
-            let mut s = BandwidthServer::new(1_000_000_000, SimSpan::from_ns(7));
+            let overhead = SimSpan::from_ns(7);
+            let mut s = BandwidthServer::new(1_000_000_000, overhead);
             let mut arrivals: Vec<(u64, u64)> = (0..rng.range_u64(1..100))
                 .map(|_| (rng.range_u64(0..10_000), rng.range_u64(1..100_000)))
                 .collect();
             arrivals.sort_unstable();
             let mut prev_done = SimTime::ZERO;
-            let mut total_bytes = 0u64;
-            let mut total_busy = SimSpan::ZERO;
             for &(at, bytes) in &arrivals {
-                let t = s.enqueue(SimTime::from_ns(at), bytes, 0);
-                if t.start < SimTime::from_ns(at) || t.start < prev_done || t.done <= t.start {
+                let t = s.enqueue(SimTime::from_ns(at), bytes);
+                let service = overhead + SimSpan::for_transfer(bytes, 1_000_000_000);
+                if t.start != SimTime::from_ns(at).max(prev_done) || t.service() != service {
                     return Err(format!("{t:?} for {bytes} B at {at} ns after {prev_done:?}"));
                 }
                 prev_done = t.done;
-                total_bytes += bytes;
-                total_busy += t.service();
-            }
-            let stats = s.class_stats(0);
-            let got = (stats.bytes, stats.items, stats.busy, s.busy_until());
-            let want = (total_bytes, arrivals.len() as u64, total_busy, prev_done);
-            if got != want {
-                return Err(format!("accounting {got:?}, expected {want:?}"));
             }
             Ok(())
         });
@@ -245,8 +177,8 @@ mod tests {
             let extra = rng.range_u64(0..10_000);
             let mut a = BandwidthServer::new(2_000_000_000, SimSpan::from_ns(5));
             let mut b = BandwidthServer::new(2_000_000_000, SimSpan::from_ns(5));
-            let ta = a.enqueue(SimTime::ZERO, bytes, 0);
-            let tb = b.enqueue_extra(SimTime::ZERO, bytes, 0, SimSpan::from_ns(extra));
+            let ta = a.enqueue(SimTime::ZERO, bytes);
+            let tb = b.enqueue_extra(SimTime::ZERO, bytes, SimSpan::from_ns(extra));
             if tb.service().as_ns() != ta.service().as_ns() + extra {
                 return Err(format!("{bytes} B + {extra} ns: {ta:?} vs {tb:?}"));
             }

@@ -2227,6 +2227,143 @@ mod tests {
         assert!(net.is_idle());
     }
 
+    /// The credit law, checked on the network's state between events:
+    /// for every link output and VC, the output's credits, the flits
+    /// buffered in the downstream input VC, the `FlitArrive`s pending
+    /// into that VC and the `Credit`s pending back to the output sum to
+    /// the buffer depth; and every injected packet is delivered or in
+    /// flight.
+    fn audit_credits(net: &Network) {
+        let mut arriving: FxHashMap<(usize, usize, usize), usize> = FxHashMap::default();
+        let mut returning: FxHashMap<(usize, usize, usize), usize> = FxHashMap::default();
+        for (_, e) in lane_entries(net) {
+            match e {
+                NocEvent::FlitArrive {
+                    node, in_port, vc, ..
+                } => {
+                    *arriving
+                        .entry((node as usize, in_port as usize, vc as usize))
+                        .or_default() += 1;
+                }
+                NocEvent::Credit { node, out_port, vc } => {
+                    *returning
+                        .entry((node as usize, out_port as usize, vc as usize))
+                        .or_default() += 1;
+                }
+                _ => {}
+            }
+        }
+        for (node, router) in net.nodes.iter().enumerate() {
+            for (out, port) in router.outputs.iter().enumerate() {
+                let PortLink::Link { peer, peer_in } = port.link else {
+                    continue;
+                };
+                for vc in 0..VCS {
+                    let buffered = net.nodes[peer].inputs[peer_in].vcs[vc].flits.len();
+                    let flying = arriving.get(&(peer, peer_in, vc)).copied().unwrap_or(0);
+                    let owed = returning.get(&(node, out, vc)).copied().unwrap_or(0);
+                    let (credits, depth) = (port.credits[vc], net.config.input_buffer_flits);
+                    assert_eq!(
+                        credits + buffered + flying + owed,
+                        depth,
+                        "output {node}:{out} vc {vc}: {credits} credits + {buffered} buffered \
+                         + {flying} arriving + {owed} credits returning"
+                    );
+                }
+            }
+        }
+        let s = net.stats();
+        assert_eq!(
+            s.injected,
+            s.delivered + net.in_flight() as u64,
+            "packets in vs out"
+        );
+    }
+
+    /// Runs `packets` through `net` one event at a time, as [`drive`]
+    /// does, and audits the credit law after every injection and event.
+    /// With `demote_every`, every that many events it also demotes the
+    /// express groups on the whole `0 → terminals - 1` route, as an
+    /// injected fNoC fault does. Returns the packets delivered.
+    fn drive_audited(
+        net: &mut Network,
+        packets: Vec<(SimTime, Packet)>,
+        demote_every: Option<u64>,
+    ) -> usize {
+        #[derive(Debug)]
+        enum Ev {
+            Inject(Packet),
+            Noc(NocEvent),
+        }
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        for (t, p) in packets {
+            queue.push(t, Ev::Inject(p));
+        }
+        let (mut step, mut events, mut delivered) = (Step::default(), 0, 0);
+        let last = net.topology().terminals() - 1;
+        loop {
+            let head = queue.peek_key().unwrap_or(EventKey::MAX);
+            let (ran, mut now) = net.run(head, 1, &mut step, queue.orders());
+            if ran == 0 {
+                let Some((t, ev)) = queue.pop() else { break };
+                now = t;
+                match ev {
+                    Ev::Inject(p) => net.inject_into(now, p, &mut step, queue.orders()),
+                    Ev::Noc(e) => net.handle_into(now, e, &mut step, queue.orders()),
+                }
+            }
+            events += 1;
+            if demote_every.is_some_and(|k| events % k == 0) {
+                net.demote_overlapping(now, 0, last, &mut step, queue.orders());
+            }
+            audit_credits(net);
+            delivered += step.delivered.len();
+            step.delivered.clear();
+            step.hops.clear();
+            for (t, e) in step.schedule.drain(..) {
+                queue.push(t, Ev::Noc(e));
+            }
+        }
+        delivered
+    }
+
+    /// The credit law holds after every event of saturating runs on the
+    /// ring (4-flit buffers), the 1-D mesh and the crossbar, with the
+    /// express path off, on, and on with forced demotions.
+    #[test]
+    fn credit_law_holds_after_every_event() {
+        for (kind, mbps) in [
+            (TopologyKind::Ring, 1000),
+            (TopologyKind::Mesh1D, 600),
+            (TopologyKind::Crossbar, 1000),
+        ] {
+            for (express, demote_every) in [(false, None), (true, None), (true, Some(7))] {
+                let config = cfg(kind, 8)
+                    .with_input_buffer_flits(4)
+                    .with_express(express);
+                let mut rng = Rng::new(31);
+                let span = SimSpan::from_us(20);
+                let packets = schedule(
+                    8,
+                    Pattern::UniformRandom,
+                    mbps * 1_000_000,
+                    4096,
+                    span,
+                    &mut rng,
+                );
+                let offered = packets.len();
+                let mut net = Network::new(config);
+                let delivered = drive_audited(&mut net, packets, demote_every);
+                assert_eq!(
+                    delivered, offered,
+                    "{kind:?} express={express} {demote_every:?}"
+                );
+                assert!(net.is_idle());
+                assert!(net.stats().credit_stalls > 0, "{kind:?}: never saturated");
+            }
+        }
+    }
+
     #[test]
     fn stats_accumulate() {
         let mut net = Network::new(cfg(TopologyKind::Mesh1D, 8));

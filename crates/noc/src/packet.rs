@@ -15,9 +15,8 @@ pub type PacketId = u64;
 ///
 /// ```
 /// use dssd_noc::Packet;
-/// let p = Packet::new(1, 0, 5, 4096).with_tag(42);
+/// let p = Packet::new(1, 0, 5, 4096);
 /// assert_eq!(p.bytes, 4096);
-/// assert_eq!(p.tag, 42);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
@@ -29,22 +28,13 @@ pub struct Packet {
     pub dst: usize,
     /// Payload bytes (header bytes are added by the network config).
     pub bytes: u64,
-    /// Caller-defined correlation tag (e.g. the copyback job id).
-    pub tag: u64,
 }
 
 impl Packet {
-    /// Creates a packet with a zero tag.
+    /// Creates a packet.
     #[must_use]
     pub fn new(id: PacketId, src: usize, dst: usize, bytes: u64) -> Self {
-        Packet { id, src, dst, bytes, tag: 0 }
-    }
-
-    /// Sets the correlation tag.
-    #[must_use]
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = tag;
-        self
+        Packet { id, src, dst, bytes }
     }
 }
 
@@ -147,10 +137,9 @@ mod tests {
 
     #[test]
     fn packet_builder() {
-        let p = Packet::new(9, 1, 2, 100).with_tag(7);
+        let p = Packet::new(9, 1, 2, 100);
         assert_eq!(p.id, 9);
         assert_eq!(p.src, 1);
         assert_eq!(p.dst, 2);
-        assert_eq!(p.tag, 7);
     }
 }

@@ -1,6 +1,5 @@
 //! Network measurement counters.
 
-use dssd_kernel::stats::Histogram;
 use dssd_kernel::SimSpan;
 
 use crate::Delivered;
@@ -28,8 +27,9 @@ pub struct NocStats {
     pub bytes_delivered: u64,
     /// Total flit-link traversals (a load/energy proxy).
     pub flit_hops: u64,
-    /// Per-packet injection-to-ejection latency.
-    pub latency: Histogram,
+    /// Summed injection-to-ejection latency of delivered packets, in ns
+    /// (for mean latency).
+    pub total_latency_ns: u64,
     /// Total head-flit hops (for mean hop count).
     pub total_hops: u64,
     /// Arbitration attempts that found a routable flit but no downstream
@@ -43,13 +43,18 @@ impl NocStats {
         self.delivered += 1;
         self.bytes_delivered += d.packet.bytes;
         self.total_hops += d.hops as u64;
-        self.latency.record(d.latency());
+        self.total_latency_ns += d.latency().as_ns();
     }
 
-    /// Mean packet latency ([`SimSpan::ZERO`] if nothing delivered).
+    /// Mean packet latency, rounded down to the nanosecond
+    /// ([`SimSpan::ZERO`] if nothing delivered).
     #[must_use]
     pub fn mean_latency(&self) -> SimSpan {
-        self.latency.mean()
+        SimSpan::from_ns(
+            self.total_latency_ns
+                .checked_div(self.delivered)
+                .unwrap_or(0),
+        )
     }
 
     /// Mean hops per delivered packet.

@@ -140,3 +140,43 @@ Mesh2D { cols: 4 }/8 buf=4 UniformRandom express=false: delivered=51 events=4610
 Mesh2D { cols: 4 }/8 buf=4 Hotspot express=true: delivered=11 events=11752 last=53027 latency=179250 flit_hops=4386 credit_stalls=2699 busy=e1d06b542e719845
 Mesh2D { cols: 4 }/8 buf=4 Hotspot express=false: delivered=11 events=11750 last=53027 latency=179250 flit_hops=4386 credit_stalls=2699 busy=e1d06b542e719845
 ";
+
+/// The network's own latency and hop means, as `noc` prints them, under
+/// uniform near-saturating traffic with the express path on and off.
+#[test]
+fn mean_latency_and_hops_are_pinned() {
+    let mut lines = Vec::new();
+    let kinds = [
+        (TopologyKind::Mesh1D, 201),
+        (TopologyKind::Ring, 202),
+        (TopologyKind::Crossbar, 203),
+    ];
+    for (kind, seed) in kinds {
+        for express in [true, false] {
+            let config = NocConfig::new(kind, 8).with_express(express);
+            let rate = near_saturation_mbps(kind, 8, Pattern::UniformRandom) * 1_000_000;
+            let span = SimSpan::from_us(50);
+            let mut rng = Rng::new(seed);
+            let packets = schedule(8, Pattern::UniformRandom, rate, 4096, span, &mut rng);
+            let mut net = Network::new(config);
+            drive_counted(&mut net, packets);
+            let s = net.stats();
+            lines.push(format!(
+                "{kind:?} express={express}: delivered={} mean_latency={} mean_hops={:.6}",
+                s.delivered,
+                s.mean_latency().as_ns(),
+                s.mean_hops()
+            ));
+        }
+    }
+    assert_eq!(lines.join("\n"), MEANS_GOLDEN.trim());
+}
+
+const MEANS_GOLDEN: &str = "
+Mesh1D express=true: delivered=46 mean_latency=24878 mean_hops=3.021739
+Mesh1D express=false: delivered=46 mean_latency=24878 mean_hops=3.021739
+Ring express=true: delivered=75 mean_latency=38681 mean_hops=2.373333
+Ring express=false: delivered=75 mean_latency=38681 mean_hops=2.373333
+Crossbar express=true: delivered=82 mean_latency=20035 mean_hops=2.000000
+Crossbar express=false: delivered=82 mean_latency=20035 mean_hops=2.000000
+";

@@ -177,8 +177,6 @@ impl EnduranceConfig {
 pub struct PowerLossPoint {
     /// Superblock fills completed when the loss struck.
     pub fills: u64,
-    /// Host bytes written by then.
-    pub bytes_written: u64,
     /// Journal pages the mount had to replay (flushed since the last
     /// durable checkpoint).
     pub journal_pages_replayed: u64,
@@ -203,11 +201,6 @@ pub struct EnduranceReport {
     pub initial_visible: u32,
     /// Superblock fills performed.
     pub fills: u64,
-    /// Block erase operations performed (one per constituent block per
-    /// fill) — the run's deterministic unit of work, reported as the
-    /// event count in `results/bench.json` so the perf guard can gate
-    /// the endurance benches on events/sec.
-    pub erase_ops: u64,
     /// Injected power losses, in order (empty when injection is off).
     pub power_loss_points: Vec<PowerLossPoint>,
     /// Mapping-journal pages flushed ([`EnduranceConfig::journal`]).
@@ -322,7 +315,6 @@ impl MetaPump {
         if self.loss_rng.is_some() && report.fills >= self.next_loss_at_fill {
             report.power_loss_points.push(PowerLossPoint {
                 fills: report.fills,
-                bytes_written: report.total_written,
                 journal_pages_replayed: self.unreplayed_pages,
             });
             // The mount re-checkpoints, emptying the replay window.
@@ -445,7 +437,6 @@ impl EnduranceSim {
             remap_events: 0,
             initial_visible: visible as u32,
             fills: 0,
-            erase_ops: 0,
             power_loss_points: Vec::new(),
             journal_pages: 0,
             checkpoint_pages: 0,
@@ -467,7 +458,6 @@ impl EnduranceSim {
             // One P/E cycle per constituent block.
             let mut worn: Vec<usize> = Vec::new();
             for (i, slot) in slots[sb].iter().enumerate() {
-                report.erase_ops += 1;
                 if self.wear.erase(slot.current as usize) == EraseOutcome::WornOut {
                     worn.push(i);
                 }
@@ -586,7 +576,6 @@ impl EnduranceSim {
             remap_events: 0,
             initial_visible: cfg.superblocks as u32,
             fills: 0,
-            erase_ops: 0,
             power_loss_points: Vec::new(),
             journal_pages: 0,
             checkpoint_pages: 0,
@@ -620,7 +609,6 @@ impl EnduranceSim {
                     used.push(id);
                 }
                 for id in used {
-                    report.erase_ops += 1;
                     if self.wear.erase(id as usize) == EraseOutcome::Healthy {
                         let est = estimate(&mut est_rng, self.wear.remaining(id as usize));
                         pool.push((est, Reverse(id)));

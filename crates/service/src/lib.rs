@@ -1,7 +1,7 @@
 //! Live block-device front-end for the dSSD simulator.
 //!
 //! Everything between a multi-tenant host and the simulated drive:
-//! io_uring/NVMe-style submission and completion rings ([`ring`]),
+//! io_uring/NVMe-style submission rings ([`ring`]),
 //! per-tenant namespaces and the scripted arrival spec ([`spec`]),
 //! token-bucket rate limiting with weighted-round-robin arbitration
 //! ([`qos`]), the virtual-time pacer that drives the steppable
@@ -23,6 +23,6 @@ pub mod spec;
 
 pub use qos::{TokenBucket, WrrArbiter};
 pub use report::{ServiceReport, TenantReport};
-pub use ring::{CompletionQueue, CqStatus, Cqe, RingFull, Sqe, SubmissionQueue};
-pub use service::{serve, BUSY_CID};
+pub use ring::{RingFull, Sqe, SubmissionQueue};
+pub use service::serve;
 pub use spec::{Namespace, ServiceSpec, SpecError, Submission, TenantSpec};

@@ -1,14 +1,15 @@
-//! io_uring/NVMe-style fixed-depth submission and completion rings.
+//! io_uring/NVMe-style fixed-depth submission ring.
 //!
-//! Both rings are classic single-producer/single-consumer circular
-//! buffers with free-running head/tail cursors masked into a
-//! power-of-two slot array. The producer writes a slot and *rings the
-//! doorbell* (advances its tail); the consumer reads at head. In this
-//! simulated front-end the host driver and the device share one address
-//! space, so the doorbell is an ordinary method call — but the protocol
-//! (slot reuse only after the consumer advances past it, fullness
-//! detected by cursor distance, never by sentinel values) is the real
-//! one.
+//! The ring is a classic single-producer/single-consumer circular buffer
+//! with free-running head/tail cursors masked into a power-of-two slot
+//! array. The producer writes a slot and *rings the doorbell* (advances
+//! its tail); the consumer reads at head. In this simulated front-end
+//! the host driver and the device share one address space, so the
+//! doorbell is an ordinary method call — but the protocol (slot reuse
+//! only after the consumer advances past it, fullness detected by cursor
+//! distance, never by sentinel values) is the real one. Completions need
+//! no ring: the pacer folds each one into its tenant's report the moment
+//! the simulator logs it.
 
 use dssd_kernel::SimTime;
 use dssd_workload::Op;
@@ -28,34 +29,6 @@ pub struct Sqe {
     pub pages: u32,
     /// Serviced from the device DRAM cache (never touches flash).
     pub cached: bool,
-}
-
-/// Completion status posted in a [`Cqe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CqStatus {
-    /// The command completed successfully.
-    Ok,
-    /// The command completed but the device lost data (media failure).
-    MediaError,
-    /// The submission was rejected by admission control (queue-depth cap
-    /// or global backpressure). The command never reached the device;
-    /// the host may retry later.
-    Busy,
-}
-
-/// One completion-queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cqe {
-    /// Command id: the per-tenant submission sequence number, echoed
-    /// back so the host can correlate completions with submissions.
-    pub cid: u64,
-    /// Outcome.
-    pub status: CqStatus,
-    /// When the host submitted the command.
-    pub submitted: SimTime,
-    /// When the completion was posted ( = the rejection instant for
-    /// [`CqStatus::Busy`]).
-    pub completed: SimTime,
 }
 
 /// Error returned when pushing to a full ring.
@@ -191,50 +164,6 @@ impl SubmissionQueue {
     }
 }
 
-/// A tenant's completion queue. The device posts [`Cqe`]s (producer);
-/// the host drains them (consumer).
-#[derive(Debug, Clone)]
-pub struct CompletionQueue {
-    ring: Ring<Cqe>,
-}
-
-impl CompletionQueue {
-    /// Creates a queue of at least `depth` entries (rounded up to a
-    /// power of two).
-    #[must_use]
-    pub fn new(depth: usize) -> Self {
-        CompletionQueue { ring: Ring::new(depth) }
-    }
-
-    /// Entries posted and not yet drained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no completions are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ring.len() == 0
-    }
-
-    /// Device side: posts a completion.
-    ///
-    /// # Errors
-    ///
-    /// [`RingFull`] when the host has not drained the ring. The service
-    /// driver drains every pacer step, so in practice this only fires on
-    /// a protocol bug.
-    pub fn post(&mut self, cqe: Cqe) -> Result<(), RingFull> {
-        self.ring.push(cqe)
-    }
-
-    /// Host side: drains the oldest completion.
-    pub fn pop(&mut self) -> Option<Cqe> {
-        self.ring.pop()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,21 +210,6 @@ mod tests {
         }
         assert!(sq.is_empty());
         assert_eq!(sq.submitted(), 100);
-    }
-
-    #[test]
-    fn completion_queue_round_trips() {
-        let mut cq = CompletionQueue::new(2);
-        let c = Cqe {
-            cid: 7,
-            status: CqStatus::Busy,
-            submitted: SimTime::from_ns(1),
-            completed: SimTime::from_ns(1),
-        };
-        cq.post(c).unwrap();
-        assert_eq!(cq.len(), 1);
-        assert_eq!(cq.pop(), Some(c));
-        assert!(cq.pop().is_none());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The live front-end: a virtual-time pacer that drives the steppable
-//! simulator from per-tenant SQ/CQ rings under QoS admission control.
+//! simulator from per-tenant submission rings under QoS admission
+//! control.
 //!
 //! # Pacer protocol
 //!
@@ -9,12 +10,12 @@
 //! 1. advances the simulator with
 //!    [`run_until_before`](SsdSim::run_until_before)`(t)` — every event
 //!    strictly before `t` is processed, nothing at `t` has popped — and
-//!    drains the completion log into the tenants' CQ rings;
+//!    folds the completion log into the tenants' reports;
 //! 2. retry-dispatches queued SQ heads whose token buckets refilled,
 //!    arbitrated weighted-round-robin across tenants;
 //! 3. processes the submissions arriving at `t` in spec order:
-//!    admission control first ([`CqStatus::Busy`] on violation —
-//!    rejections are explicit completions, never silent drops), then
+//!    admission control first (a violation is counted as `rejected` —
+//!    rejections are explicit outcomes, never silent drops), then
 //!    *immediate dispatch* when the tenant's SQ is empty and its bucket
 //!    is ready, else the entry waits in the SQ (`throttled`);
 //! 4. re-arms a retry instant per throttled tenant at its head's exact
@@ -42,7 +43,7 @@ use dssd_workload::Op;
 
 use crate::qos::{TokenBucket, WrrArbiter};
 use crate::report::{ServiceReport, TenantReport};
-use crate::ring::{CompletionQueue, CqStatus, Cqe, SubmissionQueue, Sqe};
+use crate::ring::{SubmissionQueue, Sqe};
 use crate::spec::{Namespace, ServiceSpec};
 
 /// Trace-span id namespace for tenant completion spans: the high bit
@@ -50,19 +51,14 @@ use crate::spec::{Namespace, ServiceSpec};
 /// span is never buffered under an open request's lifecycle.
 const TENANT_SPAN_ID: u64 = 1 << 63;
 
-/// `cid` echoed in a [`CqStatus::Busy`] completion: the submission was
-/// bounced before a command id was allocated, so there is none to echo.
-pub const BUSY_CID: u64 = u64::MAX;
-
 /// Per-tenant front-end state.
 struct TenantState {
     sq: SubmissionQueue,
-    cq: CompletionQueue,
     bucket: TokenBucket,
     ns: Namespace,
     /// In-flight + queued cap; 0 = unlimited.
     qd_cap: usize,
-    /// Dispatched to the device, completion not yet drained.
+    /// Dispatched to the device, completion not yet folded in.
     inflight: usize,
     report: TenantReport,
 }
@@ -79,7 +75,6 @@ impl TenantState {
 /// order, which equals injection order, so `tag` indexes this table.
 struct Dispatched {
     tenant: u16,
-    cid: u64,
     submitted: SimTime,
     op: Op,
 }
@@ -106,7 +101,6 @@ pub fn serve(spec: &ServiceSpec, sim: &mut SsdSim) -> ServiceReport {
         .zip(namespaces)
         .map(|(t, ns)| TenantState {
             sq: SubmissionQueue::new(spec.sq_depth),
-            cq: CompletionQueue::new(spec.sq_depth),
             // Burst at least one whole request, else the bucket's level
             // caps below the head's cost and it can never dispatch.
             bucket: TokenBucket::new(
@@ -155,8 +149,8 @@ pub fn serve(spec: &ServiceSpec, sim: &mut SsdSim) -> ServiceReport {
                 })
             }) {
                 let ts = &mut tenants[i];
-                let (cid, submitted, sqe) = ts.sq.pop().expect("granted an empty queue");
-                dispatch(sim, ts, &mut tag_map, i as u16, cid, submitted, sqe, t);
+                let (_, submitted, sqe) = ts.sq.pop().expect("granted an empty queue");
+                dispatch(sim, ts, &mut tag_map, i as u16, submitted, sqe, t);
                 dispatched_total += 1;
             }
         }
@@ -172,12 +166,6 @@ pub fn serve(spec: &ServiceSpec, sim: &mut SsdSim) -> ServiceReport {
             let over_backlog = spec.backlog_limit > 0 && backlog >= spec.backlog_limit;
             if over_qd || over_backlog || ts.sq.is_full() {
                 ts.report.rejected += 1;
-                post_and_drain(ts, Cqe {
-                    cid: BUSY_CID,
-                    status: CqStatus::Busy,
-                    submitted: t,
-                    completed: t,
-                }, true);
                 sim.tracer_mut().instant(Track::Tenant(sub.tenant), "busy", t);
                 continue;
             }
@@ -186,7 +174,7 @@ pub fn serve(spec: &ServiceSpec, sim: &mut SsdSim) -> ServiceReport {
             if was_empty && ts.bucket.ready_at(t, sub.sqe.pages) <= t {
                 let (cid2, submitted, sqe) = ts.sq.pop().expect("just submitted");
                 debug_assert_eq!(cid2, cid);
-                dispatch(sim, ts, &mut tag_map, sub.tenant, cid, submitted, sqe, t);
+                dispatch(sim, ts, &mut tag_map, sub.tenant, submitted, sqe, t);
                 dispatched_total += 1;
             } else {
                 ts.report.throttled += 1;
@@ -225,13 +213,11 @@ pub fn serve(spec: &ServiceSpec, sim: &mut SsdSim) -> ServiceReport {
 /// Maps a queue entry onto the tenant's namespace and injects it into
 /// the simulator, charging the token bucket and recording the tag
 /// correlation.
-#[allow(clippy::too_many_arguments)] // flat pacer state, called twice
 fn dispatch(
     sim: &mut SsdSim,
     ts: &mut TenantState,
     tag_map: &mut Vec<Dispatched>,
     tenant: u16,
-    cid: u64,
     submitted: SimTime,
     sqe: Sqe,
     now: SimTime,
@@ -240,11 +226,12 @@ fn dispatch(
     let injected = sim.inject_arrival(now, ts.ns.map(sqe));
     debug_assert!(injected, "dispatch instant past the horizon");
     ts.inflight += 1;
-    tag_map.push(Dispatched { tenant, cid, submitted, op: sqe.op });
+    tag_map.push(Dispatched { tenant, submitted, op: sqe.op });
 }
 
-/// Moves the simulator's completion log into the owning tenants' CQ
-/// rings and folds the drained CQEs into their reports.
+/// Folds the simulator's completion log into the owning tenants'
+/// reports. Completions submitted inside the warmup window are counted
+/// but kept out of the latency percentiles.
 fn drain_completions(
     sim: &mut SsdSim,
     tenants: &mut [TenantState],
@@ -262,13 +249,11 @@ fn drain_completions(
         let ts = &mut tenants[d.tenant as usize];
         ts.inflight -= 1;
         *completed_total += 1;
-        let measured = d.submitted >= SimTime::ZERO + warmup;
-        post_and_drain(ts, Cqe {
-            cid: d.cid,
-            status: if c.failed { CqStatus::MediaError } else { CqStatus::Ok },
-            submitted: d.submitted,
-            completed: c.at,
-        }, measured);
+        ts.report.completed += 1;
+        ts.report.failed += u64::from(c.failed);
+        if d.submitted >= SimTime::ZERO + warmup {
+            ts.report.latency.record(c.at.saturating_since(d.submitted));
+        }
         tracer.span_named(
             Class::Io,
             TENANT_SPAN_ID | c.tag,
@@ -281,28 +266,5 @@ fn drain_completions(
             d.submitted,
             c.at.saturating_since(d.submitted),
         );
-    }
-}
-
-/// Posts one completion and immediately plays the host's role, draining
-/// the CQ ring into the tenant report — the host drains every pacer
-/// step, so the ring never backs up. Completions submitted inside the
-/// warmup window arrive with `measured == false`: counted, but kept out
-/// of the latency percentiles.
-fn post_and_drain(ts: &mut TenantState, cqe: Cqe, measured: bool) {
-    ts.cq.post(cqe).expect("host drains the CQ every step");
-    while let Some(c) = ts.cq.pop() {
-        match c.status {
-            CqStatus::Busy => {}
-            CqStatus::Ok | CqStatus::MediaError => {
-                ts.report.completed += 1;
-                if c.status == CqStatus::MediaError {
-                    ts.report.failed += 1;
-                }
-                if measured {
-                    ts.report.latency.record(c.completed.saturating_since(c.submitted));
-                }
-            }
-        }
     }
 }

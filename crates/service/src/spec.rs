@@ -89,7 +89,7 @@ pub struct ServiceSpec {
     /// Global admission threshold: submissions are rejected `Busy` while
     /// this many requests are dispatched-but-incomplete. 0 = unlimited.
     pub backlog_limit: usize,
-    /// Submission/completion ring depth per tenant.
+    /// Submission ring depth per tenant.
     pub sq_depth: usize,
     /// The tenants, in declaration order (= tie-break order for
     /// same-instant submissions).

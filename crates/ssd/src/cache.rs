@@ -43,7 +43,6 @@ pub struct WriteCache {
     stamp: u64,
     dirty: usize,
     hits: u64,
-    misses: u64,
 }
 
 impl WriteCache {
@@ -62,7 +61,6 @@ impl WriteCache {
             stamp: 0,
             dirty: 0,
             hits: 0,
-            misses: 0,
         }
     }
 
@@ -97,16 +95,14 @@ impl WriteCache {
         self.dirty * 4 > self.capacity * 3
     }
 
-    /// Read-path lookup; counts hit/miss and refreshes recency on a hit.
+    /// Read-path lookup; counts a hit and refreshes recency on a hit.
     pub fn read(&mut self, lpn: u64) -> bool {
-        if self.pages.contains_key(&lpn) {
+        let hit = self.pages.contains_key(&lpn);
+        if hit {
             self.touch(lpn);
             self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
         }
+        hit
     }
 
     /// True if the page is cached (no statistics side effects).
@@ -169,12 +165,6 @@ impl WriteCache {
         self.hits
     }
 
-    /// Cache misses observed on the read path.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     fn touch(&mut self, lpn: u64) {
         self.stamp += 1;
         if let Some((cur, _)) = self.pages.get_mut(&lpn) {
@@ -213,7 +203,6 @@ mod tests {
         assert!(c.read(5));
         assert!(!c.read(6));
         assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! hands back is booked here: hop slices, express deliveries, and the
 //! delivered packets that end a job's transit.
 
-use dssd_ctrl::CopybackStage;
 use dssd_kernel::{EventKey, Orders, SimTime, Slab, SlabKey};
 use dssd_noc::{Network, Packet, Step};
 use dssd_telemetry::{Class, Stage, Track};
@@ -88,7 +87,7 @@ impl SsdSim {
         self.gc.job(job).expect("sending an unknown copy job").packets_in_flight = n;
         for _ in 0..n {
             let pid = self.noc.as_deref_mut().expect("dSSD_f").packet_jobs.insert(job).to_bits();
-            let pkt = Packet::new(pid, src, dst, page_bytes).with_tag(job.to_bits());
+            let pkt = Packet::new(pid, src, dst, page_bytes);
             if self.repair.injector.as_mut().is_some_and(FaultInjector::noc_degrades) {
                 // Injected link degradation: the packet times out and is
                 // re-injected after the configured delay.
@@ -107,7 +106,6 @@ impl SsdSim {
             }
             self.with_noc(|noc, step, orders, now| noc.inject_into(*now, pkt, step, orders));
         }
-        self.cmd_advance_to(job, CopybackStage::InNetwork);
         // Source dBUF slots free once the pages are handed to the NI.
         self.release_src_dbuf(job);
     }

@@ -1,12 +1,13 @@
 //! GC and global copyback (Sec 4.2, Fig 4): rounds and their copy jobs,
 //! each job's legs from the source die through its architecture's
-//! transport to the destination program, dBUF back-pressure, the
-//! copyback command tracking in the source controller, erase, and the
-//! WAS endurance scan that shares the read path.
+//! transport to the destination program, dBUF back-pressure, erase, and
+//! the WAS endurance scan that shares the read path. A copy job's chain
+//! of events is the paper's copyback command status (`R`, `RE`, `N`,
+//! `W`): each leg's event marks the stage it reached.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dssd_ctrl::{CommandId, CommandKind, CommandQueue, CopybackStage, DecoupledController};
+use dssd_ctrl::DecoupledController;
 use dssd_flash::{FlashOpKind, PageAddr};
 use dssd_ftl::{AllocGroup, CopyGroup, GcPolicy, GcRound};
 use dssd_kernel::Slab;
@@ -73,9 +74,6 @@ pub(super) struct CopyJob {
     pub(super) packets_in_flight: u32,
     /// Whether a source-side dBUF reservation is held.
     holds_src_dbuf: bool,
-    /// The copyback command tracking this job in the source controller's
-    /// command queue.
-    cmd: CommandId,
 }
 
 impl CopyJob {
@@ -102,12 +100,6 @@ struct GcState {
 }
 
 impl SsdSim {
-    /// The decoupled controller command queue of `channel` (inspection).
-    #[must_use]
-    pub fn command_queue(&self, channel: usize) -> &CommandQueue {
-        self.res.controllers[channel].queue()
-    }
-
     /// The decoupled controller of `channel` (inspection).
     #[must_use]
     pub fn controller(&self, channel: usize) -> &DecoupledController {
@@ -205,19 +197,12 @@ impl SsdSim {
 
         let src = group.pages()[0].1;
         let src_ch = group.src_die.channel;
-
-        let dst_node = self.effective_addr(dst_group.addr(0)).channel as usize;
-        let src_node = self.effective_addr(src).channel as usize;
-        let cmd = self.res.controllers[src_node]
-            .queue_mut()
-            .submit(CommandKind::Copyback { dst_node });
         let id = self.gc.jobs.insert(CopyJob {
             src: group,
             dst: dst_group,
             stages: StageTotals::default(),
             packets_in_flight: 0,
             holds_src_dbuf: false,
-            cmd,
         });
         self.observe.tracer.begin(Class::Gc, id.to_bits(), "copyback", self.now);
         if let Some(gc) = &mut self.gc.round {
@@ -255,7 +240,6 @@ impl SsdSim {
     }
 
     pub(super) fn copy_at_src_bus(&mut self, job: JobId) {
-        self.cmd_advance_to(job, CopybackStage::ReadDone);
         let (pages, ch) = self.job_side(job, false);
         // dSSD_f: the pages move from the die's page register into the
         // dBUF; without free slots the transfer waits (back-pressure,
@@ -278,7 +262,6 @@ impl SsdSim {
     /// Routes a checked copy to its destination controller over the
     /// architecture's GC path (the crate docs' table).
     pub(super) fn copy_transport(&mut self, job: JobId) {
-        self.cmd_advance_to(job, CopybackStage::EccDone);
         let (_, src_ch) = self.job_side(job, false);
         let (_, dst_ch) = self.job_side(job, true);
         match self.config.architecture {
@@ -302,7 +285,6 @@ impl SsdSim {
     }
 
     pub(super) fn copy_at_dst_die(&mut self, job: JobId) {
-        self.cmd_advance_to(job, CopybackStage::WriteIssued);
         // The data now sits in the destination die's page register:
         // same-channel copies can free their dBUF slots here rather than
         // waiting out the program.
@@ -342,10 +324,8 @@ impl SsdSim {
     }
 
     pub(super) fn copy_done(&mut self, job: JobId) {
-        self.cmd_advance_to(job, CopybackStage::Done);
-        let (n, src_ch) = self.job_side(job, false);
         let j = self.gc.jobs.remove(job).expect("unknown copy job");
-        self.res.controllers[src_ch].queue_mut().retire(j.cmd);
+        let n = j.src.len() as u32;
         debug_assert!(!j.holds_src_dbuf, "dBUF released before program");
         for (&(lpn, src), dst) in j.src.pages().iter().zip(j.dst.addrs()) {
             self.ftl.complete_copy_at(lpn, src, dst, self.now);
@@ -417,16 +397,6 @@ impl SsdSim {
         self.pump_meta();
         self.check_gc();
         self.pump_gc();
-    }
-
-    /// Advances job `job`'s copyback command until it reaches `target`.
-    pub(super) fn cmd_advance_to(&mut self, job: JobId, target: CopybackStage) {
-        let Some(j) = self.gc.jobs.get(job) else { return };
-        let ch = self.effective_addr(j.src_addr()).channel as usize;
-        let queue = self.res.controllers[ch].queue_mut();
-        while queue.stage(j.cmd).is_some_and(|s| s < target) {
-            queue.advance(j.cmd);
-        }
     }
 
     // ------------------------------------------------------------------

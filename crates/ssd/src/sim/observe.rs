@@ -6,7 +6,7 @@
 use dssd_kernel::{SimSpan, SimTime, SlabKey};
 use dssd_telemetry::{Class, EpochSeries, Stage, TraceConfig, Tracer, Track};
 
-use super::{SsdSim, CLASS_GC, CLASS_IO};
+use super::SsdSim;
 use crate::metrics::{StageKind, StageTotals};
 
 /// What a span is attributed to: the stage totals of a host request
@@ -236,17 +236,16 @@ impl SsdSim {
             gc_pages: self.report.gc_pages_copied,
             sysbus_io_busy_ns: self.report.sysbus_io_util.total_busy().as_ns(),
             sysbus_gc_busy_ns: self.report.sysbus_gc_util.total_busy().as_ns(),
-            ecc_busy_ns: controllers
-                .iter()
-                .map(|c| (c.ecc().class_busy(CLASS_IO) + c.ecc().class_busy(CLASS_GC)).as_ns())
-                .sum(),
+            ecc_busy_ns: controllers.iter().map(|c| c.ecc().busy_total().as_ns()).sum(),
             credit_stalls: self.noc().map_or(0, |n| n.stats().credit_stalls),
             faults: self.report.faults.injected_total(),
         };
+        // Each copy job in flight is one copyback command queued at its
+        // source controller, so the queue depth is the job count.
         let [gc_active, gc_pending, gc_jobs] = self.gc.epoch_columns();
         let depths = [
             self.host.outstanding() as f64,
-            controllers.iter().map(|c| c.queue().len()).sum::<usize>() as f64,
+            gc_jobs,
             controllers.iter().map(|c| c.dbuf().in_use()).sum::<usize>() as f64,
             self.ftl.free_superblocks() as f64,
             gc_active,

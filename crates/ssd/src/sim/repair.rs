@@ -200,7 +200,7 @@ impl SsdSim {
         } else {
             uncorrectable
         };
-        self.res.controllers[leg.channel as usize].ecc_mut().check(rber)
+        self.res.controllers[leg.channel as usize].ecc().check(rber)
     }
 
     /// RBER of the block physically backing `addr`, per the wear model.

@@ -7,7 +7,7 @@
 //! request or copy job through the span funnel.
 
 use dssd_ctrl::DecoupledController;
-use dssd_flash::{DieGrid, FlashOp, FlashOpKind, PageAddr};
+use dssd_flash::{DieGrid, FlashOpKind};
 use dssd_kernel::{BandwidthServer, SimSpan, SimTime, SlabKey};
 use dssd_telemetry::{Class, Track};
 
@@ -42,8 +42,8 @@ pub(super) enum Hop {
 pub(super) struct Resources {
     dies: DieGrid,
     flash_bus: Vec<BandwidthServer>,
-    /// The decoupled controllers (C_D), one per channel: command queue,
-    /// integrated ECC, dBUF, and the dynamic-superblock hardware tables.
+    /// The decoupled controllers (C_D), one per channel: integrated ECC,
+    /// dBUF, and the dynamic-superblock hardware tables.
     pub(super) controllers: Vec<DecoupledController>,
     sysbus: BandwidthServer,
     dram: BandwidthServer,
@@ -90,7 +90,7 @@ impl Resources {
         match hop {
             Hop::SysBus | Hop::SysBusPages => {
                 let extra = if hop == Hop::SysBus { SimSpan::ZERO } else { self.page_overhead };
-                let t = self.sysbus.enqueue_extra(at, bytes, class, extra);
+                let t = self.sysbus.enqueue_extra(at, bytes, extra);
                 match class {
                     CLASS_IO => report.sysbus_io_util.record_busy(t.start, t.done),
                     CLASS_GC => report.sysbus_gc_util.record_busy(t.start, t.done),
@@ -98,14 +98,14 @@ impl Resources {
                 }
                 t.done
             }
-            Hop::Dram => self.dram.enqueue(at, bytes, class).done,
-            Hop::DramPages => self.dram.enqueue_extra(at, bytes, class, self.page_overhead).done,
+            Hop::Dram => self.dram.enqueue(at, bytes).done,
+            Hop::DramPages => self.dram.enqueue_extra(at, bytes, self.page_overhead).done,
             Hop::GcBus => {
                 let bus = self.dedicated_bus.as_mut().expect("dSSD_b has a bus");
-                bus.enqueue(at, bytes, class).done
+                bus.enqueue(at, bytes).done
             }
-            Hop::Bus(ch) => self.flash_bus[ch].enqueue(at, bytes, class).done,
-            Hop::Ecc(ch) => self.controllers[ch].ecc_mut().decode_as(at, bytes, class).done,
+            Hop::Bus(ch) => self.flash_bus[ch].enqueue(at, bytes).done,
+            Hop::Ecc(ch) => self.controllers[ch].ecc_mut().decode(at, bytes).done,
             Hop::Die(die, lat) => self.dies.occupy(die, at, lat).1,
         }
     }
@@ -154,8 +154,7 @@ impl SsdSim {
     /// Samples the array time of a `planes`-plane operation of `kind` on
     /// one die: the slowest of its planes.
     pub(super) fn array_latency(&mut self, kind: FlashOpKind, planes: u32) -> SimSpan {
-        FlashOp::multi_plane(kind, PageAddr::default(), planes)
-            .array_latency(&self.config.timing, &mut self.rng)
+        self.config.timing.sample_array(kind, planes, &mut self.rng)
     }
 
     pub(super) fn page_bytes(&self, pages: u32) -> u64 {
@@ -199,13 +198,13 @@ mod tests {
         for (step, at) in [0u64, 2, 3].into_iter().enumerate() {
             let (at, bytes) = (SimTime::from_us(at), page << step);
             let want = [
-                (Hop::SysBus, sysbus.enqueue(at, bytes, CLASS_IO).done),
-                (Hop::SysBusPages, sysbus.enqueue_extra(at, bytes, CLASS_IO, extra).done),
-                (Hop::Dram, dram.enqueue(at, bytes, CLASS_IO).done),
-                (Hop::DramPages, dram.enqueue_extra(at, bytes, CLASS_IO, extra).done),
-                (Hop::GcBus, gc_bus.enqueue(at, bytes, CLASS_IO).done),
-                (Hop::Bus(1), flash.enqueue(at, bytes, CLASS_IO).done),
-                (Hop::Ecc(1), ctrl.ecc_mut().decode_as(at, bytes, CLASS_IO).done),
+                (Hop::SysBus, sysbus.enqueue(at, bytes).done),
+                (Hop::SysBusPages, sysbus.enqueue_extra(at, bytes, extra).done),
+                (Hop::Dram, dram.enqueue(at, bytes).done),
+                (Hop::DramPages, dram.enqueue_extra(at, bytes, extra).done),
+                (Hop::GcBus, gc_bus.enqueue(at, bytes).done),
+                (Hop::Bus(1), flash.enqueue(at, bytes).done),
+                (Hop::Ecc(1), ctrl.ecc_mut().decode(at, bytes).done),
                 (Hop::Die(3, lat), dies.occupy(3, at, lat).1),
             ];
             for (hop, done) in want {

@@ -226,3 +226,76 @@ fn epoch_series_samples_every_boundary() {
     let io_col = dssd_ssd::EPOCH_COLUMNS.iter().position(|c| *c == "io_gbps").unwrap();
     assert!(series.rows().iter().any(|r| r[io_col] > 0.0));
 }
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+/// The epoch time-series of 6 ms continuous-GC runs with read and fNoC
+/// faults, pinned as row count and a hash of the JSONL bytes. Covers the
+/// controller columns (`ctrl_queue_depth`, `dbuf_in_use`, `ecc_util`)
+/// beside the GC and NoC ones, on the three transports of copy jobs:
+/// the system bus through DRAM, the dedicated bus and the fNoC.
+#[test]
+fn golden_epoch_series_under_gc_and_faults() {
+    let column = |name: &str| {
+        dssd_ssd::EPOCH_COLUMNS
+            .iter()
+            .position(|c| *c == name)
+            .unwrap()
+    };
+    let (queue, jobs) = (column("ctrl_queue_depth"), column("gc_jobs_inflight"));
+    // Write runs: faults come from the fNoC, and only dSSD_f stages
+    // copies in the dBUF.
+    let (dbuf, faults) = (column("dbuf_in_use"), column("faults_per_s"));
+    let mut lines = Vec::new();
+    for arch in [
+        Architecture::DssdFnoc,
+        Architecture::DssdBus,
+        Architecture::Baseline,
+    ] {
+        let mut c = SsdConfig::test_tiny(arch);
+        c.gc_continuous = true;
+        c.faults = FaultConfig {
+            read_hard_prob: 0.002,
+            noc_degrade_prob: 0.05,
+            ..FaultConfig::none()
+        };
+        let mut sim = SsdSim::new(c);
+        sim.enable_tracing(TraceConfig {
+            window: None,
+            epoch: Some(SimSpan::from_ms(1)),
+        });
+        sim.prefill();
+        run(&mut sim, 6);
+        let series = sim.epoch_series().expect("epoch sampling enabled");
+        // A copy job holds one copyback command from issue to retirement.
+        let label = arch.label();
+        for row in series.rows() {
+            assert_eq!(
+                row[queue], row[jobs],
+                "{label}: queue depth vs copy jobs at {} ms",
+                row[0]
+            );
+        }
+        for col in [queue, column("ecc_util"), dbuf, faults] {
+            let seen = series.rows().iter().any(|r| r[col] > 0.0);
+            let fnoc_only = col == dbuf || col == faults;
+            assert!(
+                seen || (fnoc_only && arch != Architecture::DssdFnoc),
+                "{label}: {col}"
+            );
+        }
+        let hash = fnv1a(series.to_jsonl_string().as_bytes());
+        lines.push(format!("{label}: rows={} jsonl={hash:016x}", series.len()));
+    }
+    assert_eq!(lines.join("\n"), EPOCH_GOLDEN.trim());
+}
+
+const EPOCH_GOLDEN: &str = "
+dSSD_f: rows=6 jsonl=0a0f1f0eb93b604e
+dSSD_b: rows=6 jsonl=cd933900f7c9d5be
+Baseline: rows=6 jsonl=6e3c5b41a2ed3427
+";
