@@ -194,6 +194,9 @@ pub struct MetaState {
     next_entry: u64,
     /// Flushed journal pages, oldest first.
     journal: Vec<JournalPage>,
+    /// Emptied op buffers of truncated journal pages, for the next
+    /// flushes to start their pending page in.
+    spare_ops: Vec<Vec<JournalOp>>,
     next_flush: u64,
     /// Base flush number of `journal[0]` (earlier pages were truncated).
     journal_base_flush: u64,
@@ -201,6 +204,9 @@ pub struct MetaState {
     checkpoint: Option<Checkpoint>,
     /// Checkpoint currently being flushed.
     checkpoint_inflight: Option<Checkpoint>,
+    /// The checkpoint a newer durable one replaced: the next capture
+    /// refills its buffers.
+    retired_checkpoint: Option<Checkpoint>,
     pages_since_checkpoint: u64,
     /// Write groups issued and not yet retired, indexed by ticket.
     tickets: Vec<Ticket>,
@@ -241,10 +247,12 @@ impl MetaState {
             pending_first_entry: 0,
             next_entry: 0,
             journal: Vec::new(),
+            spare_ops: Vec::new(),
             next_flush: 0,
             journal_base_flush: 0,
             checkpoint: None,
             checkpoint_inflight: None,
+            retired_checkpoint: None,
             pages_since_checkpoint: 0,
             tickets: Vec::new(),
             free_tickets: Vec::new(),
@@ -451,15 +459,18 @@ impl MetaState {
         self.baseline_done = true;
     }
 
-    fn capture_checkpoint(&self, map: &MappingTable) -> Checkpoint {
-        let mut ppns = vec![META_UNMAPPED; self.lpn_count as usize];
-        for (lpn, slot) in ppns.iter_mut().enumerate() {
-            if let Some(ppn) = map.lookup(lpn as Lpn) {
-                *slot = ppn;
-            }
-        }
+    /// Copies the current versions and mapping into the retired
+    /// checkpoint's buffers, or new ones before any has retired.
+    fn capture_checkpoint(&mut self, map: &MappingTable) -> Checkpoint {
+        let (mut versions, mut ppns) = self
+            .retired_checkpoint
+            .take()
+            .map_or_else(Default::default, |c| (c.versions, c.ppns));
+        versions.clone_from(&self.versions);
+        ppns.clear();
+        ppns.extend((0..self.lpn_count).map(|lpn| map.lookup(lpn).unwrap_or(META_UNMAPPED)));
         Checkpoint {
-            versions: self.versions.clone(),
+            versions,
             ppns,
             upto_entry: self.next_entry,
             tip_programmed: self.next_programmed - 1,
@@ -482,9 +493,14 @@ impl MetaState {
         if self.pending.is_empty() {
             return;
         }
-        // The page keeps its ops; the next page starts in a buffer sized
-        // to a full page, so appends never regrow it.
-        let next = Vec::with_capacity(self.config.journal_entries_per_page as usize);
+        // The page keeps its ops; the next page starts in a truncated
+        // page's buffer, or a new one sized to a full page, so appends
+        // never regrow it.
+        let per_page = self.config.journal_entries_per_page as usize;
+        let next = self
+            .spare_ops
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(per_page));
         let ops = std::mem::replace(&mut self.pending, next);
         self.stats.journal_pages += 1;
         self.stats.journal_entries += ops.len() as u64;
@@ -555,7 +571,7 @@ impl MetaState {
         let mut ckpt = self.checkpoint_inflight.take().expect("checkpoint in flight");
         ckpt.durable_at = Some(at);
         let upto = ckpt.upto_entry;
-        self.checkpoint = Some(ckpt);
+        self.retired_checkpoint = self.checkpoint.replace(ckpt);
         let mut drop_n = 0;
         for page in &self.journal {
             let covered = page.first_entry + page.ops.len() as u64 <= upto;
@@ -565,7 +581,11 @@ impl MetaState {
                 break;
             }
         }
-        self.journal.drain(..drop_n);
+        for page in self.journal.drain(..drop_n) {
+            let mut ops = page.ops;
+            ops.clear();
+            self.spare_ops.push(ops);
+        }
         self.journal_base_flush += drop_n as u64;
     }
 

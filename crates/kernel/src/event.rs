@@ -565,6 +565,11 @@ impl<E, const N: usize> FifoLanes<E, N> {
 
     /// Schedules `event` at `time` on `lane` (below `N`), stamped with
     /// the next order `orders` draws at [`DEFAULT_RANK`].
+    ///
+    /// Always inlined: a caller that builds the event in place then
+    /// writes it straight into the lane's slot, where an out-of-line
+    /// call would store it to the stack and copy it from there.
+    #[inline(always)]
     pub fn push(&mut self, lane: usize, time: SimTime, orders: &mut Orders, event: E) {
         let entry = Entry { time, order: orders.draw(DEFAULT_RANK), event };
         let key = entry.key();
@@ -625,6 +630,13 @@ impl<E, const N: usize> FifoLanes<E, N> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
+    }
+
+    /// Every pending event, lane by lane (not in key order).
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        self.lanes
+            .iter()
+            .flat_map(|lane| lane.iter().map(|entry| &entry.event))
     }
 
     /// True if no entries are pending.
@@ -977,6 +989,8 @@ mod tests {
         }
         let check_front = |merged: &Merged, reference: &HeapQueue<u64>| {
             merged.queue.audit()?;
+            let lanes = &merged.lanes;
+            same(lanes.iter().count(), lanes.len(), "lane entries iterated")?;
             same(merged.peek_time(), reference.peek().map(|(t, _)| t), "peek_time")?;
             same(merged.len(), reference.heap.len(), "len")?;
             same(merged.delivered(), reference.popped, "delivered")

@@ -593,6 +593,71 @@ impl Network {
             .fold(0.0, f64::max)
     }
 
+    /// Checks the credit law between events and returns its first
+    /// violation: for every link output and VC, the output's credits,
+    /// the flits buffered in the downstream input VC, the pending
+    /// `FlitArrive`s into that VC and the pending `Credit`s back to the
+    /// output sum to the buffer depth; and every injected packet is
+    /// delivered or in flight.
+    ///
+    /// A test oracle: it walks every pending flit event, so call it
+    /// after [`Network::run`], [`Network::inject_into`] or
+    /// [`Network::handle_into`] returns, never on a hot path.
+    ///
+    /// # Errors
+    ///
+    /// The first output VC, or the packet count, that breaks the law.
+    pub fn audit_credits(&self) -> Result<(), String> {
+        // Node n's ports are entries base[n].. of one flat index, shared
+        // by its input and output ports, each with VCS slots.
+        let mut base = Vec::with_capacity(self.nodes.len());
+        let mut ports = 0;
+        for router in &self.nodes {
+            base.push(ports);
+            ports += router.outputs.len();
+        }
+        let slot = |node: usize, port: usize, vc: usize| (base[node] + port) * VCS + vc;
+        let (mut arriving, mut returning) = (vec![0; ports * VCS], vec![0; ports * VCS]);
+        for event in self.lanes.iter() {
+            let (counts, node, port, vc) = match *event {
+                NocEvent::FlitArrive {
+                    node, in_port, vc, ..
+                } => (&mut arriving, node, in_port, vc),
+                NocEvent::Credit { node, out_port, vc } => (&mut returning, node, out_port, vc),
+                _ => continue,
+            };
+            counts[slot(node as usize, port as usize, vc as usize)] += 1;
+        }
+        let depth = self.config.input_buffer_flits;
+        for (node, router) in self.nodes.iter().enumerate() {
+            for (out, port) in router.outputs.iter().enumerate() {
+                let PortLink::Link { peer, peer_in } = port.link else {
+                    continue;
+                };
+                for vc in 0..VCS {
+                    let credits = port.credits[vc];
+                    let buffered = self.nodes[peer].inputs[peer_in].vcs[vc].flits.len();
+                    let flying = arriving[slot(peer, peer_in, vc)];
+                    let owed = returning[slot(node, out, vc)];
+                    if credits + buffered + flying + owed != depth {
+                        return Err(format!(
+                            "output {node}:{out} vc {vc}: {credits} credits + {buffered} buffered \
+                             + {flying} arriving + {owed} credits returning != depth {depth}"
+                        ));
+                    }
+                }
+            }
+        }
+        let s = &self.stats;
+        if s.injected != s.delivered + self.in_flight as u64 {
+            return Err(format!(
+                "{} packets injected != {} delivered + {} in flight",
+                s.injected, s.delivered, self.in_flight
+            ));
+        }
+        Ok(())
+    }
+
     /// Injects a packet at its source terminal at time `now`, appending
     /// what the embedder must see into `step` (not cleared first). Flit
     /// events it schedules take their orders from `orders`.
@@ -696,6 +761,9 @@ impl Network {
     }
 
     /// Puts a flit event on its lane, stamped with the next of `orders`.
+    /// Inlined with [`FifoLanes::push`], so the event is built in its
+    /// lane slot and its lane is a constant.
+    #[inline(always)]
     fn schedule(&mut self, t: SimTime, orders: &mut Orders, event: NocEvent) {
         self.lanes.push(event.lane(), t, orders, event);
     }
@@ -723,6 +791,7 @@ impl Network {
     /// mid-packet, else its routed one. Called wherever a buffer's front
     /// changes — a push into an empty buffer, or a pop (after the pop's
     /// allocation update, which decides what the new front asks for).
+    #[inline(always)]
     fn request_front(&mut self, node: usize, ip: usize, vc: usize) {
         let buf = &self.nodes[node].inputs[ip].vcs[vc];
         let Some(front) = buf.flits.front() else { return };
@@ -986,7 +1055,7 @@ impl Network {
         }
         while let Some((t, ev)) = self.lanes.pop() {
             pops += 1;
-            self.handle_into(t, ev, &mut fwd, &mut orders);
+            self.dispatch(t, ev, &mut fwd, &mut orders);
             hops.append(&mut fwd.hops);
             delivered.append(&mut fwd.delivered);
         }
@@ -1144,7 +1213,7 @@ impl Network {
                 || matches!(ev, NocEvent::Eject { flit, .. } if done_ids.contains(&flit.packet));
             if replay {
                 replayed += 1;
-                self.handle_into(t, ev, &mut fwd, &mut private);
+                self.dispatch(t, ev, &mut fwd, &mut private);
             } else {
                 // Not processed here: it runs live. A hand-off can be
                 // earlier than its live lane's tail; the lane inserts it
@@ -1264,7 +1333,7 @@ impl Network {
             let Some((t, event)) = self.lanes.pop_before(limit) else { break };
             handled += 1;
             last = t;
-            self.handle_into(t, event, step, orders);
+            self.dispatch(t, event, step, orders);
             if !step.is_empty() {
                 break;
             }
@@ -1280,9 +1349,9 @@ impl Network {
 
     /// Handles one event at `now`, appending what the embedder must see
     /// into `step` (not cleared first); flit events it schedules take
-    /// their orders from `orders`. [`Network::run`] feeds the network's
-    /// own flit events through here; an embedder calls it for the
-    /// [`NocEvent::ExpressDone`]s it scheduled from [`Step::schedule`].
+    /// their orders from `orders`. An embedder calls it for the
+    /// [`NocEvent::ExpressDone`]s it scheduled from [`Step::schedule`];
+    /// [`Network::run`] handles the network's own flit events.
     pub fn handle_into(
         &mut self,
         now: SimTime,
@@ -1290,98 +1359,99 @@ impl Network {
         step: &mut Step,
         orders: &mut Orders,
     ) {
+        self.dispatch(now, event, step, orders);
+    }
+
+    /// The one dispatch of every event, shared by [`Network::run`],
+    /// [`Network::handle_into`], forward runs and demotion replays.
+    ///
+    /// Inlined into each of them, so a popped event's fields reach its
+    /// handler as scalars in registers. An out-of-line call taking the
+    /// 32-byte enum would store it to the stack for the callee to load
+    /// back, a store-to-load round trip on every flit event.
+    #[inline(always)]
+    fn dispatch(&mut self, now: SimTime, event: NocEvent, step: &mut Step, orders: &mut Orders) {
         match event {
             NocEvent::FlitArrive { node, in_port, vc, flit } => {
-                let (node, in_port, vc) = (node as usize, in_port as usize, vc as usize);
-                let buf = &mut self.nodes[node].inputs[in_port].vcs[vc];
-                debug_assert!(
-                    buf.flits.len() < self.config.input_buffer_flits,
-                    "credit protocol violated: buffer overflow at {node}:{in_port}:{vc}"
-                );
-                let was_empty = buf.flits.is_empty();
-                buf.flits.push_back(flit);
-                if was_empty {
-                    self.request_front(node, in_port, vc);
-                }
-                self.try_node(now, node, step, orders);
+                self.flit_arrive(now, (node, in_port, vc), flit, step, orders);
             }
             NocEvent::OutputFree { node, out_port } => {
-                let (node, out_port) = (node as usize, out_port as usize);
-                self.nodes[node].outputs[out_port].free = true;
-                // Retry every output: the flit that just finished may have
-                // uncovered a new head flit (at the front of the same
-                // input buffer) that routes to a *different* output, which
-                // would otherwise never be woken.
-                self.try_node(now, node, step, orders);
+                self.output_free(now, node, out_port, step, orders);
             }
             NocEvent::Credit { node, out_port, vc } => {
-                let (node, out_port) = (node as usize, out_port as usize);
-                let c = &mut self.nodes[node].outputs[out_port].credits[vc as usize];
-                if *c != usize::MAX {
-                    *c += 1;
-                }
-                self.try_node(now, node, step, orders);
+                self.credit(now, node, out_port, vc, step, orders);
             }
-            NocEvent::Eject { node, flit } => {
-                self.eject(now, node as usize, flit, step);
-            }
-            NocEvent::ExpressResolve { group } => {
-                self.express_resolve(now, group, step);
-            }
-            NocEvent::ExpressDone { packet, nonce } => {
-                // Stale if the group was demoted (or the packet id reused
-                // by a later injection) — the membership lookup fails — or
-                // if a merge re-ran the group and moved this member's
-                // delivery — the nonce mismatches. Either way: no-op.
-                let Some(&gid) = self.member_of.get(&packet) else { return };
-                let group = self.express.get_mut(&gid).expect("member of a missing group");
-                let idx = group
-                    .members
-                    .iter()
-                    .position(|(_, p)| p.id == packet)
-                    .expect("member list out of sync");
-                if group.data[idx].done || group.data[idx].nonce != nonce {
-                    return;
-                }
-                group.data[idx].done = true;
-                group.live -= 1;
-                let delivered = group.data[idx].delivered;
-                let flit_hops = group.data[idx].flit_hops;
-                let credit_stalls = group.data[idx].credit_stalls;
-                let hop_records = std::mem::take(&mut group.data[idx].hop_records);
-                let group_done = group.live == 0;
-                self.member_of.remove(&packet);
-                self.packets.remove(&packet);
-                self.in_flight -= 1;
-                if group_done {
-                    // Claims and ownership are group-scoped — a demotion
-                    // must replay on territory nothing else has claimed —
-                    // so the last completion releases every member's.
-                    let group = self.express.remove(&gid).unwrap();
-                    for &nd in &group.route_nodes {
-                        self.express_owner[nd as usize] = None;
-                    }
-                    let mut route = std::mem::take(&mut self.route_scratch);
-                    for (_, p) in &group.members {
-                        self.collect_route_nodes(p.src, p.dst, &mut route);
-                        for &nd in &route {
-                            self.node_claims[nd as usize] -= 1;
-                        }
-                    }
-                    route.clear();
-                    self.route_scratch = route;
-                }
-                debug_assert_eq!(delivered.at, now);
-                self.stats.flit_hops += flit_hops;
-                self.stats.credit_stalls += credit_stalls;
-                self.stats.record_delivery(&delivered);
-                step.hops.extend_from_slice(&hop_records);
-                step.delivered.push(delivered);
-            }
+            NocEvent::Eject { flit, .. } => self.eject(now, flit, step),
+            NocEvent::ExpressResolve { group } => self.express_resolve(now, group, step),
+            NocEvent::ExpressDone { packet, nonce } => self.express_done(now, packet, nonce, step),
         }
     }
 
-    fn eject(&mut self, now: SimTime, _node: usize, flit: Flit, step: &mut Step) {
+    /// A flit lands in input VC `vc` of port `in_port` of `node`.
+    #[inline(always)]
+    fn flit_arrive(
+        &mut self,
+        now: SimTime,
+        (node, in_port, vc): (u32, u32, u8),
+        flit: Flit,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) {
+        let (node, in_port, vc) = (node as usize, in_port as usize, vc as usize);
+        let buf = &mut self.nodes[node].inputs[in_port].vcs[vc];
+        debug_assert!(
+            buf.flits.len() < self.config.input_buffer_flits,
+            "credit protocol violated: buffer overflow at {node}:{in_port}:{vc}"
+        );
+        let was_empty = buf.flits.is_empty();
+        buf.flits.push_back(flit);
+        if was_empty {
+            self.request_front(node, in_port, vc);
+        }
+        self.try_node(now, node, step, orders);
+    }
+
+    /// Output `out_port` of `node` finished serializing a flit.
+    #[inline(always)]
+    fn output_free(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        out_port: u32,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) {
+        let (node, out_port) = (node as usize, out_port as usize);
+        self.nodes[node].outputs[out_port].free = true;
+        // Retry every output: the flit that just finished may have
+        // uncovered a new head flit (at the front of the same input
+        // buffer) that routes to a *different* output, which would
+        // otherwise never be woken.
+        self.try_node(now, node, step, orders);
+    }
+
+    /// A credit returns to VC `vc` of output `out_port` of `node`.
+    #[inline(always)]
+    fn credit(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        out_port: u32,
+        vc: u8,
+        step: &mut Step,
+        orders: &mut Orders,
+    ) {
+        let (node, out_port) = (node as usize, out_port as usize);
+        let c = &mut self.nodes[node].outputs[out_port].credits[vc as usize];
+        if *c != usize::MAX {
+            *c += 1;
+        }
+        self.try_node(now, node, step, orders);
+    }
+
+    /// A flit left the network; its packet's last flit delivers it.
+    #[inline(always)]
+    fn eject(&mut self, now: SimTime, flit: Flit, step: &mut Step) {
         let state = self
             .packets
             .get_mut(&flit.packet)
@@ -1412,7 +1482,65 @@ impl Network {
         }
     }
 
+    /// An express member's delivery time came.
+    ///
+    /// Stale if the group was demoted (or the packet id reused by a
+    /// later injection) — the membership lookup fails — or if a merge
+    /// re-ran the group and moved this member's delivery — the nonce
+    /// mismatches. Either way: no-op.
+    fn express_done(&mut self, now: SimTime, packet: PacketId, nonce: u64, step: &mut Step) {
+        let Some(&gid) = self.member_of.get(&packet) else { return };
+        let group = self.express.get_mut(&gid).expect("member of a missing group");
+        let idx = group
+            .members
+            .iter()
+            .position(|(_, p)| p.id == packet)
+            .expect("member list out of sync");
+        if group.data[idx].done || group.data[idx].nonce != nonce {
+            return;
+        }
+        group.data[idx].done = true;
+        group.live -= 1;
+        let delivered = group.data[idx].delivered;
+        let flit_hops = group.data[idx].flit_hops;
+        let credit_stalls = group.data[idx].credit_stalls;
+        let hop_records = std::mem::take(&mut group.data[idx].hop_records);
+        let group_done = group.live == 0;
+        self.member_of.remove(&packet);
+        self.packets.remove(&packet);
+        self.in_flight -= 1;
+        if group_done {
+            // Claims and ownership are group-scoped — a demotion must
+            // replay on territory nothing else has claimed — so the last
+            // completion releases every member's.
+            let group = self.express.remove(&gid).unwrap();
+            for &nd in &group.route_nodes {
+                self.express_owner[nd as usize] = None;
+            }
+            let mut route = std::mem::take(&mut self.route_scratch);
+            for (_, p) in &group.members {
+                self.collect_route_nodes(p.src, p.dst, &mut route);
+                for &nd in &route {
+                    self.node_claims[nd as usize] -= 1;
+                }
+            }
+            route.clear();
+            self.route_scratch = route;
+        }
+        debug_assert_eq!(delivered.at, now);
+        self.stats.flit_hops += flit_hops;
+        self.stats.credit_stalls += credit_stalls;
+        self.stats.record_delivery(&delivered);
+        step.hops.extend_from_slice(&hop_records);
+        step.delivered.push(delivered);
+    }
+
     /// Try to make progress on every output of `node`, in port order.
+    ///
+    /// Never inlined: each handler makes one call here. Copied into every
+    /// handler, the arbitration code gives back most of what dispatching
+    /// in place gains (DESIGN.md §8).
+    #[inline(never)]
     fn try_node(&mut self, now: SimTime, node: usize, step: &mut Step, orders: &mut Orders) {
         for out in 0..self.nodes[node].outputs.len() {
             self.try_output(now, node, out, step, orders);
@@ -2227,59 +2355,6 @@ mod tests {
         assert!(net.is_idle());
     }
 
-    /// The credit law, checked on the network's state between events:
-    /// for every link output and VC, the output's credits, the flits
-    /// buffered in the downstream input VC, the `FlitArrive`s pending
-    /// into that VC and the `Credit`s pending back to the output sum to
-    /// the buffer depth; and every injected packet is delivered or in
-    /// flight.
-    fn audit_credits(net: &Network) {
-        let mut arriving: FxHashMap<(usize, usize, usize), usize> = FxHashMap::default();
-        let mut returning: FxHashMap<(usize, usize, usize), usize> = FxHashMap::default();
-        for (_, e) in lane_entries(net) {
-            match e {
-                NocEvent::FlitArrive {
-                    node, in_port, vc, ..
-                } => {
-                    *arriving
-                        .entry((node as usize, in_port as usize, vc as usize))
-                        .or_default() += 1;
-                }
-                NocEvent::Credit { node, out_port, vc } => {
-                    *returning
-                        .entry((node as usize, out_port as usize, vc as usize))
-                        .or_default() += 1;
-                }
-                _ => {}
-            }
-        }
-        for (node, router) in net.nodes.iter().enumerate() {
-            for (out, port) in router.outputs.iter().enumerate() {
-                let PortLink::Link { peer, peer_in } = port.link else {
-                    continue;
-                };
-                for vc in 0..VCS {
-                    let buffered = net.nodes[peer].inputs[peer_in].vcs[vc].flits.len();
-                    let flying = arriving.get(&(peer, peer_in, vc)).copied().unwrap_or(0);
-                    let owed = returning.get(&(node, out, vc)).copied().unwrap_or(0);
-                    let (credits, depth) = (port.credits[vc], net.config.input_buffer_flits);
-                    assert_eq!(
-                        credits + buffered + flying + owed,
-                        depth,
-                        "output {node}:{out} vc {vc}: {credits} credits + {buffered} buffered \
-                         + {flying} arriving + {owed} credits returning"
-                    );
-                }
-            }
-        }
-        let s = net.stats();
-        assert_eq!(
-            s.injected,
-            s.delivered + net.in_flight() as u64,
-            "packets in vs out"
-        );
-    }
-
     /// Runs `packets` through `net` one event at a time, as [`drive`]
     /// does, and audits the credit law after every injection and event.
     /// With `demote_every`, every that many events it also demotes the
@@ -2316,7 +2391,7 @@ mod tests {
             if demote_every.is_some_and(|k| events % k == 0) {
                 net.demote_overlapping(now, 0, last, &mut step, queue.orders());
             }
-            audit_credits(net);
+            assert_eq!(net.audit_credits(), Ok(()));
             delivered += step.delivered.len();
             step.delivered.clear();
             step.hops.clear();

@@ -668,9 +668,11 @@ mod tests {
 
     use crate::{Architecture, FaultConfig, RunState, SsdConfig, SsdSim};
 
-    /// The request-conservation audit and the GC law hold after every
-    /// single event, on every architecture, with faults off and on (read
-    /// retries, program re-allocation, erase failures, delayed packets).
+    /// The request-conservation audit, the GC law and, on dSSD_f, the
+    /// fNoC's credit law hold after every single event, on every
+    /// architecture, with faults off and on (read retries, program
+    /// re-allocation, erase failures, delayed packets). The dSSD_f runs
+    /// demote express groups with faults off and on.
     #[test]
     fn requests_are_conserved_after_every_event() {
         let mut faults = FaultConfig::none();
@@ -692,7 +694,13 @@ mod tests {
                 while sim.run_events(1) == RunState::Paused {
                     sim.audit_requests();
                     sim.audit_gc();
+                    if let Some(net) = sim.noc() {
+                        assert_eq!(net.audit_credits(), Ok(()), "after {events} events");
+                    }
                     events += 1;
+                }
+                if let Some(net) = sim.noc() {
+                    assert!(net.express_diag().demoted > 0, "no express group demoted");
                 }
                 assert!(events > 1_000, "{}: only {events} events", arch.label());
                 assert!(sim.report().requests_completed > 0, "{}", arch.label());

@@ -131,10 +131,9 @@ struct EpochCounters {
 /// Column schema of the epoch time-series (first column is the epoch end
 /// time in milliseconds; `*_gbps`, `*_util` and `*_per_s` are epoch rates,
 /// the rest are instantaneous depths/counts at the epoch boundary).
-pub const EPOCH_COLUMNS: [&str; 18] = [
+pub const EPOCH_COLUMNS: [&str; 17] = [
     "t_ms",
     "outstanding",
-    "ctrl_queue_depth",
     "dbuf_in_use",
     "free_superblocks",
     "gc_active",
@@ -240,12 +239,9 @@ impl SsdSim {
             credit_stalls: self.noc().map_or(0, |n| n.stats().credit_stalls),
             faults: self.report.faults.injected_total(),
         };
-        // Each copy job in flight is one copyback command queued at its
-        // source controller, so the queue depth is the job count.
         let [gc_active, gc_pending, gc_jobs] = self.gc.epoch_columns();
         let depths = [
             self.host.outstanding() as f64,
-            gc_jobs,
             controllers.iter().map(|c| c.dbuf().in_use()).sum::<usize>() as f64,
             self.ftl.free_superblocks() as f64,
             gc_active,
@@ -261,7 +257,7 @@ impl SsdSim {
 impl EpochProbe {
     /// Pushes the row of boundary `at`: the instantaneous `depths`, then
     /// each cumulative counter's rate since the previous boundary.
-    fn record(&mut self, at: SimTime, depths: [f64; 8], now: EpochCounters, channels: f64) {
+    fn record(&mut self, at: SimTime, depths: [f64; 7], now: EpochCounters, channels: f64) {
         let (dt, epoch_ns, prev) = (self.every.as_secs_f64(), self.every.as_ns() as f64, self.prev);
         let mut row = vec![at.as_ns() as f64 / 1e6];
         row.extend(depths);
