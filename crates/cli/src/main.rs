@@ -199,10 +199,16 @@ fn build_config(flags: &Flags) -> Result<SsdConfig, ArgError> {
 /// `factor` from `--flag` if it is an on-chip bandwidth factor a run can
 /// use: finite and at least the baseline's 1.0.
 fn check_factor(flag: &str, factor: f64) -> Result<f64, ArgError> {
-    if factor.is_finite() && factor >= 1.0 {
-        Ok(factor)
+    check_f64(flag, factor, factor.is_finite() && factor >= 1.0, "a finite number >= 1.0")
+}
+
+/// `value` from `--flag` if `ok`, else an error naming the flag and the
+/// `want`ed range.
+fn check_f64(flag: &str, value: f64, ok: bool, want: &str) -> Result<f64, ArgError> {
+    if ok {
+        Ok(value)
     } else {
-        Err(ArgError(format!("--{flag}: `{factor}` must be a finite number >= 1.0")))
+        Err(ArgError(format!("--{flag}: `{value}` must be {want}")))
     }
 }
 
@@ -933,8 +939,11 @@ fn cmd_endurance(rest: &[String]) -> Result<(), ArgError> {
     )?;
     let mut cfg = EnduranceConfig::paper_tlc();
     cfg.superblocks = flags.get_or("superblocks", cfg.superblocks)?;
-    cfg.pe_sigma = flags.get_or("sigma", cfg.pe_sigma)?;
-    cfg.pe_mean = flags.get_or("mean", cfg.pe_mean)?;
+    let sigma = flags.get_or("sigma", cfg.pe_sigma)?;
+    cfg.pe_sigma =
+        check_f64("sigma", sigma, sigma.is_finite() && sigma >= 0.0, "a finite number >= 0")?;
+    let mean = flags.get_or("mean", cfg.pe_mean)?;
+    cfg.pe_mean = check_f64("mean", mean, mean.is_finite() && mean > 0.0, "a finite number > 0")?;
     cfg.srt_entries = flags.get_or("srt", cfg.srt_entries)?;
     cfg.reserved_fraction = flags.get_or("reserved", cfg.reserved_fraction)?;
     cfg.seed = flags.get_or("seed", cfg.seed)?;
@@ -942,7 +951,9 @@ fn cmd_endurance(rest: &[String]) -> Result<(), ArgError> {
     // three flags arms the journal model.
     let journal_entries = flags.get_or("journal-entries", 0u32)?;
     let ckpt_interval = flags.get_or("ckpt-interval-pages", 0u64)?;
-    cfg.mean_fills_between_power_loss = flags.get_or("power-loss-fills", 0.0f64)?;
+    let fills = flags.get_or("power-loss-fills", 0.0f64)?;
+    cfg.mean_fills_between_power_loss =
+        check_f64("power-loss-fills", fills, fills >= 0.0, "a number >= 0")?;
     if journal_entries > 0 || ckpt_interval > 0 || cfg.mean_fills_between_power_loss > 0.0 {
         cfg.journal = Some(MetaConfig {
             journal_entries_per_page: if journal_entries > 0 { journal_entries } else { 256 },

@@ -170,9 +170,7 @@ impl Ftl {
     /// or the baseline is already in place.
     pub fn meta_mount_baseline(&mut self) {
         if let Some(meta) = &mut self.meta {
-            if !meta.baseline_done() {
-                meta.mount_baseline(&self.map);
-            }
+            meta.mount_baseline(&self.map);
         }
     }
 
@@ -223,10 +221,11 @@ impl Ftl {
         }
     }
 
-    /// Captures the content of a dequeued [`MetaIo::Checkpoint`].
-    pub fn meta_begin_checkpoint(&mut self) {
+    /// Captures the mapping for a dequeued [`MetaIo::Checkpoint`] whose
+    /// flush is durable at `durable_at`; `now` is the simulator's clock.
+    pub fn meta_checkpoint(&mut self, now: SimTime, durable_at: SimTime) {
         if let Some(meta) = &mut self.meta {
-            meta.begin_checkpoint(&self.map);
+            meta.checkpoint(&self.map, now, durable_at);
         }
     }
 
@@ -234,13 +233,6 @@ impl Ftl {
     pub fn meta_journal_durable(&mut self, page: u64, at: SimTime) {
         if let Some(meta) = &mut self.meta {
             meta.journal_durable(page, at);
-        }
-    }
-
-    /// Reports the completion time of the in-flight checkpoint.
-    pub fn meta_checkpoint_durable(&mut self, at: SimTime) {
-        if let Some(meta) = &mut self.meta {
-            meta.checkpoint_durable(at);
         }
     }
 

@@ -11,26 +11,36 @@
 //! simulator charges the journal/checkpoint writes as real flash traffic
 //! and stamps their durability times.
 //!
+//! The journal is one flat queue of ops. Each flushed page is an end
+//! offset into it with a durable instant, and the ops past the last
+//! page's end are the volatile pending page. Checkpoints form a second
+//! queue in capture order; each covers the journal pages flushed before
+//! its capture. Truncation pops the front of the queues once a newer
+//! checkpoint is durable at the simulator's clock.
+//!
 //! Versioning: every mapping mutation (host write, GC relocation, TRIM)
 //! gets a globally unique, monotonically increasing version. Recovery is
 //! then "max durable version wins" per LPN:
 //!
-//! 1. load the newest durable checkpoint (versions + P2L as of entry
-//!    `upto_entry`);
-//! 2. replay durable journal pages in order, applying ops whose version
-//!    is newer than the recovered one;
+//! 1. load the newest checkpoint durable by the crash (versions + P2L as
+//!    of its capture);
+//! 2. replay the durable journal pages it does not cover in order,
+//!    applying ops whose version is newer than the recovered one;
 //! 3. scan the OOB of durable pages programmed *after* the journal tip
 //!    (the open, not-yet-journaled region) and apply newer versions.
 //!
 //! Because journal ops are appended in program-completion order and
-//! flushes become durable in order, the durable journal is always a
-//! prefix — which makes the "programmed after the tip" scan set exact.
+//! replay stops at the first page not yet durable, the replayed journal
+//! is always a prefix — which makes the "programmed after the tip" scan
+//! set exact.
 //!
 //! The module also keeps the *acknowledgement oracle* used to verify the
 //! two crash-consistency invariants: no acknowledged write may be lost,
 //! and no trimmed data may be resurrected. The simulator reports each
 //! host-visible completion; [`MetaState::recover`] checks the recovered
 //! state against the oracle.
+
+use std::collections::VecDeque;
 
 use dssd_kernel::{SimSpan, SimTime};
 
@@ -80,15 +90,15 @@ enum JournalOp {
     Trim { lpn: Lpn, version: u64 },
 }
 
-/// A flushed (or in-flight) journal page.
-#[derive(Debug, Clone)]
+/// A flushed journal page: the journal's ops from the previous page's
+/// end up to `end`.
+#[derive(Debug, Clone, Copy)]
 struct JournalPage {
-    ops: Vec<JournalOp>,
-    /// Journal-entry index of `ops[0]`.
-    first_entry: u64,
-    /// When the page program completed; `None` while the flush is in
-    /// flight (volatile from the crash model's point of view).
-    durable_at: Option<SimTime>,
+    /// Journal offset one past the page's last op.
+    end: u64,
+    /// When the page program completed; [`SimTime::MAX`] until the
+    /// simulator reports it.
+    durable_at: SimTime,
 }
 
 /// A captured L2P checkpoint.
@@ -98,18 +108,22 @@ struct Checkpoint {
     versions: Vec<u64>,
     /// Per-LPN physical page at capture ([`META_UNMAPPED`] = unmapped).
     ppns: Vec<u64>,
-    /// Journal entries `< upto_entry` are covered by this checkpoint.
-    upto_entry: u64,
+    /// Journal pages flushed before the capture: the ones it covers.
+    pages: u64,
+    /// Journal offset where those pages end.
+    upto: u64,
     /// Highest program stamp covered by this checkpoint.
     tip_programmed: u64,
-    /// When the checkpoint finished flushing; `None` while in flight.
-    durable_at: Option<SimTime>,
+    /// Checkpoints captured before this one (0 = the mount baseline).
+    seq: u64,
+    /// When the checkpoint finished flushing.
+    durable_at: SimTime,
 }
 
 /// Metadata I/O the simulator must charge as flash traffic. Drained via
 /// [`MetaState::drain_io`]; the simulator computes each transfer's
 /// completion time and reports it back through
-/// [`MetaState::journal_durable`] / [`MetaState::checkpoint_durable`].
+/// [`MetaState::journal_durable`] / [`MetaState::checkpoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetaIo {
     /// One journal-page program of `bytes` bytes; `page` identifies the
@@ -181,32 +195,20 @@ struct Ticket {
 #[derive(Debug, Clone)]
 pub struct MetaState {
     config: MetaConfig,
-    lpn_count: u64,
     /// Current (volatile) per-LPN version.
     versions: Vec<u64>,
     next_version: u64,
     /// OOB records per physical page (`None` = erased).
     oob: Vec<Option<OobRec>>,
     next_programmed: u64,
-    /// Pending (volatile) journal ops.
-    pending: Vec<JournalOp>,
-    pending_first_entry: u64,
-    next_entry: u64,
-    /// Flushed journal pages, oldest first.
-    journal: Vec<JournalPage>,
-    /// Emptied op buffers of truncated journal pages, for the next
-    /// flushes to start their pending page in.
-    spare_ops: Vec<Vec<JournalOp>>,
-    next_flush: u64,
-    /// Base flush number of `journal[0]` (earlier pages were truncated).
-    journal_base_flush: u64,
-    /// Last durable checkpoint.
-    checkpoint: Option<Checkpoint>,
-    /// Checkpoint currently being flushed.
-    checkpoint_inflight: Option<Checkpoint>,
-    /// The checkpoint a newer durable one replaced: the next capture
-    /// refills its buffers.
-    retired_checkpoint: Option<Checkpoint>,
+    /// Every op past the front checkpoint's coverage, oldest first: the
+    /// flushed pages' ops, then the pending (volatile) page.
+    journal: VecDeque<JournalOp>,
+    /// Journal pages flushed past the front checkpoint, oldest first.
+    pages: VecDeque<JournalPage>,
+    /// Checkpoints in capture order; the front is the mount baseline or
+    /// the newest durable at the last capture.
+    checkpoints: VecDeque<Checkpoint>,
     pages_since_checkpoint: u64,
     /// Write groups issued and not yet retired, indexed by ticket.
     tickets: Vec<Ticket>,
@@ -218,9 +220,6 @@ pub struct MetaState {
     /// LPN, and whether that ack was a trim (unmapped) state.
     acked_version: Vec<u64>,
     acked_trim: Vec<bool>,
-    /// True once the mount baseline (checkpoint 0) has been taken.
-    baseline_done: bool,
-    stats: MetaStats,
 }
 
 impl MetaState {
@@ -238,21 +237,13 @@ impl MetaState {
         );
         MetaState {
             config,
-            lpn_count,
             versions: vec![0; lpn_count as usize],
             next_version: 1,
             oob: vec![None; total_pages as usize],
             next_programmed: 1,
-            pending: Vec::with_capacity(config.journal_entries_per_page as usize),
-            pending_first_entry: 0,
-            next_entry: 0,
-            journal: Vec::new(),
-            spare_ops: Vec::new(),
-            next_flush: 0,
-            journal_base_flush: 0,
-            checkpoint: None,
-            checkpoint_inflight: None,
-            retired_checkpoint: None,
+            journal: VecDeque::new(),
+            pages: VecDeque::new(),
+            checkpoints: VecDeque::new(),
             pages_since_checkpoint: 0,
             tickets: Vec::new(),
             free_tickets: Vec::new(),
@@ -260,27 +251,44 @@ impl MetaState {
             io: Vec::new(),
             acked_version: vec![0; lpn_count as usize],
             acked_trim: vec![false; lpn_count as usize],
-            baseline_done: false,
-            stats: MetaStats::default(),
         }
     }
 
     /// Activity counters.
     #[must_use]
     pub fn stats(&self) -> MetaStats {
-        self.stats
+        let checkpoints = self.checkpoints.back().map_or(0, |c| c.seq);
+        MetaStats {
+            journal_pages: self.base().0 + self.pages.len() as u64,
+            journal_entries: self.flushed_end(),
+            checkpoints,
+            checkpoint_pages: checkpoints * self.checkpoint_flash_pages(),
+        }
     }
 
     /// True once [`MetaState::mount_baseline`] has run.
-    #[must_use]
-    pub fn baseline_done(&self) -> bool {
-        self.baseline_done
+    fn mounted(&self) -> bool {
+        !self.checkpoints.is_empty()
     }
 
-    /// Journal entries currently buffered in volatile memory.
-    #[must_use]
-    pub fn pending_entries(&self) -> usize {
-        self.pending.len()
+    /// The journal page index and offset the front checkpoint covers up
+    /// to, where `pages` and `journal` start.
+    fn base(&self) -> (u64, u64) {
+        self.checkpoints.front().map_or((0, 0), |c| (c.pages, c.upto))
+    }
+
+    /// Journal offset one past the last flushed op.
+    fn flushed_end(&self) -> u64 {
+        self.pages.back().map_or(self.base().1, |p| p.end)
+    }
+
+    /// Journal entries buffered in volatile memory.
+    fn pending(&self) -> u64 {
+        self.base().1 + self.journal.len() as u64 - self.flushed_end()
+    }
+
+    fn lpn_count(&self) -> u64 {
+        self.versions.len() as u64
     }
 
     /// Issues a ticket with no entries yet, reusing the most recently
@@ -311,7 +319,7 @@ impl MetaState {
     /// Before the mount baseline (prefill), writes are applied with
     /// instant durability and no ticket is issued.
     pub fn note_host_writes(&mut self, pairs: impl IntoIterator<Item = (Lpn, Ppn)>) -> u32 {
-        if !self.baseline_done {
+        if !self.mounted() {
             for (lpn, ppn) in pairs {
                 let version = self.next_version;
                 self.next_version += 1;
@@ -415,7 +423,7 @@ impl MetaState {
             self.next_version += 1;
             self.versions[lpn as usize] = version;
             self.oob[dst as usize] = Some(OobRec { lpn, version, programmed, durable_at: at });
-            if self.baseline_done {
+            if self.mounted() {
                 self.append_op(JournalOp::Map { lpn, version, ppn: dst, programmed });
             }
         } else {
@@ -431,7 +439,7 @@ impl MetaState {
         let version = self.next_version;
         self.next_version += 1;
         self.versions[lpn as usize] = version;
-        if self.baseline_done {
+        if self.mounted() {
             self.append_op(JournalOp::Trim { lpn, version });
         }
     }
@@ -444,111 +452,96 @@ impl MetaState {
         }
     }
 
-    /// Takes the mount baseline: an always-durable checkpoint of the
-    /// current mapping (checkpoint 0, covering prefill state, including
-    /// prefill trims), and seeds the acknowledgement oracle — everything
-    /// the device held at mount is implicitly acknowledged.
+    /// Takes the mount baseline, once: an always-durable checkpoint of
+    /// the current mapping (checkpoint 0, covering prefill state,
+    /// including prefill trims), and seeds the acknowledgement oracle —
+    /// everything the device held at mount is implicitly acknowledged.
     pub fn mount_baseline(&mut self, map: &MappingTable) {
-        assert!(!self.baseline_done, "baseline already taken");
-        let ckpt = self.capture_checkpoint(map);
-        self.checkpoint = Some(Checkpoint { durable_at: Some(SimTime::ZERO), ..ckpt });
-        for lpn in 0..self.lpn_count as usize {
+        if self.mounted() {
+            return;
+        }
+        self.checkpoint(map, SimTime::ZERO, SimTime::ZERO);
+        for lpn in 0..self.versions.len() {
             self.acked_version[lpn] = self.versions[lpn];
             self.acked_trim[lpn] = map.lookup(lpn as Lpn).is_none();
-        }
-        self.baseline_done = true;
-    }
-
-    /// Copies the current versions and mapping into the retired
-    /// checkpoint's buffers, or new ones before any has retired.
-    fn capture_checkpoint(&mut self, map: &MappingTable) -> Checkpoint {
-        let (mut versions, mut ppns) = self
-            .retired_checkpoint
-            .take()
-            .map_or_else(Default::default, |c| (c.versions, c.ppns));
-        versions.clone_from(&self.versions);
-        ppns.clear();
-        ppns.extend((0..self.lpn_count).map(|lpn| map.lookup(lpn).unwrap_or(META_UNMAPPED)));
-        Checkpoint {
-            versions,
-            ppns,
-            upto_entry: self.next_entry,
-            tip_programmed: self.next_programmed - 1,
-            durable_at: None,
         }
     }
 
     fn append_op(&mut self, op: JournalOp) {
-        if self.pending.is_empty() {
-            self.pending_first_entry = self.next_entry;
-        }
-        self.pending.push(op);
-        self.next_entry += 1;
-        if self.pending.len() >= self.config.journal_entries_per_page as usize {
+        self.journal.push_back(op);
+        if self.pending() >= u64::from(self.config.journal_entries_per_page) {
             self.flush_journal();
         }
     }
 
     fn flush_journal(&mut self) {
-        if self.pending.is_empty() {
+        if self.pending() == 0 {
             return;
         }
-        // The page keeps its ops; the next page starts in a truncated
-        // page's buffer, or a new one sized to a full page, so appends
-        // never regrow it.
-        let per_page = self.config.journal_entries_per_page as usize;
-        let next = self
-            .spare_ops
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(per_page));
-        let ops = std::mem::replace(&mut self.pending, next);
-        self.stats.journal_pages += 1;
-        self.stats.journal_entries += ops.len() as u64;
-        self.journal.push(JournalPage {
-            ops,
-            first_entry: self.pending_first_entry,
-            durable_at: None,
-        });
-        let page = self.next_flush;
-        self.next_flush += 1;
+        let (first_page, first_op) = self.base();
+        let page = first_page + self.pages.len() as u64;
+        let end = first_op + self.journal.len() as u64;
+        self.pages.push_back(JournalPage { end, durable_at: SimTime::MAX });
         self.io.push(MetaIo::JournalFlush { page, bytes: self.config.page_bytes });
     }
 
     fn note_data_programs(&mut self) {
-        if !self.baseline_done || self.config.checkpoint_interval_pages == 0 {
+        if !self.mounted() || self.config.checkpoint_interval_pages == 0 {
             return;
         }
         self.pages_since_checkpoint += 1;
-        if self.pages_since_checkpoint >= self.config.checkpoint_interval_pages
-            && self.checkpoint_inflight.is_none()
-        {
+        if self.pages_since_checkpoint >= self.config.checkpoint_interval_pages {
             self.pages_since_checkpoint = 0;
             // Flush the pending journal first so the checkpoint's
-            // entry coverage stays a journal-page boundary.
+            // coverage stays a journal-page boundary.
             self.flush_journal();
             self.io.push(MetaIo::Checkpoint {
                 pages: self.checkpoint_flash_pages(),
-                bytes: self.lpn_count * CHECKPOINT_ENTRY_BYTES,
+                bytes: self.lpn_count() * CHECKPOINT_ENTRY_BYTES,
             });
-            // Captured lazily by the simulator via `begin_checkpoint`.
+            // Captured by the simulator via `checkpoint`.
         }
     }
 
     /// Flash pages one checkpoint occupies.
     #[must_use]
     pub fn checkpoint_flash_pages(&self) -> u64 {
-        (self.lpn_count * CHECKPOINT_ENTRY_BYTES).div_ceil(u64::from(self.config.page_bytes))
+        (self.lpn_count() * CHECKPOINT_ENTRY_BYTES).div_ceil(u64::from(self.config.page_bytes))
     }
 
-    /// Captures the in-flight checkpoint content. The simulator calls
-    /// this when it dequeues a [`MetaIo::Checkpoint`], *before* any
-    /// further mapping mutation.
-    pub fn begin_checkpoint(&mut self, map: &MappingTable) {
-        assert!(self.checkpoint_inflight.is_none(), "checkpoint already in flight");
-        let ckpt = self.capture_checkpoint(map);
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_pages += self.checkpoint_flash_pages();
-        self.checkpoint_inflight = Some(ckpt);
+    /// Captures a checkpoint of the current versions and `map`, durable
+    /// at `durable_at`, covering the journal pages flushed so far. The
+    /// simulator calls this when it dequeues a [`MetaIo::Checkpoint`],
+    /// *before* any further mapping mutation, with its clock `now`.
+    ///
+    /// First every checkpoint older than the newest one durable at `now`
+    /// is dropped, with the journal pages that one covers: no crash from
+    /// `now` on mounts them. The last dropped checkpoint's buffers hold
+    /// the new capture.
+    pub fn checkpoint(&mut self, map: &MappingTable, now: SimTime, durable_at: SimTime) {
+        let newest_durable = self.checkpoints.iter().rposition(|c| c.durable_at <= now);
+        let mut spare = None;
+        if let Some(keep @ 1..) = newest_durable {
+            let (first_page, first_op) = self.base();
+            let front = &self.checkpoints[keep];
+            self.pages.drain(..(front.pages - first_page) as usize);
+            self.journal.drain(..(front.upto - first_op) as usize);
+            spare = self.checkpoints.drain(..keep).next_back();
+        }
+        let (mut versions, mut ppns) =
+            spare.map_or_else(Default::default, |c| (c.versions, c.ppns));
+        versions.clone_from(&self.versions);
+        ppns.clear();
+        ppns.extend((0..self.lpn_count()).map(|lpn| map.lookup(lpn).unwrap_or(META_UNMAPPED)));
+        self.checkpoints.push_back(Checkpoint {
+            versions,
+            ppns,
+            pages: self.base().0 + self.pages.len() as u64,
+            upto: self.flushed_end(),
+            tip_programmed: self.next_programmed - 1,
+            seq: self.checkpoints.back().map_or(0, |c| c.seq + 1),
+            durable_at,
+        });
     }
 
     /// Moves the pending metadata I/O for the simulator to charge into
@@ -559,34 +552,10 @@ impl MetaState {
 
     /// The journal flush `page` completed at `at`.
     pub fn journal_durable(&mut self, page: u64, at: SimTime) {
-        let idx = (page - self.journal_base_flush) as usize;
-        let slot = &mut self.journal[idx].durable_at;
-        assert!(slot.is_none(), "journal page already durable");
-        *slot = Some(at);
-    }
-
-    /// The in-flight checkpoint completed at `at`; journal pages it
-    /// covers are truncated.
-    pub fn checkpoint_durable(&mut self, at: SimTime) {
-        let mut ckpt = self.checkpoint_inflight.take().expect("checkpoint in flight");
-        ckpt.durable_at = Some(at);
-        let upto = ckpt.upto_entry;
-        self.retired_checkpoint = self.checkpoint.replace(ckpt);
-        let mut drop_n = 0;
-        for page in &self.journal {
-            let covered = page.first_entry + page.ops.len() as u64 <= upto;
-            if covered && page.durable_at.is_some() {
-                drop_n += 1;
-            } else {
-                break;
-            }
-        }
-        for page in self.journal.drain(..drop_n) {
-            let mut ops = page.ops;
-            ops.clear();
-            self.spare_ops.push(ops);
-        }
-        self.journal_base_flush += drop_n as u64;
+        let idx = (page - self.base().0) as usize;
+        let slot = &mut self.pages[idx].durable_at;
+        assert_eq!(*slot, SimTime::MAX, "journal page already durable");
+        *slot = at;
     }
 
     /// Simulates a mount after power loss at `t_loss`: everything not
@@ -595,39 +564,33 @@ impl MetaState {
     ///
     /// # Panics
     ///
-    /// Panics if [`MetaState::mount_baseline`] never ran.
+    /// Panics if no checkpoint is durable by `t_loss`: before
+    /// [`MetaState::mount_baseline`], or earlier than the clock of the
+    /// last [`MetaState::checkpoint`].
     #[must_use]
     pub fn recover(&self, t_loss: SimTime) -> RecoveryOutcome {
-        // 1. Newest durable checkpoint. The in-flight one qualifies only
-        //    if its flush completed before the crash (it then lives in
-        //    `checkpoint`), so `checkpoint` is the only candidate.
+        // 1. Newest checkpoint durable by the crash.
         let ckpt = self
-            .checkpoint
-            .as_ref()
-            .filter(|c| c.durable_at.expect("stored checkpoints are durable") <= t_loss)
-            .expect("mount baseline must pre-date any crash");
+            .checkpoints
+            .iter()
+            .rev()
+            .find(|c| c.durable_at <= t_loss)
+            .expect("a checkpoint must be durable by the crash");
         let mut versions = ckpt.versions.clone();
         let mut ppns = ckpt.ppns.clone();
         let mut tip_programmed = ckpt.tip_programmed;
         let checkpoint_pages = self.checkpoint_flash_pages();
 
-        // 2. Replay durable journal pages past the checkpoint coverage.
+        // 2. Replay the durable journal pages past its coverage, up to
+        //    the first page not durable by the crash.
+        let (first_page, first_op) = self.base();
+        let mut start = ckpt.upto;
         let mut journal_pages_replayed = 0;
-        let mut journal_entries_replayed = 0;
-        for page in &self.journal {
-            let Some(durable_at) = page.durable_at else { break };
-            if durable_at > t_loss {
-                break;
-            }
-            if page.first_entry + page.ops.len() as u64 <= ckpt.upto_entry {
-                continue;
-            }
+        let replayed = self.pages.iter().skip((ckpt.pages - first_page) as usize);
+        for page in replayed.take_while(|p| p.durable_at <= t_loss) {
             journal_pages_replayed += 1;
-            for (i, op) in page.ops.iter().enumerate() {
-                if page.first_entry + (i as u64) < ckpt.upto_entry {
-                    continue;
-                }
-                journal_entries_replayed += 1;
+            let ops = (start - first_op) as usize..(page.end - first_op) as usize;
+            for op in self.journal.range(ops) {
                 match *op {
                     JournalOp::Map { lpn, version, ppn, programmed } => {
                         tip_programmed = tip_programmed.max(programmed);
@@ -644,7 +607,9 @@ impl MetaState {
                     }
                 }
             }
+            start = page.end;
         }
+        let journal_entries_replayed = start - ckpt.upto;
 
         // 3. OOB scan of the open region: durable pages programmed after
         //    the durable journal tip.
@@ -669,7 +634,7 @@ impl MetaState {
         // 4. Invariants vs. the acknowledgement oracle.
         let mut lost_acked_writes = 0;
         let mut resurrected_trims = 0;
-        for lpn in 0..self.lpn_count as usize {
+        for lpn in 0..versions.len() {
             let acked = self.acked_version[lpn];
             if acked == 0 {
                 continue;
@@ -786,7 +751,7 @@ mod tests {
         let (mut meta, mut map) = setup(1024, 0); // journal never fills
         meta.mount_baseline(&map);
         write_acked(&mut meta, &mut map, 5, 9, t(100));
-        assert_eq!(meta.pending_entries(), 1);
+        assert_eq!(meta.pending(), 1);
         let out = meta.recover(t(200));
         assert_eq!(out.journal_pages_replayed, 0);
         assert_eq!(out.oob_pages_scanned, 1);
@@ -832,14 +797,42 @@ mod tests {
         assert_eq!(io.len(), 2, "journal flush then checkpoint: {io:?}");
         assert!(matches!(io[1], MetaIo::Checkpoint { .. }));
         meta.journal_durable(0, t(150));
-        meta.begin_checkpoint(&map);
-        meta.checkpoint_durable(t(300));
-        assert!(meta.journal.is_empty(), "covered durable prefix truncated");
+        meta.checkpoint(&map, t(100), t(300));
         let out = meta.recover(t(400));
         assert_eq!(out.journal_pages_replayed, 0);
         assert_eq!(out.ppns[1], 2);
         assert_eq!(out.lost_acked_writes, 0);
         assert_eq!(meta.stats().checkpoints, 1);
+        assert_eq!(meta.pages.len(), 1, "kept until the checkpoint is durable at the clock");
+        // The next capture, with the clock past t(300), drops the
+        // baseline and the journal page the first checkpoint covers.
+        write_acked(&mut meta, &mut map, 3, 4, t(400));
+        meta.journal_durable(1, t(450));
+        meta.checkpoint(&map, t(400), t(600));
+        assert_eq!(meta.checkpoints.len(), 2);
+        let kept = (meta.pages.len(), meta.journal.len());
+        assert_eq!(kept, (1, 1), "covered durable prefix truncated");
+        let out = meta.recover(t(500));
+        assert_eq!(out.journal_pages_replayed, 1);
+        assert_eq!((out.ppns[1], out.ppns[3]), (2, 4));
+        assert_eq!(out.lost_acked_writes, 0);
+        assert_eq!(meta.stats().journal_pages, 2);
+    }
+
+    /// A crash after a checkpoint is booked but before its flush is
+    /// durable mounts the older checkpoint and replays the journal.
+    #[test]
+    fn crash_before_a_checkpoint_is_durable_mounts_the_older_one() {
+        let (mut meta, mut map) = setup(1, 1);
+        meta.mount_baseline(&map);
+        write_acked(&mut meta, &mut map, 1, 2, t(100));
+        meta.journal_durable(0, t(150));
+        meta.checkpoint(&map, t(100), t(300));
+        let out = meta.recover(t(200));
+        assert_eq!(out.journal_pages_replayed, 1, "the baseline is mounted");
+        assert_eq!(out.journal_entries_replayed, 1);
+        assert_eq!(out.ppns[1], 2);
+        assert_eq!(out.lost_acked_writes, 0);
     }
 
     #[test]

@@ -143,7 +143,10 @@ impl EnduranceConfig {
     ///
     /// Returns a human-readable message naming the first degenerate knob:
     /// an empty geometry, fewer than two superblocks, a reservation
-    /// outside `[0, 1)`, or an SRT without entries.
+    /// outside `[0, 1)`, an SRT without entries, a P/E limit mean that is
+    /// not a finite positive number or a standard deviation that is not a
+    /// finite non-negative one, or a power-loss fill mean that is NaN,
+    /// negative, or set without the journal model.
     pub fn validate(&self) -> Result<(), String> {
         if self.channels == 0 || self.subs_per_channel == 0 {
             return Err("geometry has an empty dimension".into());
@@ -156,6 +159,17 @@ impl EnduranceConfig {
         }
         if self.srt_entries == 0 {
             return Err("SRT needs at least one entry".into());
+        }
+        let (mean, sigma) = (self.pe_mean, self.pe_sigma);
+        if !(mean.is_finite() && mean > 0.0 && sigma.is_finite() && sigma >= 0.0) {
+            return Err(format!("P/E limit distribution N({mean}, {sigma}^2) is degenerate"));
+        }
+        let fills = self.mean_fills_between_power_loss;
+        if fills.is_nan() || fills < 0.0 {
+            return Err(format!("power-loss fill mean {fills} must be >= 0"));
+        }
+        if fills > 0.0 && self.journal.is_none() {
+            return Err("power-loss injection requires the journal model".into());
         }
         Ok(())
     }
@@ -261,10 +275,6 @@ struct MetaPump {
 
 impl MetaPump {
     fn new(cfg: &EnduranceConfig) -> MetaPump {
-        assert!(
-            cfg.mean_fills_between_power_loss <= 0.0 || cfg.journal.is_some(),
-            "power-loss injection requires the journal model"
-        );
         let blocks = (cfg.channels * cfg.subs_per_channel) as u64;
         let ckpt_pages = cfg.journal.map_or(0, |j| {
             (cfg.superblocks as u64 * CHECKPOINT_ENTRY_BYTES).div_ceil(u64::from(j.page_bytes))
@@ -859,6 +869,13 @@ mod tests {
             (EnduranceConfig { reserved_fraction: 1.0, ..cfg() }, "[0, 1)"),
             (EnduranceConfig { reserved_fraction: f64::NAN, ..cfg() }, "[0, 1)"),
             (EnduranceConfig { srt_entries: 0, ..cfg() }, "SRT"),
+            (EnduranceConfig { pe_mean: f64::NAN, ..cfg() }, "P/E"),
+            (EnduranceConfig { pe_mean: -1.0, ..cfg() }, "P/E"),
+            (EnduranceConfig { pe_mean: f64::INFINITY, ..cfg() }, "P/E"),
+            (EnduranceConfig { pe_sigma: f64::INFINITY, ..cfg() }, "P/E"),
+            (EnduranceConfig { pe_sigma: -0.5, ..cfg() }, "P/E"),
+            (EnduranceConfig { mean_fills_between_power_loss: f64::NAN, ..cfg() }, "fill mean"),
+            (EnduranceConfig { mean_fills_between_power_loss: -1.0, ..cfg() }, "fill mean"),
         ];
         for (c, why) in bad {
             let e = c.validate().unwrap_err();

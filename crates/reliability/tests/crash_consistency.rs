@@ -102,3 +102,35 @@ fn crash_audit_matches_an_armed_power_loss() {
         }
     }
 }
+
+/// The CLI's `crashpoints --ms 1 --stride 500 --seeds 1
+/// --ckpt-interval-pages 256`: a sweep over a dSSD_f run that takes a
+/// checkpoint every 256 data programs, so crashpoints land before,
+/// while and after each checkpoint's flush. Every field is pinned.
+#[test]
+fn checkpointed_sweep_holds_invariants() {
+    let mut base = SsdConfig::test_tiny(Architecture::DssdFnoc);
+    base.durability =
+        Some(DurabilityConfig { checkpoint_interval_pages: 256, ..DurabilityConfig::default() });
+    let report = sweep(&CrashpointConfig {
+        base,
+        workload: SyntheticWorkload::writes(AccessPattern::Random, 8),
+        duration: SimSpan::from_ms(1),
+        stride: 500,
+        seeds: vec![1],
+    });
+    assert!(report.passed(), "invariant violations: {:?}", report.violations);
+    assert_eq!(
+        report,
+        CrashpointReport {
+            points: 1_057,
+            seeds: vec![1],
+            violations: Vec::new(),
+            torn_pages: 99_971,
+            requests_torn: 67_648,
+            pages_read: 1_256_843,
+            max_recovery: SimSpan::from_ns(1_828_296),
+            total_recovery: SimSpan::from_ns(1_432_519_944),
+        }
+    );
+}

@@ -446,8 +446,18 @@ impl SsdConfig {
         if self.dbuf_pages == 0 {
             return Err("dBUF needs at least one page".into());
         }
+        // One remap slot per (superblock, die): injecting more could
+        // never fill the table.
+        let remap_slots = u64::from(g.blocks) * g.total_dies();
+        if self.srt_active_remaps as u64 > remap_slots {
+            return Err(format!(
+                "{} SRT remaps exceed the remap table's {remap_slots} slots (superblocks x dies)",
+                self.srt_active_remaps
+            ));
+        }
         if let Some(d) = self.dynamic_sb {
-            if d.pe_mean <= 0.0 || d.pe_sigma < 0.0 {
+            let (mean, sigma) = (d.pe_mean, d.pe_sigma);
+            if !(mean.is_finite() && mean > 0.0 && sigma.is_finite() && sigma >= 0.0) {
                 return Err("dynamic-superblock wear distribution is degenerate".into());
             }
             if d.srt_entries == 0 {
@@ -585,6 +595,20 @@ mod tests {
         let mut c = SsdConfig::test_tiny(Architecture::Baseline);
         c.dbuf_pages = 0;
         assert!(c.validate().unwrap_err().contains("dBUF"));
+
+        let degenerate = [(0.0, 1.0), (f64::NAN, 1.0), (f64::INFINITY, 1.0), (8.0, f64::NAN)];
+        for (pe_mean, pe_sigma) in degenerate {
+            let mut c = SsdConfig::test_tiny(Architecture::Dssd);
+            c.dynamic_sb = Some(DynamicSbConfig { pe_mean, pe_sigma, ..Default::default() });
+            assert!(c.validate().unwrap_err().contains("degenerate"), "{pe_mean} {pe_sigma}");
+        }
+
+        // test_tiny's remap table: 64 superblocks x 64 dies.
+        let mut c = SsdConfig::test_tiny(Architecture::Dssd);
+        c.srt_active_remaps = 4_096;
+        c.validate().unwrap();
+        c.srt_active_remaps = 4_097;
+        assert!(c.validate().unwrap_err().contains("4096 slots"));
 
         for factor in [f64::NAN, f64::INFINITY] {
             let mut c = SsdConfig::test_tiny(Architecture::Dssd);

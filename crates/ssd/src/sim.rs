@@ -707,15 +707,15 @@ impl SsdSim {
                     self.ftl.meta_journal_durable(seq, done + program);
                 }
                 MetaIo::Checkpoint { pages, bytes } => {
-                    // Snapshot the mapping before any further mutation.
-                    self.ftl.meta_begin_checkpoint();
                     let d = self.res.book(Hop::Dram, self.now, bytes, CLASS_META, &mut self.report);
                     let mut durable = d + program;
                     for i in 0..pages {
                         let done = self.occupy(Hop::Bus((i % channels) as usize), d, 1, CLASS_META);
                         durable = durable.max(done + program);
                     }
-                    self.ftl.meta_checkpoint_durable(durable);
+                    // Snapshot the mapping before any further mutation;
+                    // a crash mounts it only from `durable` on.
+                    self.ftl.meta_checkpoint(self.now, durable);
                 }
             }
         }

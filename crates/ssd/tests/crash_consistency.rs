@@ -150,3 +150,81 @@ fn journal_traffic_is_charged_only_when_durability_is_on() {
     assert!(stats.journal_pages > 0, "host writes must flush journal pages");
     assert!(stats.journal_entries > 0);
 }
+
+/// A durable 4 ms `test_tiny` run of 8-page random writes that takes a
+/// checkpoint every 256 data programs and never loses power: the
+/// metadata activity, event count, state and GC issue digests and
+/// completions.
+fn checkpointed_line(arch: Architecture) -> String {
+    let mut cfg = SsdConfig::test_tiny(arch);
+    cfg.durability =
+        Some(DurabilityConfig { checkpoint_interval_pages: 256, ..DurabilityConfig::default() });
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    sim.run_closed_loop(SyntheticWorkload::writes(AccessPattern::Random, 8), SimSpan::from_ms(4));
+    let m = sim.meta_stats().expect("durability on");
+    format!(
+        "journal_pages={} journal_entries={} checkpoints={} checkpoint_pages={} events={} digest={:#018x} gc_issue={:#018x} completed={}",
+        m.journal_pages,
+        m.journal_entries,
+        m.checkpoints,
+        m.checkpoint_pages,
+        sim.events_handled(),
+        sim.state_digest(),
+        sim.report().gc_issue_digest,
+        sim.report().requests_completed,
+    )
+}
+
+/// Golden checkpointed durable runs, captured before the journal became
+/// one flat queue of ops and the checkpoints one queue: periodic
+/// checkpoints truncate the journal inside the simulator, which no other
+/// golden reaches (`DurabilityConfig::default()` never checkpoints after
+/// the mount).
+#[test]
+fn golden_checkpointed_durable_runs() {
+    let got = [checkpointed_line(Architecture::Dssd), checkpointed_line(Architecture::DssdFnoc)];
+    let golden = [
+        "journal_pages=16 journal_entries=3511 checkpoints=5 checkpoint_pages=3840 events=3686 digest=0x1ed6a9b55a1bdd58 gc_issue=0x79dcb15a3ecc0877 completed=321",
+        "journal_pages=17 journal_entries=3752 checkpoints=4 checkpoint_pages=3072 events=987860 digest=0x340d31278cab4111 gc_issue=0x405d5dbfef221868 completed=366",
+    ];
+    assert_eq!(got, golden, "checkpointed durable runs drifted from the golden runs");
+}
+
+/// Crash audits every 500 events of a durable `test_tiny` dSSD run that
+/// checkpoints every 256 data programs. The audits land before the
+/// first checkpoint, while one is in flight (the older checkpoint is
+/// mounted and the journal past it replayed), and after one is durable
+/// (little or no journal left to replay); each must hold both
+/// invariants. The mount each audit runs is pinned as `(ns, journal
+/// pages, journal entries, OOB pages)`.
+#[test]
+fn crash_audits_hold_across_periodic_checkpoints() {
+    let mut cfg = SsdConfig::test_tiny(Architecture::Dssd);
+    cfg.durability =
+        Some(DurabilityConfig { checkpoint_interval_pages: 256, ..DurabilityConfig::default() });
+    let mut sim = SsdSim::new(cfg);
+    sim.prefill();
+    sim.begin_closed_loop(SyntheticWorkload::writes(AccessPattern::Random, 8), SimSpan::from_ms(4));
+    let mut mounts = Vec::new();
+    while sim.run_events(500) == RunState::Paused {
+        let rec = sim.crash_audit();
+        assert!(rec.invariants_hold(), "after event {}: {rec:?}", sim.events_handled());
+        let (t, pages) = (rec.power_loss_at.as_ns(), rec.journal_pages_replayed);
+        mounts.push((t, pages, rec.journal_entries_replayed, rec.oob_pages_scanned));
+    }
+    let stats = sim.meta_stats().expect("durability on");
+    assert!(stats.checkpoint_pages > 0, "the run took checkpoints: {stats:?}");
+    assert_eq!(
+        mounts,
+        [
+            (251_736, 0, 0, 67),
+            (652_168, 0, 0, 640),
+            (1_000_328, 2, 512, 802),
+            (2_170_832, 0, 0, 401),
+            (2_504_528, 0, 0, 973),
+            (3_258_904, 4, 894, 659),
+            (3_655_200, 2, 512, 622),
+        ]
+    );
+}
